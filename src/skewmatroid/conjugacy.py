@@ -4,19 +4,20 @@ warp(a) = sigma(a)/a = a^(q^s - 1) is multiplicative, kills F_q*, and its
 image is the class of 1; conjugating a by c multiplies a by warp(c).  The
 nonzero elements split into q-1 classes C(g^l), l = 0..q-2, each of size
 (q^m - 1)/(q - 1), and the class does not depend on which power of the
-Frobenius is used as the twist.  class_of recovers l by one exponentiation
-plus a small table lookup; the unwarp functions invert warp inside a class,
-either through the kernel of a linearized map or by a single exponentiation
-when the class size is coprime to q^s - 1.
+Frobenius is used as the twist.  Elements are discrete logs, so both the
+class index and the canonical warp inverse are integer arithmetic mod
+q^m - 1: the class of g^a is a mod (q - 1), and warp multiplies logs by
+q^s - 1.  The paper's two unwarp routes stay alongside the closed form: the
+kernel of a linearized map, and a single exponentiation when the class size
+is coprime to q^s - 1.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .errors import InapplicableField, WrongClass, ZeroArgument, ZeroConjugator
-from .field import Fe, FieldCtx, ONE, ZERO, kernel
+from .field import Fe, FieldCtx, ZERO, kernel
 
 # A class id is None for the class of zero, else l in 0..q-2 (the class of g^l).
 ClassId = int | None
@@ -38,23 +39,15 @@ def conjugate(ctx: FieldCtx, a: Fe, c: Fe) -> Fe:
     return ctx.mul(a, warp(ctx, c))
 
 
-@functools.lru_cache(maxsize=None)
-def _class_lookup(ctx: FieldCtx) -> dict[Fe, int]:
-    # l-th class representative g^l raised to the class size, for each l
-    N = ctx.order - 1
-    return {(ell * ctx.class_size) % N: ell for ell in range(ctx.q - 1)}
-
-
 def class_of(ctx: FieldCtx, a: Fe) -> ClassId:
     """The class index of a: None for zero, else l with a in C(g^l).
 
-    Raising a to the class size collapses the warp factor (it becomes a
-    (q^m - 1)-th power), leaving a value in F_q* that pins down l.
+    Warp factors have logs divisible by q - 1, so the log of a modulo q - 1
+    is what conjugation leaves fixed.
     """
     if a == ZERO:
         return None
-    v = ctx.pow(a, ctx.class_size)
-    return _class_lookup(ctx)[v]
+    return a % (ctx.q - 1)
 
 
 def class_elements(ctx: FieldCtx, ell: int) -> tuple[Fe, ...]:
@@ -108,10 +101,16 @@ def unwarp_method2(ctx: FieldCtx, alpha: Fe, ell: int) -> Fe:
     return ctx.pow(ctx.div(alpha, ell), t)
 
 
-@functools.lru_cache(maxsize=None)
 def unwarp(ctx: FieldCtx, alpha: Fe, ell: int) -> Fe:
-    """Canonical (deterministic) warp inverse within a class."""
-    return unwarp_method1(ctx, alpha, ell)
+    """The least-log warp preimage within a class, as unwarp_method1 returns.
+    For alpha = g^(l + j(q-1)) its log t solves t [s]_q = j mod class size,
+    [s]_q = (q^s - 1)/(q - 1), which gcd(s, m) = 1 makes invertible; the
+    fiber is t plus multiples of the class size."""
+    ell = ell % (ctx.q - 1)
+    if class_of(ctx, alpha) != ell:
+        raise WrongClass(f"element is not in class {ell}")
+    s_bracket = (ctx.q**ctx.s - 1) // (ctx.q - 1)
+    return (alpha - ell) // (ctx.q - 1) * pow(s_bracket, -1, ctx.class_size) % ctx.class_size
 
 
 def class_label(ctx: FieldCtx, cid: ClassId) -> str:

@@ -406,18 +406,12 @@ def mat_vec(ctx: FieldCtx, rows: list[list[Fe]], v: list[Fe]) -> list[Fe]:
     return out
 
 
-def span_vectors(ctx: FieldCtx, rows: list[list[Fe]]) -> Iterator[list[Fe]]:
-    """Every F_q-combination of the given vectors (including zero)."""
-    if not rows:
-        yield []
-        return
-    width = len(rows[0])
-    combos = [[ZERO] * width]
-    for row in rows:
-        nxt = []
-        for c in ctx.subfield_elements:
-            scaled = [ctx.mul(c, x) for x in row]
-            for v in combos:
-                nxt.append([ctx.add(a, b) for a, b in zip(v, scaled)])
-        combos = nxt
-    yield from combos
+def span_elements(ctx: FieldCtx, elements: Iterable[Fe]) -> set[Fe]:
+    """The F_q-span of field elements, zero included; an element already in
+    the span adds nothing."""
+    span = {ZERO}
+    for a in elements:
+        if a in span:
+            continue
+        span = {ctx.add(x, ctx.mul(c, a)) for x in span for c in ctx.subfield_elements}
+    return span

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 from .conjugacy import class_elements, class_of, unwarp, warp
 from .errors import InapplicableField, NotC1Flat, TooLargeToEnumerate
-from .field import Fe, FieldCtx, ONE, ZERO, mat_rank, rref, span_vectors
+from .field import Fe, FieldCtx, ONE, ZERO, mat_rank, rref, span_elements
 from .minimal import canonical_points, closure, minimal_poly, p_basis, rank_of
 from .skewpoly import SkewPoly, grcd
 
@@ -100,12 +100,8 @@ class Subspace:
 
     def element_logs(self) -> tuple[Fe, ...]:
         """All nonzero members as field elements, canonical order."""
-        out = set()
-        for v in span_vectors(self.ctx, [list(r) for r in self.rows]):
-            a = self.ctx.uncoords(v)
-            if a != ZERO:
-                out.add(a)
-        return tuple(sorted(out))
+        span = span_elements(self.ctx, (self.ctx.uncoords(r) for r in self.rows))
+        return tuple(sorted(span - {ZERO}))
 
     def __eq__(self, other) -> bool:
         return (

@@ -5,7 +5,14 @@ degree that evaluates to zero on every point.  It is built one point at a
 time: a point the current polynomial already kills is skipped, otherwise the
 polynomial is extended by the linear factor whose root is the point
 conjugated by the current value.  Degree growth therefore counts exactly the
-"independent" points, which is what rank, closures and bases below rest on.
+"independent" points, which is what rank and bases below rest on.
+
+Closures take the other route the paper gives: the matroid is the direct sum
+of {0} and one submatroid per conjugacy class (Lam & Leroy, "Vandermonde and
+Wronskian matrices over division rings", J. Algebra 1988), and warping
+carries each class's flats one-to-one onto the F_q-subspaces of the field.
+So a closure is computed class by class as the warp image of the span of
+the unwarped points, with no scan of the field.
 """
 
 from __future__ import annotations
@@ -14,12 +21,8 @@ from typing import Iterable, Sequence
 
 from .conjugacy import class_of, conjugate, unwarp, warp
 from .errors import MixedClasses, NotClosed
-from .field import Fe, FieldCtx, ONE, ZERO, rref, span_vectors
+from .field import Fe, FieldCtx, ONE, ZERO, span_elements
 from .skewpoly import SkewPoly, grcd, llcm
-
-# Fast/exhaustive crossover: beyond this field size, closures of single-class
-# sets go through the lifted-subspace enumeration instead of a full scan.
-_FAST_CLOSURE_MIN_ORDER = 1 << 12
 
 
 def canonical_points(points: Iterable[Fe]) -> tuple[Fe, ...]:
@@ -27,17 +30,24 @@ def canonical_points(points: Iterable[Fe]) -> tuple[Fe, ...]:
     return tuple(sorted(set(points)))
 
 
-def minimal_poly(ctx: FieldCtx, points: Iterable[Fe]) -> SkewPoly:
-    """Monic least-degree skew polynomial vanishing on the set (1 for the
-    empty set).  Insertion happens in canonical order; the result does not
-    depend on that order."""
+def _minimal_poly_and_basis(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[SkewPoly, tuple[Fe, ...]]:
+    """The minimal polynomial and the points that raised its degree."""
     f = SkewPoly.one(ctx)
+    basis = []
     for b in canonical_points(points):
         v = f.evaluate(b)
         if v == ZERO:
             continue
         f = SkewPoly(ctx, (ctx.neg(conjugate(ctx, b, v)), ONE)) * f
-    return f
+        basis.append(b)
+    return f, tuple(basis)
+
+
+def minimal_poly(ctx: FieldCtx, points: Iterable[Fe]) -> SkewPoly:
+    """Monic least-degree skew polynomial vanishing on the set (1 for the
+    empty set).  Insertion happens in canonical order; the result does not
+    depend on that order."""
+    return _minimal_poly_and_basis(ctx, points)[0]
 
 
 def rank_of(ctx: FieldCtx, points: Iterable[Fe]) -> int:
@@ -52,15 +62,7 @@ def is_p_independent(ctx: FieldCtx, points: Iterable[Fe]) -> bool:
 
 def p_basis(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[Fe, ...]:
     """Greedy independent subset (canonical order) with the same closure."""
-    f = SkewPoly.one(ctx)
-    out = []
-    for b in canonical_points(points):
-        v = f.evaluate(b)
-        if v == ZERO:
-            continue
-        f = SkewPoly(ctx, (ctx.neg(conjugate(ctx, b, v)), ONE)) * f
-        out.append(b)
-    return tuple(out)
+    return _minimal_poly_and_basis(ctx, points)[1]
 
 
 def _single_class(ctx: FieldCtx, pts: Sequence[Fe]) -> int:
@@ -81,34 +83,21 @@ def lift(ctx: FieldCtx, points: Iterable[Fe]) -> list[list[Fe]]:
     return [ctx.coords(unwarp(ctx, b, ell)) for b in pts]
 
 
-def closure_fast(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[Fe, ...]:
-    """Closure of a single-class set via its lifted subspace: warp every
-    nonzero vector of the span back into the class."""
-    pts = canonical_points(points)
-    if not pts:
-        return ()
-    ell = _single_class(ctx, pts)
-    R, rk, _ = rref(ctx, lift(ctx, pts))
-    out = set()
-    for v in span_vectors(ctx, R[:rk]):
-        a = ctx.uncoords(v)
-        if a != ZERO:
-            out.add(ctx.mul(ell, warp(ctx, a)))
-    return canonical_points(out)
-
-
 def closure(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[Fe, ...]:
-    """All zeros of the minimal polynomial.  Exhaustive scan by default;
-    single-class sets on large fields take the subspace route."""
-    pts = canonical_points(points)
-    if not pts:
-        return ()
-    if ctx.order > _FAST_CLOSURE_MIN_ORDER:
-        try:
-            return closure_fast(ctx, pts)
-        except MixedClasses:
-            pass
-    return minimal_poly(ctx, pts).zeros()
+    """All zeros of the minimal polynomial: zero if the set holds it, and for
+    each class l present, g^l * warp(a) for every nonzero a in the F_q-span
+    of that class's unwarped points."""
+    lifts: dict[int, list[Fe]] = {}
+    out = set()
+    for b in points:
+        ell = class_of(ctx, b)
+        if ell is None:
+            out.add(ZERO)
+        else:
+            lifts.setdefault(ell, []).append(unwarp(ctx, b, ell))
+    for ell, elements in lifts.items():
+        out.update(ctx.mul(ell, warp(ctx, a)) for a in span_elements(ctx, elements) if a != ZERO)
+    return canonical_points(out)
 
 
 def decompose_check(ctx: FieldCtx, points1: Iterable[Fe], points2: Iterable[Fe]):

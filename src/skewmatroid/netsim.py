@@ -3,8 +3,8 @@
 A source encodes its message as a flat of one conjugacy class and is treated
 as a relay preloaded with a P-basis of that flat.  Every node forwards, per
 outgoing edge, one element drawn uniformly from the closure of the packets it
-holds: unwarp the packets to vectors, draw a uniform nonzero linear
-combination over the base field, warp the result back into the class.  Sinks
+holds: unwarp the packets, draw a uniform nonzero F_q-linear combination of
+the unwarped field elements, warp the result back into the class.  Sinks
 decode by taking the matroid closure of everything they received; success is
 exact flat recovery, partial recovery is reported through the flat metric.
 
@@ -213,10 +213,11 @@ def _draw_nonzero_combination(
 ) -> list[Fe]:
     """Uniform nonzero element of the span: draw one base-field coefficient
     per vector, reject when the combination vanishes.  Exactly one randrange
-    call per vector per attempt, so an identically seeded stream replays."""
+    call per vector per attempt, so an identically seeded stream replays.
+    The vectors share one length; field elements pass as one-entry vectors."""
     q = ctx.q
     while True:
-        out = [ZERO] * ctx.m
+        out = [ZERO] * len(vectors[0])
         for vec in vectors:
             c = ctx.subfield_elements[rng.randrange(q)]
             if c == ZERO:
@@ -232,7 +233,8 @@ def relay_forward(ctx: FieldCtx, in_packets: Sequence[Fe], rng: random.Random) -
     """One outgoing packet: uniform over the closure of the received ones.
 
     All-zero input forwards zero (the closure of {0}); otherwise the packets
-    must share a class and the draw goes through their unwarped lifts.
+    must share a class and the draw combines their unwarped preimages, which
+    warping carries onto the closure.
     """
     pkts = list(in_packets)
     if not pkts:
@@ -244,9 +246,8 @@ def relay_forward(ctx: FieldCtx, in_packets: Sequence[Fe], rng: random.Random) -
     ell = classes.pop()
     if ell is None:
         return ZERO
-    lifts = [ctx.coords(unwarp(ctx, p, ell)) for p in pkts]
-    combo = _draw_nonzero_combination(ctx, lifts, rng)
-    return ctx.mul(ell, warp(ctx, ctx.uncoords(combo)))
+    (combo,) = _draw_nonzero_combination(ctx, [(unwarp(ctx, p, ell),) for p in pkts], rng)
+    return ctx.mul(ell, warp(ctx, combo))
 
 
 def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:

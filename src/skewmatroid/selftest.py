@@ -15,7 +15,6 @@ from .conjugacy import (
     class_elements,
     class_invariance_holds,
     class_of,
-    unwarp,
     warp,
 )
 from .errors import NonPrimitiveModpoly

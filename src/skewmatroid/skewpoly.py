@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import DivisionByZeroPoly, MixedContexts, ParseError, ZeroInput
-from .field import Fe, FieldCtx, ONE, ZERO
+from .field import MAX_ORDER, Fe, FieldCtx, ONE, ZERO
 
 
 class SkewPoly:
@@ -182,12 +182,13 @@ class SkewPoly:
 
     # -- text form --------------------------------------------------------------------
 
-    _XPART = re.compile(r"^x(?:\^(\d+))?$")
+    _XPART = re.compile(r"^x(?:\^0*(\d+))?$")
 
     @classmethod
     def parse(cls, ctx: FieldCtx, text: str) -> "SkewPoly":
         """Grammar: poly := term ('+' term)*, term := coeff | [coeff '*'] 'x' ['^' uint],
-        coeff := '0' | '1' | 'g' uint.  Repeated exponents are summed."""
+        coeff := '0' | '1' | 'g' uint.  Repeated exponents are summed; an
+        exponent above MAX_ORDER is a ParseError, raised before any allocation."""
         coeffs: dict[int, Fe] = {}
         for raw in text.split("+"):
             t = raw.replace(" ", "").replace("\t", "")
@@ -206,7 +207,10 @@ class SkewPoly:
                 m = cls._XPART.match(xtext)
                 if not m:
                     raise ParseError(f"bad term {raw.strip()!r}")
-                e = int(m.group(1)) if m.group(1) else 1
+                digits = m.group(1) or "1"
+                if len(digits) > len(str(MAX_ORDER)) or int(digits) > MAX_ORDER:
+                    raise ParseError(f"exponent in {raw.strip()!r} exceeds the cap of {MAX_ORDER}")
+                e = int(digits)
             coeffs[e] = ctx.add(coeffs.get(e, ZERO), coeff)
         width = max(coeffs) + 1 if coeffs else 0
         out = [ZERO] * width

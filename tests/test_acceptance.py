@@ -1,5 +1,5 @@
 """Acceptance gate: one test per shipping criterion, each timed against its
-budget and printing a single PASS line (run with -s or read test_output.txt).
+budget and printing a single PASS line (run with -s to see them).
 """
 
 import itertools

@@ -259,6 +259,9 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and err.startswith("error: InapplicableField")
     code, _, err = run(capsys, "--field", "2,4,2,1,31", "fieldinfo")
     assert code == 1 and err.startswith("error: NonPrimitiveModpoly")
+    # the exponent cap rejects this before allocating 10^9 coefficients
+    code, out, err = run(capsys, "--field", "2,2,1,1", "mul", "x^1000000000", "x")
+    assert code == 1 and out == "" and err.startswith("error: ParseError")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -35,6 +35,8 @@ def test_classes_partition_nonzero(fixture, request):
         assert len(members) == ctx.class_size
         for a in members:
             assert class_of(ctx, a) == ell
+            # the definition: a^(class size) = g^(l * class size)
+            assert ctx.pow(a, ctx.class_size) == ctx.pow(ell, ctx.class_size)
         seen.extend(members)
     assert sorted(seen) == sorted(ctx.nonzero_elements())
     assert class_of(ctx, ZERO) is None
@@ -126,8 +128,8 @@ def test_unwarp_wrong_class(f16):
         unwarp(f16, ZERO, 0)
 
 
-def test_unwarp_cached_matches_method1(f16, f9):
-    for ctx in (f16, f9):
+def test_unwarp_closed_form_matches_method1(f16, f9, f27s2, f32s2):
+    for ctx in (f16, f9, f27s2, f32s2):
         for ell in range(ctx.q - 1):
             for alpha in class_elements(ctx, ell):
                 assert unwarp(ctx, alpha, ell) == unwarp_method1(ctx, alpha, ell)

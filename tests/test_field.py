@@ -16,7 +16,7 @@ from skewmatroid import (
     field_from_spec,
     get_field,
 )
-from skewmatroid.field import kernel, mat_rank, mat_vec, rref, span_vectors
+from skewmatroid.field import kernel, mat_rank, mat_vec, rref, span_elements
 
 
 # ---------------------------------------------------------------- oracle
@@ -337,9 +337,17 @@ def test_rref_kernel_properties(spec):
             assert mat_vec(ctx, mat, vec) == [ZERO] * nr
 
 
-def test_span_vectors(f16):
-    rows = [f16.coords(ONE), f16.coords(3)]
-    vectors = list(span_vectors(f16, rows))
-    assert len(vectors) == f16.q ** 2
-    assert len({tuple(v) for v in vectors}) == f16.q ** 2
-    assert [ZERO] * f16.m in vectors
+def test_span_elements(f16):
+    span = span_elements(f16, (ONE, 3))
+    assert len(span) == f16.q ** 2
+    assert ZERO in span
+    # the span is the image of every coordinate combination
+    combos = {
+        f16.add(f16.mul(c, ONE), f16.mul(d, 3))
+        for c in f16.subfield_elements
+        for d in f16.subfield_elements
+    }
+    assert span == combos
+    # an element already spanned adds nothing
+    assert span_elements(f16, (ONE, 3, f16.add(ONE, 3))) == span
+    assert span_elements(f16, ()) == {ZERO}

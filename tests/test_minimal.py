@@ -24,7 +24,7 @@ from skewmatroid import (
     warp,
 )
 from skewmatroid.field import mat_rank
-from skewmatroid.minimal import closure_fast
+from skewmatroid.matroid import closure_definitional
 
 
 def _dbracket(ctx, i: int) -> int:
@@ -159,23 +159,29 @@ def test_lift_rejects_mixed_classes(f16):
     with pytest.raises(MixedClasses):
         lift(f16, (a, b))
     with pytest.raises(MixedClasses):
-        closure_fast(f16, (a, b))
-    with pytest.raises(MixedClasses):
         lift(f16, (a, ZERO))
 
 
 # ------------------------------------------------------------------ closures
 
 
-@pytest.mark.parametrize("fixture", ["f16", "f9", "f64", "f32s2"])
-def test_closure_fast_matches_definitional(fixture, request):
+@pytest.mark.parametrize("fixture", ["f16", "f9", "f64", "f32s2", "f27s2"])
+def test_closure_matches_definitional(fixture, request):
     ctx = request.getfixturevalue(fixture)
     rng = random.Random(fixture)
     for ell in range(ctx.q - 1):
         members = class_elements(ctx, ell)
         for _ in range(30):
             pts = tuple(rng.sample(members, rng.randint(1, min(4, len(members)))))
-            assert closure_fast(ctx, pts) == minimal_poly(ctx, pts).zeros()
+            assert closure(ctx, pts) == minimal_poly(ctx, pts).zeros()
+    # sets drawn from all units mix classes; each is checked with and without zero
+    units = list(ctx.nonzero_elements())
+    for _ in range(30):
+        drawn = tuple(rng.sample(units, rng.randint(2, 5)))
+        for pts in (drawn, drawn + (ZERO,)):
+            cl = closure(ctx, pts)
+            assert cl == minimal_poly(ctx, pts).zeros()
+            assert cl == closure_definitional(ctx, pts)
 
 
 def test_closure_size_is_bracket_of_rank(f16, f9):

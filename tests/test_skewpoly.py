@@ -17,6 +17,7 @@ from skewmatroid import (
     llcm,
     warp,
 )
+from skewmatroid.field import MAX_ORDER
 
 
 def _random_poly(ctx, rng, max_deg=4, nonzero=False):
@@ -86,6 +87,18 @@ def test_parse_errors(f4):
     for bad in ("y", "g*x", "x^", "2*x", "x**2", "", "x^2^3", "g1x"):
         with pytest.raises(ParseError):
             SkewPoly.parse(f4, bad)
+
+
+def test_parse_caps_exponent(f4):
+    # rejected before the dense coefficient list is allocated
+    for big in (str(MAX_ORDER + 1), "1000000000", "9" * 5000):
+        with pytest.raises(ParseError):
+            SkewPoly.parse(f4, "x^" + big)
+    with pytest.raises(ParseError):
+        SkewPoly.parse(f4, f"g1*x^{10**9} + 1")
+    assert SkewPoly.parse(f4, f"x^{MAX_ORDER}").degree == MAX_ORDER
+    assert SkewPoly.parse(f4, "x^0002") == SkewPoly.parse(f4, "x^2")
+    assert SkewPoly.parse(f4, "x^00") == SkewPoly.one(f4)
 
 
 def test_str_parse_roundtrip(f4, f16, f9):
