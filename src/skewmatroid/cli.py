@@ -28,12 +28,6 @@ from .netsim import NetSpec, simulate
 from .selftest import run_all
 from .skewpoly import SkewPoly, grcd, llcm
 
-_FIELD_VERBS = {
-    "fieldinfo", "mul", "divmod", "grcd", "llcm", "eval", "zeros",
-    "classof", "classelems", "unwarp", "minpoly", "closure", "pindep",
-    "pbasis", "rank", "flats", "repmatrix", "dist", "isometry-check",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

@@ -57,16 +57,6 @@ def _digits(value: int, p: int, width: int) -> list[int]:
     return out
 
 
-def _padd(a: int, b: int, p: int, width: int) -> int:
-    if p == 2:
-        return a ^ b
-    da, db = _digits(a, p, width), _digits(b, p, width)
-    out = 0
-    for j in range(width - 1, -1, -1):
-        out = out * p + (da[j] + db[j]) % p
-    return out
-
-
 def _mul_by_x(value: int, p: int, n: int, modpoly: int) -> int:
     # multiply a residue of degree < n by x and reduce mod the monic modulus
     shifted = value * p
@@ -139,10 +129,10 @@ class FieldCtx:
         self._antilog, self._log = tables
 
         N = self.order - 1
-        one_packed = 1
         self._zech = [0] * N
-        for i in range(N):
-            t = _padd(self._antilog[i], one_packed, p, n)
+        for i, v in enumerate(self._antilog):
+            # adding 1 changes only the constant (least significant) digit
+            t = v - v % p + (v + 1) % p
             self._zech[i] = self._log[t] if t else ZERO
 
         # number of F_q*-cosets in F*, also the size of every nonzero

@@ -28,11 +28,6 @@ from .skewpoly import SkewPoly, grcd
 _ENUM_MAX_ORDER = 1 << 12
 
 
-def rank(ctx: FieldCtx, points: Iterable[Fe]) -> int:
-    """Matroid rank: degree of the minimal polynomial."""
-    return rank_of(ctx, points)
-
-
 @dataclass(frozen=True, eq=False)
 class Flat:
     """A closed set with its rank and minimal polynomial."""
@@ -61,10 +56,10 @@ class Flat:
 
 
 def matroid_closure(ctx: FieldCtx, points: Iterable[Fe]) -> Flat:
-    """The flat spanned by a point set (the zero set of its minimal poly)."""
-    cl = closure(ctx, points)
-    f = minimal_poly(ctx, cl)
-    return Flat(ctx, cl, f.degree, f)
+    """The flat spanned by a point set; it shares the set's minimal poly."""
+    pts = canonical_points(points)
+    f = minimal_poly(ctx, pts)
+    return Flat(ctx, closure(ctx, pts), f.degree, f)
 
 
 def closure_definitional(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[Fe, ...]:
@@ -169,13 +164,12 @@ def _guard_enumeration(ctx: FieldCtx) -> None:
 
 
 def class_flat(ctx: FieldCtx, v: Subspace, ell: int) -> Flat:
-    """Image of a subspace inside class ell: g^ell * warp of each nonzero
-    vector.  Closed by construction; the minimal polynomial is recomputed."""
-    pts = tuple(sorted({ctx.mul(ell, warp(ctx, a)) for a in v.element_logs()}))
-    f = minimal_poly(ctx, pts)
-    if f.degree != v.dim:  # pragma: no cover - structural identity
+    """Image of a subspace inside class ell: the flat spanned by g^ell * warp
+    of its basis rows."""
+    flat = matroid_closure(ctx, (ctx.mul(ell, warp(ctx, ctx.uncoords(r))) for r in v.rows))
+    if flat.rank != v.dim:  # pragma: no cover - structural identity
         raise AssertionError("class flat rank does not match subspace dimension")
-    return Flat(ctx, pts, f.degree, f)
+    return flat
 
 
 def flats(

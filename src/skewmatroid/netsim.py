@@ -11,18 +11,21 @@ exact flat recovery, partial recovery is reported through the flat metric.
 Links are error-free and carry one packet per trial; relays keep no state
 across trials.  A classical random-linear-network-coding simulator over
 coordinate vectors acts as an independent oracle: it canonicalizes each
-received vector to the minimum-discrete-log representative of its line (the
+vector it sends to the minimum-discrete-log representative of its line (the
 same representative unwarping picks) and draws combinations from the same
 seeded stream, so under a shared seed its decoded row space corresponds to
 the decoded flat through the warping correspondence, packet for packet.
+Both simulators share only the DAG walk; their arithmetic, decoding and
+metrics are separate code.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .conjugacy import class_of, unwarp, warp
 from .errors import (
@@ -132,9 +135,6 @@ class NetSpec:
     def ctx(self) -> FieldCtx:
         return field_from_spec(self.field)
 
-    def roles(self) -> dict[str, str]:
-        return dict(self.nodes)
-
     def source_id(self) -> str:
         for nid, role in self.nodes:
             if role == "source":
@@ -144,27 +144,24 @@ class NetSpec:
     def sink_ids(self) -> tuple[str, ...]:
         return tuple(nid for nid, role in self.nodes if role == "sink")
 
-    def out_edge_indices(self) -> dict[str, list[int]]:
-        out: dict[str, list[int]] = {nid: [] for nid, _ in self.nodes}
-        for i, (u, _) in enumerate(self.edges):
-            out[u].append(i)
+    def successors(self) -> dict[str, list[str]]:
+        """Heads of each node's out-edges in edge order; parallel edges repeat."""
+        out: dict[str, list[str]] = {nid: [] for nid, _ in self.nodes}
+        for u, v in self.edges:
+            out[u].append(v)
         return out
 
     def topo_order(self) -> tuple[str, ...]:
         """Kahn's algorithm; ties broken by node insertion order."""
-        indeg = {nid: 0 for nid, _ in self.nodes}
-        for _, v in self.edges:
-            indeg[v] += 1
-        order = []
-        ready = [nid for nid, _ in self.nodes if indeg[nid] == 0]
-        while ready:
-            nid = ready.pop(0)
-            order.append(nid)
-            for u, v in self.edges:
-                if u == nid:
-                    indeg[v] -= 1
-                    if indeg[v] == 0:
-                        ready.append(v)
+        succ = self.successors()
+        indeg = Counter(v for _, v in self.edges)
+        # the order list doubles as the FIFO queue of ready nodes
+        order = [nid for nid, _ in self.nodes if indeg[nid] == 0]
+        for nid in order:
+            for v in succ[nid]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    order.append(v)
         _require(len(order) == len(self.nodes), "edges contain a cycle")
         return tuple(order)
 
@@ -184,16 +181,13 @@ class NetSpec:
             "the source cannot have incoming edges",
         )
         _require(self.trials >= 0, "trials must be nonnegative")
-        order = self.topo_order()
+        succ = self.successors()
         reachable = {sources[0]}
-        for nid in order:
+        for nid in self.topo_order():
             if nid in reachable:
-                for u, v in self.edges:
-                    if u == nid:
-                        reachable.add(v)
-        for nid, role in self.nodes:
-            if role == "sink":
-                _require(nid in reachable, f"sink {nid!r} is unreachable from the source")
+                reachable.update(succ[nid])
+        for nid in self.sink_ids():
+            _require(nid in reachable, f"sink {nid!r} is unreachable from the source")
         if ctx is not None:
             if self.class_index is not None:
                 _require(
@@ -258,8 +252,6 @@ def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
     rows: list[list[Fe]] = []
     while len(rows) < r:
         vec = [ctx.subfield_elements[rng.randrange(ctx.q)] for _ in range(ctx.m)]
-        if all(x == ZERO for x in vec):
-            continue
         if mat_rank(ctx, rows + [vec]) == len(rows) + 1:
             rows.append(vec)
     return class_flat(ctx, Subspace.from_vectors(ctx, rows), ell % (ctx.q - 1))
@@ -268,67 +260,84 @@ def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
 @dataclass(frozen=True)
 class SinkResult:
     sink: str
-    received: tuple[Fe, ...]  # arrival order, duplicates kept
-    decoded: tuple[Fe, ...]  # decoded flat, canonical order
+    received: tuple  # arrival order, duplicates kept: points, or vectors in the oracle
+    decoded: tuple[Fe, ...] | Subspace  # flat points in canonical order, or the row space
     success: bool
     distance: int
 
 
 @dataclass(frozen=True)
 class TrialReport:
-    message: tuple[Fe, ...]
+    message: tuple[Fe, ...] | Subspace
     sinks: tuple[SinkResult, ...]
-    success: bool  # every sink recovered the flat exactly
+    success: bool  # every sink recovered the message exactly
     packets_forwarded: int
-    edge_packets: tuple[tuple[str, str, Fe], ...]
+    edge_packets: tuple[tuple[str, str, object], ...]
 
 
-def run_trial(
-    ctx: FieldCtx, spec: NetSpec, message: Flat, seed: int | str
+def _walk(
+    spec: NetSpec,
+    message: tuple[Fe, ...] | Subspace,
+    preload: list,
+    forward: Callable,
+    decode: Callable,
+    seed: int | str,
 ) -> TrialReport:
-    """One generation: walk the DAG in topological order, one packet per
-    outgoing edge, each checked against the message closure on the spot."""
+    """One generation on the DAG, shared by both simulators.  In topological
+    order, each node that holds packets sends forward(pool, rng, u, v) on
+    each out-edge; the source's pool is the preload.  Each sink then maps its
+    received packets through decode to (decoded, distance), and succeeds when
+    decoded == message."""
     rng = random.Random(seed)
-    roles = spec.roles()
-    out_edges = spec.out_edge_indices()
-    allowed = set(message.points)
-    preload = list(p_basis(ctx, message.points))
-    held: dict[str, list[Fe]] = {nid: [] for nid, _ in spec.nodes}
-    edge_log: list[tuple[str, str, Fe]] = []
-    for nid in spec.topo_order():
-        pool = preload if roles[nid] == "source" else held[nid]
+    source = spec.source_id()
+    successors = spec.successors()
+    held: dict[str, list] = {nid: [] for nid, _ in spec.nodes}
+    edge_log = []
+    for u in spec.topo_order():
+        pool = preload if u == source else held[u]
         if not pool:
             continue
-        for ei in out_edges[nid]:
-            u, v = spec.edges[ei]
-            value = relay_forward(ctx, pool, rng)
-            if value not in allowed:
-                raise AssertionError(
-                    f"containment violated: {ctx.format_element(value)} "
-                    f"forwarded on [{u}, {v}] lies outside the message closure"
-                )
+        for v in successors[u]:
+            value = forward(pool, rng, u, v)
             held[v].append(value)
             edge_log.append((u, v, value))
     sinks = []
     for nid in spec.sink_ids():
         got = tuple(held[nid])
-        decoded = matroid_closure(ctx, got)
-        sinks.append(
-            SinkResult(
-                sink=nid,
-                received=got,
-                decoded=decoded.points,
-                success=decoded.points == message.points,
-                distance=dist(message, decoded),
-            )
-        )
+        decoded, distance = decode(got)
+        sinks.append(SinkResult(nid, got, decoded, decoded == message, distance))
     return TrialReport(
-        message=message.points,
+        message=message,
         sinks=tuple(sinks),
         success=all(s.success for s in sinks),
         packets_forwarded=len(edge_log),
         edge_packets=tuple(edge_log),
     )
+
+
+def run_trial(
+    ctx: FieldCtx, spec: NetSpec, message: Flat, seed: int | str
+) -> TrialReport:
+    """One generation of the element simulator: relays forward with
+    relay_forward, each packet checked against the message closure on the
+    spot, and sinks decode the matroid closure of what they received."""
+    allowed = set(message.points)
+
+    def forward(pool: list[Fe], rng: random.Random, u: str, v: str) -> Fe:
+        value = relay_forward(ctx, pool, rng)
+        if value not in allowed:
+            raise AssertionError(
+                f"containment violated: {ctx.format_element(value)} "
+                f"forwarded on [{u}, {v}] lies outside the message closure"
+            )
+        return value
+
+    def decode(got: tuple[Fe, ...]) -> tuple[tuple[Fe, ...], int]:
+        decoded = matroid_closure(ctx, got)
+        return decoded.points, dist(message, decoded)
+
+    preload = list(p_basis(ctx, message.points))
+    return _walk(spec, message.points, preload, forward, decode, seed)
 
 
 def canonical_line_rep(ctx: FieldCtx, vector: Sequence[Fe]) -> tuple[Fe, ...]:
@@ -342,73 +351,27 @@ def canonical_line_rep(ctx: FieldCtx, vector: Sequence[Fe]) -> tuple[Fe, ...]:
     return tuple(ctx.coords(best))
 
 
-@dataclass(frozen=True)
-class OracleSinkResult:
-    sink: str
-    received: tuple[tuple[Fe, ...], ...]
-    decoded: Subspace
-    success: bool
-    distance: int
-
-
-@dataclass(frozen=True)
-class OracleTrialReport:
-    message: Subspace
-    sinks: tuple[OracleSinkResult, ...]
-    success: bool
-    packets_forwarded: int
-    edge_packets: tuple[tuple[str, str, tuple[Fe, ...]], ...]
-
-
 def rlnc_oracle_trial(
     ctx: FieldCtx,
     spec: NetSpec,
     source_vectors: Sequence[Sequence[Fe]],
     seed: int | str,
-) -> OracleTrialReport:
+) -> TrialReport:
     """Classical vector network coding on the same DAG: relays forward random
-    nonzero combinations, sinks decode the row space.  Vectors are
-    canonicalized per line at receipt, so a shared seed replays the element
+    nonzero combinations, sinks decode the row space.  Every vector is
+    canonicalized per line when sent, so a shared seed replays the element
     simulator's draws one for one."""
-    rng = random.Random(seed)
-    roles = spec.roles()
-    out_edges = spec.out_edge_indices()
     message = Subspace.from_vectors(ctx, source_vectors)
-    preload = [canonical_line_rep(ctx, v) for v in source_vectors]
-    held: dict[str, list[tuple[Fe, ...]]] = {nid: [] for nid, _ in spec.nodes}
-    edge_log: list[tuple[str, str, tuple[Fe, ...]]] = []
-    for nid in spec.topo_order():
-        if roles[nid] == "source":
-            pool = preload
-        else:
-            pool = [canonical_line_rep(ctx, v) for v in held[nid]]
-        if not pool:
-            continue
-        for ei in out_edges[nid]:
-            u, v = spec.edges[ei]
-            combo = tuple(_draw_nonzero_combination(ctx, pool, rng))
-            held[v].append(combo)
-            edge_log.append((u, v, combo))
-    sinks = []
-    for nid in spec.sink_ids():
-        got = tuple(held[nid])
+
+    def forward(pool, rng: random.Random, u: str, v: str) -> tuple[Fe, ...]:
+        return canonical_line_rep(ctx, _draw_nonzero_combination(ctx, pool, rng))
+
+    def decode(got) -> tuple[Subspace, int]:
         decoded = Subspace.from_vectors(ctx, got)
-        sinks.append(
-            OracleSinkResult(
-                sink=nid,
-                received=got,
-                decoded=decoded,
-                success=decoded == message,
-                distance=subspace_dist(decoded, message),
-            )
-        )
-    return OracleTrialReport(
-        message=message,
-        sinks=tuple(sinks),
-        success=all(s.success for s in sinks),
-        packets_forwarded=len(edge_log),
-        edge_packets=tuple(edge_log),
-    )
+        return decoded, subspace_dist(decoded, message)
+
+    preload = [canonical_line_rep(ctx, v) for v in source_vectors]
+    return _walk(spec, message, preload, forward, decode, seed)
 
 
 def mirrored_source_vectors(ctx: FieldCtx, message: Flat) -> list[tuple[Fe, ...]]:
@@ -458,8 +421,6 @@ def simulate(
     sink_ids = spec.sink_ids()
     successes = 0
     packets = 0
-    dist_total = 0
-    dist_count = 0
     per_sink = {nid: {"successes": 0, "dist": 0} for nid in sink_ids}
     oracle_successes = 0
     oracle_matches = True
@@ -472,8 +433,6 @@ def simulate(
         for s in report.sinks:
             per_sink[s.sink]["successes"] += s.success
             per_sink[s.sink]["dist"] += s.distance
-            dist_total += s.distance
-            dist_count += 1
         if oracle is not None:
             vecs = mirrored_source_vectors(ctx, message)
             oreport = rlnc_oracle_trial(ctx, spec, vecs, trial_seed)
@@ -482,6 +441,8 @@ def simulate(
             for s, os in zip(report.sinks, oreport.sinks):
                 if class_flat(ctx, os.decoded, ell).points != s.decoded:
                     oracle_matches = False
+    dist_total = sum(entry["dist"] for entry in per_sink.values())
+    dist_count = n_trials * len(sink_ids)
     out = {
         "success_rate": successes / n_trials if n_trials else None,
         "mean_distance": dist_total / dist_count if dist_count else None,

@@ -152,10 +152,14 @@ class SkewPoly:
     def evaluate(self, a: Fe) -> Fe:
         """Remainder of right division by (x - a), as sum c_i a^dbracket(i)."""
         ctx = self.ctx
-        acc = ZERO
-        for i, c in enumerate(self.coeffs):
+        if a == ZERO:  # 0^dbracket(i) is 1 at i = 0 only
+            return self.coeff(0)
+        N, qs = ctx.order - 1, ctx.q**ctx.s
+        acc, e = ZERO, 0  # e = dbracket(i) mod N; dbracket(i+1) = dbracket(i) q^s + 1
+        for c in self.coeffs:
             if c != ZERO:
-                acc = ctx.add(acc, ctx.mul(c, ctx.pow(a, ctx.dbracket(i))))
+                acc = ctx.add(acc, ctx.mul(c, (a * e) % N))
+            e = (e * qs + 1) % N
         return acc
 
     def zeros(self) -> tuple[Fe, ...]:

@@ -19,7 +19,7 @@ from skewmatroid import (
     get_field,
     is_p_independent,
     matroid_closure,
-    rank,
+    rank_of,
     relay_forward,
     representation,
     rlnc_oracle_trial,
@@ -71,7 +71,7 @@ def test_criterion_2_exhaustive_f16_class_structure(f16):
             n_subsets += 1
             vec_indep = mat_rank(f16, lift(f16, pts)) == len(pts)
             assert is_p_independent(f16, pts) == vec_indep
-            assert len(closure(f16, pts)) == _dbracket(f16, rank(f16, pts))
+            assert len(closure(f16, pts)) == _dbracket(f16, rank_of(f16, pts))
     assert n_subsets == 2**5
     c1_flats = list(flats(f16, class_index=0))
     assert len(c1_flats) == 7
@@ -86,10 +86,10 @@ def test_criterion_3_matroid_and_metric_axioms(f4, f16, f64):
     done = _timed(30.0)
     # exhaustive axioms
     _check_independence_axioms(tuple(f4.elements()), lambda s: is_p_independent(f4, s))
-    _check_rank_axioms(tuple(f4.elements()), lambda s: rank(f4, s))
+    _check_rank_axioms(tuple(f4.elements()), lambda s: rank_of(f4, s))
     ground16 = class_elements(f16, 0)
     _check_independence_axioms(ground16, lambda s: is_p_independent(f16, s))
-    _check_rank_axioms(ground16, lambda s: rank(f16, s))
+    _check_rank_axioms(ground16, lambda s: rank_of(f16, s))
     # randomized rank axioms on the 64-element field
     rng = random.Random("criterion-3")
     ground64 = list(f64.elements())
@@ -97,10 +97,10 @@ def test_criterion_3_matroid_and_metric_axioms(f4, f16, f64):
     for _ in range(10_000):
         x = frozenset(rng.sample(ground64, rng.randint(0, 5)))
         y = frozenset(rng.sample(ground64, rng.randint(0, 5)))
-        rx, ry = rank(f64, x), rank(f64, y)
+        rx, ry = rank_of(f64, x), rank_of(f64, y)
         assert 0 <= rx <= len(x)
-        assert rank(f64, x | y) + rank(f64, x & y) <= rx + ry
-        assert rank(f64, x | y) >= max(rx, ry)  # monotone in both arguments
+        assert rank_of(f64, x | y) + rank_of(f64, x & y) <= rx + ry
+        assert rank_of(f64, x | y) >= max(rx, ry)  # monotone in both arguments
         pairs += 1
     # flat-metric axioms on every pair (and triangle on every triple)
     for flat_list in (list(flats(f4)), list(flats(f16, class_index=0))):

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import skewmatroid
 from skewmatroid.cli import main
 
 F16 = ["--field", "2,4,2,1"]
@@ -280,11 +283,15 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_console_script_installed():
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(skewmatroid.__file__).resolve().parent.parent)
+    path = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     proc = subprocess.run(
         [sys.executable, "-m", "skewmatroid", "--field", "2,4,2,1", "rank", "1,g3"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"

@@ -200,7 +200,9 @@ def test_field_axioms_exhaustive_small(spec):
             assert ctx.mul(a, b) == ctx.mul(b, a)
 
 
-@pytest.mark.parametrize("spec", ["2,6,1,1", "2,8,2,1", "3,4,2,1", "5,2,1,1", "2,8,4,1"])
+@pytest.mark.parametrize(
+    "spec", ["2,6,1,1", "2,8,2,1", "3,4,2,1", "5,2,1,1", "2,8,4,1", "7,2,1,1"]
+)
 def test_field_axioms_larger(spec):
     ctx = field_from_spec(spec)
     els = list(ctx.elements())

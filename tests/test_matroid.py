@@ -21,7 +21,7 @@ from skewmatroid import (
     matroid_closure,
     phi,
     phi_inverse,
-    rank,
+    rank_of,
     representation,
     subspace_dist,
     subspace_sum,
@@ -84,14 +84,14 @@ def test_axioms_exhaustive_f4(f4):
     ground = tuple(f4.elements())
     assert len(ground) == 4
     _check_independence_axioms(ground, lambda s: is_p_independent(f4, s))
-    _check_rank_axioms(ground, lambda s: rank(f4, s))
+    _check_rank_axioms(ground, lambda s: rank_of(f4, s))
 
 
 def test_axioms_exhaustive_f16_class0(f16):
     ground = class_elements(f16, 0)
     assert len(ground) == 5
     _check_independence_axioms(ground, lambda s: is_p_independent(f16, s))
-    _check_rank_axioms(ground, lambda s: rank(f16, s))
+    _check_rank_axioms(ground, lambda s: rank_of(f16, s))
 
 
 # -------------------------------------------------------------------- flats
@@ -288,6 +288,6 @@ def test_rank_agrees_with_minimal_poly_degree(f16):
     for _ in range(50):
         pts = tuple(rng.sample(ground, rng.randint(0, 6)))
         x = matroid_closure(f16, pts)
-        assert x.rank == rank(f16, pts) == x.minpoly.degree
+        assert x.rank == rank_of(f16, pts) == x.minpoly.degree
         # closure never raises rank
-        assert rank(f16, x.points) == x.rank
+        assert rank_of(f16, x.points) == x.rank

@@ -160,6 +160,54 @@ def test_topo_order_breaks_ties_by_insertion():
     assert spec.topo_order() == ("s", "z", "a", "t")
 
 
+def _naive_topo_order(spec: NetSpec) -> tuple[str, ...]:
+    """Reference Kahn's algorithm that rescans every edge per node."""
+    indeg = {nid: 0 for nid, _ in spec.nodes}
+    for _, v in spec.edges:
+        indeg[v] += 1
+    order = []
+    ready = [nid for nid, _ in spec.nodes if indeg[nid] == 0]
+    while ready:
+        nid = ready.pop(0)
+        order.append(nid)
+        for u, v in spec.edges:
+            if u == nid:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    ready.append(v)
+    return tuple(order)
+
+
+def test_large_layered_dag_walk_order():
+    rng = random.Random("large")
+    layers = [["s"]] + [[f"n{li}_{j}" for j in range(10)] for li in range(100)]
+    layers[-1] = [f"t{j}" for j in range(9)]
+    edges = []
+    for prev, cur in zip(layers, layers[1:]):
+        for nid in cur:
+            for u in rng.sample(prev, rng.randint(1, min(3, len(prev)))):
+                edges.append([u, nid])
+    edges += [list(e) for e in rng.sample(edges, 50)]  # parallel edges
+    rng.shuffle(edges)
+    relays = [nid for layer in layers[1:-1] for nid in layer]
+    rng.shuffle(relays)  # insertion order is not the layer order
+    nodes = (
+        [{"id": nid, "role": "relay"} for nid in relays[:400]]
+        + [{"id": "s", "role": "source"}]
+        + [{"id": nid, "role": "relay"} for nid in relays[400:]]
+        + [{"id": nid, "role": "sink"} for nid in layers[-1]]
+    )
+    spec = _spec(nodes=nodes, edges=edges)
+    assert len(spec.nodes) == 1000
+    spec.validate()
+    assert spec.topo_order() == _naive_topo_order(spec)
+    succ = spec.successors()
+    assert list(succ) == [nid for nid, _ in spec.nodes]
+    for nid, heads in succ.items():
+        assert heads == [v for u, v in spec.edges if u == nid]
+    assert sum(map(len, succ.values())) == len(spec.edges)
+
+
 # -------------------------------------------------------------------- relay
 
 
@@ -346,6 +394,7 @@ def test_diamond_mirrors_packet_for_packet(f16):
             report.edge_packets, oracle.edge_packets
         ):
             assert (u, v) == (ou, ov)
+            assert canonical_line_rep(f16, vec) == vec
             assert val == f16.mul(0, warp(f16, f16.uncoords(list(vec))))
         for s, os in zip(report.sinks, oracle.sinks):
             assert class_flat(f16, os.decoded, 0).points == s.decoded

@@ -206,12 +206,13 @@ def test_evaluation_goldens(f4):
     assert f.evaluate(ZERO) == ONE  # constant term
 
 
-@pytest.mark.parametrize("spec", ["2,4,2,1", "3,2,1,1", "2,5,1,2"])
+@pytest.mark.parametrize("spec", ["2,4,2,1", "3,2,1,1", "2,5,1,2", "2,4,1,1"])
 def test_evaluation_coherence(spec):
+    # degrees past m reach dbracket(i) = 0 mod (order - 1), e.g. i = 4 on 2,4,1,1
     ctx = get_field(*[int(t) for t in spec.split(",")])
     rng = random.Random(spec)
     for _ in range(40):
-        f = _random_poly(ctx, rng)
+        f = _random_poly(ctx, rng, max_deg=2 * ctx.m + 1)
         assoc = f.regular_associate()
         for a in ctx.elements():
             value = f.evaluate(a)
