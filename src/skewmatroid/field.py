@@ -5,7 +5,12 @@ q = p^k (so F = F_{q^m}, m = n/k), and the automorphism sigma(a) = a^{q^s}.
 Nonzero elements are stored as the discrete log of a fixed generator g (a
 root of the modulus polynomial), so multiplication, inversion and powering
 are integer arithmetic mod p^n - 1; addition is one lookup in a precomputed
-table of logs of g^i + 1.
+table of logs of g^i + 1 (the Zech table, a list).
+
+The default modulus is the smallest monic primitive one.  Candidates are
+accepted by an order test on x (square-and-multiply on digit lists), so no
+table is built for a rejected one; the antilog and log tables are then built
+once, in one pass that works for every p, and kept as packed ``array('i')``.
 
 The module also provides Gaussian elimination over the subfield, operating
 on plain lists of elements, which is all the linear algebra the rest of the
@@ -15,6 +20,7 @@ package needs.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -37,15 +43,21 @@ ONE: Fe = 0
 MAX_ORDER = 1 << 20
 
 
-def _is_prime(v: int) -> bool:
-    if v < 2:
-        return False
+def _prime_factors(v: int) -> Iterator[int]:
+    """Distinct prime factors of v >= 1 in ascending order, by trial division."""
     d = 2
     while d * d <= v:
         if v % d == 0:
-            return False
+            yield d
+            while v % d == 0:
+                v //= d
         d += 1
-    return True
+    if v > 1:
+        yield v
+
+
+def _is_prime(v: int) -> bool:
+    return v >= 2 and next(_prime_factors(v)) == v
 
 
 def _digits(value: int, p: int, width: int) -> list[int]:
@@ -57,39 +69,73 @@ def _digits(value: int, p: int, width: int) -> list[int]:
     return out
 
 
-def _mul_by_x(value: int, p: int, n: int, modpoly: int) -> int:
-    # multiply a residue of degree < n by x and reduce mod the monic modulus
-    shifted = value * p
-    lead = shifted // p**n
-    if lead == 0:
-        return shifted
-    if p == 2:
-        return shifted ^ modpoly
-    ds = _digits(shifted, p, n + 1)
-    dm = _digits(modpoly, p, n + 1)
-    out = 0
-    for j in range(n - 1, -1, -1):
-        out = out * p + (ds[j] - lead * dm[j]) % p
-    return out
+def _is_primitive(p: int, n: int, modpoly: int, primes: list[int]) -> bool:
+    """Whether x has multiplicative order N = p^n - 1 modulo the monic modpoly
+    of degree n, given the primes dividing N: x^N = 1 and x^(N/r) != 1 for
+    every such r (Lidl & Niederreiter, Finite Fields).  This is exact for a
+    reducible modpoly too: x of order N makes every nonzero residue a unit,
+    so the quotient ring is a field and modpoly is primitive."""
+    low = [-d % p for d in _digits(modpoly, p, n)]  # x^n = sum low[j] x^j
+
+    def mulmod(a: list[int], b: list[int]) -> list[int]:
+        prod = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        for d in range(2 * n - 2, n - 1, -1):
+            lead = prod[d] % p
+            if lead:  # x^d = x^(d-n) * x^n
+                for j in range(n):
+                    prod[d - n + j] += lead * low[j]
+        return [c % p for c in prod[:n]]
+
+    def x_pow(e: int) -> list[int]:
+        out = one
+        for bit in bin(e)[2:]:
+            out = mulmod(out, out)
+            if bit == "1":
+                out = mulmod(out, x)
+        return out
+
+    one = [1] + [0] * (n - 1)
+    x = [0, 1] + [0] * (n - 2) if n > 1 else low
+    N = p**n - 1
+    return x_pow(N) == one and all(x_pow(N // r) != one for r in primes)
 
 
-def _build_tables(p: int, n: int, modpoly: int) -> tuple[list[int], list[int]] | None:
-    """Log/antilog tables for F_p[x]/(modpoly), or None if x does not have
-    multiplicative order p^n - 1 there (i.e. modpoly is not primitive)."""
+def _default_modpoly(p: int, n: int) -> int:
+    # the smallest integer encoding, i.e. the lexicographically smallest
+    # coefficient vector (degree n downwards), among monic primitive moduli;
+    # candidates are order-tested, so no tables are built for the rejected
+    primes = list(_prime_factors(p**n - 1))
+    for c in range(p**n + 1, 2 * p**n):
+        if c % p and _is_primitive(p, n, c, primes):
+            return c
+    raise NonPrimitiveModpoly("no primitive polynomial found")  # pragma: no cover
+
+
+def _build_tables(p: int, n: int, modpoly: int) -> tuple[array, array]:
+    """Antilog and log tables of F_p[x]/(modpoly) for a primitive modpoly:
+    antilog[i] packs x^i as base-p digits, log[v] inverts it, log[0] = ZERO."""
     order = p**n
-    if modpoly % p == 0:  # constant term zero: x is a zero divisor
-        return None
-    antilog = [0] * (order - 1)
-    log = [-1] * order
+    # multiplying by x shifts the digits up; a nonzero top digit `lead` comes
+    # back as lead * (x^n mod modpoly), which touches only the nonzero low
+    # terms of the modulus
+    terms = [(p**j, -d % p) for j, d in enumerate(_digits(modpoly, p, n)) if d]
+    antilog = array("i", [0]) * (order - 1)
+    log = array("i", [ZERO]) * order
     x = 1
     for i in range(order - 1):
-        if x == 0 or log[x] != -1:
-            return None
         antilog[i] = x
         log[x] = i
-        x = _mul_by_x(x, p, n, modpoly)
-    if x != 1:
-        return None
+        x *= p
+        lead = x // order
+        if lead:
+            x -= lead * order
+            for pj, c in terms:
+                d = x // pj % p
+                x += ((d + lead * c) % p - d) * pj
     return antilog, log
 
 
@@ -116,25 +162,21 @@ class FieldCtx:
         self.order = p**n
 
         if modpoly is None:
-            modpoly, tables = self._search_modpoly()
-        else:
-            if not p**n <= modpoly < 2 * p**n:
-                raise NonPrimitiveModpoly(
-                    f"modpoly {modpoly} is not monic of degree {n} over F_{p}"
-                )
-            tables = _build_tables(p, n, modpoly)
-            if tables is None:
-                raise NonPrimitiveModpoly(f"modpoly {modpoly} is not primitive")
+            modpoly = _default_modpoly(p, n)
+        elif not p**n <= modpoly < 2 * p**n:
+            raise NonPrimitiveModpoly(
+                f"modpoly {modpoly} is not monic of degree {n} over F_{p}"
+            )
+        elif not _is_primitive(p, n, modpoly, list(_prime_factors(p**n - 1))):
+            raise NonPrimitiveModpoly(f"modpoly {modpoly} is not primitive")
         self.modpoly = modpoly
-        self._antilog, self._log = tables
+        # read only here, by coords and by _fe_of_digit, so packed arrays
+        self._antilog, self._log = _build_tables(p, n, modpoly)
+        # log(g^i + 1): adding 1 changes only the constant digit, and
+        # log[0] = ZERO covers g^i = -1; a list, as add reads it on every call
+        self._zech = [self._log[v - v % p + (v + 1) % p] for v in self._antilog]
 
         N = self.order - 1
-        self._zech = [0] * N
-        for i, v in enumerate(self._antilog):
-            # adding 1 changes only the constant (least significant) digit
-            t = v - v % p + (v + 1) % p
-            self._zech[i] = self._log[t] if t else ZERO
-
         # number of F_q*-cosets in F*, also the size of every nonzero
         # conjugacy class and the log stride of the subfield
         self.class_size = N // (self.q - 1) if self.q > 1 else N
@@ -147,18 +189,6 @@ class FieldCtx:
         self._init_coords()
 
     # -- construction helpers -------------------------------------------------
-
-    def _search_modpoly(self) -> tuple[int, tuple[list[int], list[int]]]:
-        # smallest integer encoding = lexicographically smallest coefficient
-        # vector (degree n downwards), restricted to monic candidates
-        base = self.p**self.n
-        for c in range(base + 1, 2 * base):
-            if c % self.p == 0:
-                continue
-            tables = _build_tables(self.p, self.n, c)
-            if tables is not None:
-                return c, tables
-        raise NonPrimitiveModpoly("no primitive polynomial found")  # pragma: no cover
 
     def _init_coords(self) -> None:
         # product basis gamma^j * w^t (w generates F_q*) expressed in the

@@ -267,6 +267,12 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and out == "" and err.startswith("error: ParseError")
 
 
+def test_largest_odd_p_field_builds(capsys):
+    # 3^12 elements: the build is bounded, so the verb answers in about a second
+    code, out, err = run(capsys, "--field", "3,12,1,1", "classof", "g5")
+    assert code == 0 and out.strip() and err == ""
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mul", "x", "x"])  # missing --field

@@ -1,11 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from skewmatroid import (
     BadDegreeDivisibility,
     DivisionByZero,
+    FieldCtx,
     FieldTooLarge,
     GcdViolation,
     NonPrimeP,
@@ -16,7 +18,15 @@ from skewmatroid import (
     field_from_spec,
     get_field,
 )
-from skewmatroid.field import kernel, mat_rank, mat_vec, rref, span_elements
+from skewmatroid.field import (
+    _default_modpoly,
+    _is_prime,
+    kernel,
+    mat_rank,
+    mat_vec,
+    rref,
+    span_elements,
+)
 
 
 # ---------------------------------------------------------------- oracle
@@ -78,6 +88,19 @@ def test_pinned_default_moduli():
     assert get_field(2, 5, 1, 1).modpoly == 37
     assert get_field(2, 6, 1, 1).modpoly == 67
     assert get_field(3, 2, 1, 1).modpoly == 14
+    # from the parent's exhaustive table walk over every candidate
+    assert _default_modpoly(2, 16) == 65581
+    assert _default_modpoly(3, 10) == 59081  # x^10 + x^3 + x + 2
+    assert _default_modpoly(2, 20) == 1048585
+    assert _default_modpoly(3, 12) == 531656
+    assert _default_modpoly(1021, 2) == 1043472
+
+
+def test_order_test_matches_ascending_scan_up_to_4096():
+    pairs = [(p, n) for p in range(2, 4097) if _is_prime(p) for n in range(1, 13) if p**n <= 4096]
+    assert len(pairs) == 604
+    for p, n in pairs:
+        assert _default_modpoly(p, n) == _naive_default_modpoly(p, n), (p, n)
 
 
 # ------------------------------------------------------------ construction
@@ -100,6 +123,12 @@ def test_construction_errors():
         get_field(2, 4, 2, 1, 20)  # divisible by x
     with pytest.raises(NonPrimitiveModpoly):
         get_field(2, 4, 2, 1, 3)  # not monic of degree n
+    with pytest.raises(NonPrimitiveModpoly):
+        get_field(2, 4, 2, 1, 21)  # (x^2+x+1)^2: reducible, x of order 6
+    with pytest.raises(NonPrimitiveModpoly):
+        get_field(3, 2, 1, 1, 10)  # x^2+1: irreducible, x of order 4
+    with pytest.raises(NonPrimitiveModpoly):
+        get_field(3, 2, 1, 1, 12)  # x^2+x: divisible by x, odd p
 
 
 def test_context_attributes(f16):
@@ -139,17 +168,21 @@ def _digit_tables(ctx):
     return table
 
 
-@pytest.mark.parametrize("spec", ["2,4,2,1", "3,2,1,1"])
+# the last three have two nonzero low terms and a coefficient above 1:
+# x^3+3x+2, x^2+x+3 and x^5+2x+1
+@pytest.mark.parametrize("spec", ["2,4,2,1", "3,2,1,1", "5,3,1,1", "7,2,1,1", "3,5,1,1"])
 def test_arithmetic_against_digit_oracle(spec):
     ctx = field_from_spec(spec)
     table = _digit_tables(ctx)
     zero_vec = tuple([0] * ctx.n)
+    index = {vec: i for i, vec in enumerate(table)}
+    assert len(index) == len(table) and zero_vec not in index
 
     def vec_of(a):
         return zero_vec if a == ZERO else table[a]
 
     def log_of(vec):
-        return ZERO if vec == zero_vec else table.index(vec)
+        return ZERO if vec == zero_vec else index[vec]
 
     els = list(ctx.elements())
     for a in els:
@@ -165,6 +198,49 @@ def test_arithmetic_against_digit_oracle(spec):
         if a != ZERO:
             assert ctx.mul(a, ctx.inv(a)) == ONE
             assert ctx.pow(a, ctx.order - 1) == ONE
+
+
+def _x_power(mod, p, n, e):
+    """x^e (n >= 2) reduced by the monic modulus with digit list `mod`."""
+
+    def mul(a, b):
+        prod = [0] * (2 * n)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+        for d in range(2 * n - 1, n - 1, -1):
+            lead = prod[d] % p
+            for j in range(n + 1):
+                prod[d - n + j] -= lead * mod[j]
+        return tuple(c % p for c in prod[:n])
+
+    out, base = (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2)
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        base, e = mul(base, base), e >> 1
+    return out
+
+
+def test_bounded_build_3_12():
+    # 531,441 elements; the table walk over 144 rejected candidates took ~50 s
+    start = time.process_time()
+    ctx = FieldCtx(3, 12, 1, 1)
+    elapsed = time.process_time() - start
+    assert elapsed < 5.0, f"3,12,1,1 built in {elapsed:.2f}s of CPU (> 5s)"
+    assert ctx.modpoly == 531656
+    mod = _digits_of(ctx.modpoly, 3, 13)
+    zero_vec = (0,) * 12
+
+    def vec_of(a):
+        return zero_vec if a == ZERO else _x_power(mod, 3, 12, a)
+
+    rng = random.Random(312)
+    for _ in range(300):
+        a = rng.randrange(ctx.order - 1)
+        b = ctx.neg(a) if rng.random() < 0.1 else rng.randrange(ctx.order - 1)
+        want = tuple((x + y) % 3 for x, y in zip(vec_of(a), vec_of(b)))
+        assert vec_of(ctx.add(a, b)) == want
 
 
 def test_division_and_pow_edge_cases(f16):
