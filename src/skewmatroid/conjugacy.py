@@ -1,15 +1,16 @@
 """Conjugacy classes of the twist and the warp map that indexes them.
 
-warp(a) = sigma(a)/a = a^(q^s - 1) is multiplicative, kills F_q*, and its
-image is the class of 1; conjugating a by c multiplies a by warp(c).  The
-nonzero elements split into q-1 classes C(g^l), l = 0..q-2, each of size
+warp(a) = sigma(a)/a, which is a^(q^s - 1), is multiplicative, kills F_q*,
+and its image is the class of 1; conjugating a by c multiplies a by warp(c).
+The nonzero elements split into q-1 classes C(g^l), l = 0..q-2, each of size
 (q^m - 1)/(q - 1), and the class does not depend on which power of the
 Frobenius is used as the twist.  Elements are discrete logs, so both the
 class index and the canonical warp inverse are integer arithmetic mod
 q^m - 1: the class of g^a is a mod (q - 1), and warp multiplies logs by
-q^s - 1.  The paper's two unwarp routes stay alongside the closed form: the
-kernel of a linearized map, and a single exponentiation when the class size
-is coprime to q^s - 1.
+q^s - 1.  Every use of q^s here reads the context's twist, q^s mod q^m - 1,
+so q^s is never expanded.  The paper's two unwarp routes stay alongside the
+closed form: the kernel of a linearized map, and a single exponentiation
+when the class size is coprime to q^s - 1.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ ClassId = int | None
 
 
 def warp(ctx: FieldCtx, a: Fe) -> Fe:
-    """sigma(a)/a = a^(q^s - 1); undefined at zero."""
+    """sigma(a)/a = a^(q^s - 1); undefined at zero.  One power, as sigma(a)
+    is a^twist: closure and relay forwarding warp every element they emit."""
     if a == ZERO:
         raise ZeroArgument("warp is undefined at zero")
-    return ctx.pow(a, ctx.q**ctx.s - 1)
+    return ctx.pow(a, ctx.twist - 1)
 
 
 def conjugate(ctx: FieldCtx, a: Fe, c: Fe) -> Fe:
@@ -61,7 +63,7 @@ def class_invariance_holds(ctx: FieldCtx, a: Fe) -> bool:
     same set whether the twist uses the context's s or s = 1."""
     if a == ZERO:
         return True
-    with_s = {ctx.mul(a, ctx.pow(c, ctx.q**ctx.s - 1)) for c in ctx.nonzero_elements()}
+    with_s = {conjugate(ctx, a, c) for c in ctx.nonzero_elements()}
     with_1 = {ctx.mul(a, ctx.pow(c, ctx.q - 1)) for c in ctx.nonzero_elements()}
     return with_s == with_1
 
@@ -88,8 +90,9 @@ def unwarp_method1(ctx: FieldCtx, alpha: Fe, ell: int) -> Fe:
 
 def unwarp_method2(ctx: FieldCtx, alpha: Fe, ell: int) -> Fe:
     """Solve g^l * warp(a) = alpha by one exponentiation: a = beta^t with
-    (q^s - 1) t = 1 mod class size.  Needs those to be coprime."""
-    e = ctx.q**ctx.s - 1
+    (q^s - 1) t = 1 mod class size.  Needs those to be coprime; q^s is taken
+    mod q^m - 1, which the class size divides."""
+    e = ctx.twist - 1
     if math.gcd(e, ctx.class_size) != 1:
         raise InapplicableField(
             f"gcd({ctx.class_size}, {e}) != 1; exponentiation cannot invert warp"
@@ -105,11 +108,13 @@ def unwarp(ctx: FieldCtx, alpha: Fe, ell: int) -> Fe:
     """The least-log warp preimage within a class, as unwarp_method1 returns.
     For alpha = g^(l + j(q-1)) its log t solves t [s]_q = j mod class size,
     [s]_q = (q^s - 1)/(q - 1), which gcd(s, m) = 1 makes invertible; the
-    fiber is t plus multiples of the class size."""
+    fiber is t plus multiples of the class size.  Modulo the class size
+    [s]_q = [s mod m]_q, read from the twist, which is q^(s mod m) for m > 1
+    (for m = 1 the class size is 1)."""
     ell = ell % (ctx.q - 1)
     if class_of(ctx, alpha) != ell:
         raise WrongClass(f"element is not in class {ell}")
-    s_bracket = (ctx.q**ctx.s - 1) // (ctx.q - 1)
+    s_bracket = (ctx.twist - 1) // (ctx.q - 1)
     return (alpha - ell) // (ctx.q - 1) * pow(s_bracket, -1, ctx.class_size) % ctx.class_size
 
 

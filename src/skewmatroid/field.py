@@ -5,16 +5,21 @@ q = p^k (so F = F_{q^m}, m = n/k), and the automorphism sigma(a) = a^{q^s}.
 Nonzero elements are stored as the discrete log of a fixed generator g (a
 root of the modulus polynomial), so multiplication, inversion and powering
 are integer arithmetic mod p^n - 1; addition is one lookup in a precomputed
-table of logs of g^i + 1 (the Zech table, a list).
+table of logs of g^i + 1 (the Zech table, a list).  The context owns the
+twist: sigma multiplies logs by q^s mod p^n - 1, so q^s is never expanded
+outside the exact bracket and dbracket.
 
 The default modulus is the smallest monic primitive one.  Candidates are
 accepted by an order test on x (square-and-multiply on digit lists), so no
-table is built for a rejected one; the antilog and log tables are then built
-once, in one pass that works for every p, and kept as packed ``array('i')``.
+table is built for a rejected one.  The Zech table is then built once, in
+one pass that works for every p, from antilog and log arrays that are
+dropped afterwards: it is the one table a context keeps.
 
-The module also provides Gaussian elimination over the subfield, operating
-on plain lists of elements, which is all the linear algebra the rest of the
-package needs.
+F_q-coordinates w.r.t. the basis 1, g, ..., g^(m-1) solve the sigma-Moore
+system sum_j c_j sigma^i(b_j) = sigma^i(a), i < m, whose matrix is inverted
+once per context.  The module also provides Gaussian elimination over the
+field, operating on plain lists of elements, which is all the linear
+algebra the rest of the package needs.
 """
 
 from __future__ import annotations
@@ -115,9 +120,10 @@ def _default_modpoly(p: int, n: int) -> int:
     raise NonPrimitiveModpoly("no primitive polynomial found")  # pragma: no cover
 
 
-def _build_tables(p: int, n: int, modpoly: int) -> tuple[array, array]:
-    """Antilog and log tables of F_p[x]/(modpoly) for a primitive modpoly:
-    antilog[i] packs x^i as base-p digits, log[v] inverts it, log[0] = ZERO."""
+def _zech_table(p: int, n: int, modpoly: int) -> list[Fe]:
+    """zech[i] = log(g^i + 1) in F_p[x]/(modpoly), g = x, for a primitive
+    modpoly.  It reads an antilog array (x^i packed as base-p digits) and
+    its inverse, the log array with log[0] = ZERO, both dropped on return."""
     order = p**n
     # multiplying by x shifts the digits up; a nonzero top digit `lead` comes
     # back as lead * (x^n mod modpoly), which touches only the nonzero low
@@ -136,19 +142,24 @@ def _build_tables(p: int, n: int, modpoly: int) -> tuple[array, array]:
             for pj, c in terms:
                 d = x // pj % p
                 x += ((d + lead * c) % p - d) * pj
-    return antilog, log
+    # adding 1 changes only the constant digit, and log[0] = ZERO covers
+    # g^i = -1; a list, as add reads it on every call
+    return [log[v - v % p + (v + 1) % p] for v in antilog]
 
 
 class FieldCtx:
     """Immutable context for F_{q^m} over F_q with twist sigma(a) = a^{q^s}."""
 
     def __init__(self, p: int, n: int, k: int, s: int, modpoly: int | None = None):
+        # the size cap comes first, as trial division of p and the integer p^n
+        # cost time and memory that grow with p and n; p > 1 and n >= 21
+        # already exceed it, so p^n is only built for p, n small
+        if p > MAX_ORDER or (p > 1 and (n >= MAX_ORDER.bit_length() or p**n > MAX_ORDER)):
+            raise FieldTooLarge(f"p^n exceeds the cap of {MAX_ORDER}")
         if not _is_prime(p):
             raise NonPrimeP(f"p must be prime, got {p}")
         if n < 1 or k < 1 or n % k != 0:
             raise BadDegreeDivisibility(f"need 1 <= k | n, got n={n}, k={k}")
-        if p**n > MAX_ORDER:
-            raise FieldTooLarge(f"p^n = {p**n} exceeds the cap of {MAX_ORDER}")
         m = n // k
         if math.gcd(s, m) != 1:
             raise GcdViolation(f"gcd(s, m) must be 1, got s={s}, m={m}")
@@ -170,47 +181,25 @@ class FieldCtx:
         elif not _is_primitive(p, n, modpoly, list(_prime_factors(p**n - 1))):
             raise NonPrimitiveModpoly(f"modpoly {modpoly} is not primitive")
         self.modpoly = modpoly
-        # read only here, by coords and by _fe_of_digit, so packed arrays
-        self._antilog, self._log = _build_tables(p, n, modpoly)
-        # log(g^i + 1): adding 1 changes only the constant digit, and
-        # log[0] = ZERO covers g^i = -1; a list, as add reads it on every call
-        self._zech = [self._log[v - v % p + (v + 1) % p] for v in self._antilog]
+        self._zech = _zech_table(p, n, modpoly)
 
         N = self.order - 1
         # number of F_q*-cosets in F*, also the size of every nonzero
         # conjugacy class and the log stride of the subfield
-        self.class_size = N // (self.q - 1) if self.q > 1 else N
+        self.class_size = N // (self.q - 1)
         self.subfield_elements: tuple[Fe, ...] = (ZERO,) + tuple(
             j * self.class_size for j in range(self.q - 1)
         )
-        self.basis: tuple[Fe, ...] = tuple(range(m)) if N > 0 else (ONE,)
-        # sigma^j multiplies logs by q^(js mod m)
-        self._frob = tuple(self.q ** ((j * s) % m) % N if N > 1 else 0 for j in range(m))
-        self._init_coords()
-
-    # -- construction helpers -------------------------------------------------
-
-    def _init_coords(self) -> None:
-        # product basis gamma^j * w^t (w generates F_q*) expressed in the
-        # F_p power basis of the modulus; its inverse turns packed digit
-        # vectors into F_q coordinates w.r.t. self.basis
-        p, n, k, m = self.p, self.n, self.k, self.m
-        self._sub_gen_pows = tuple((t * self.class_size) % (self.order - 1) for t in range(k))
-        cols = []
-        for j in range(m):
-            for t in range(k):
-                fe = self.mul(self.basis[j], self._sub_gen_pows[t])
-                cols.append(_digits(self._antilog[fe], p, n))
-        P = [[self._fe_of_digit(cols[c][r]) for c in range(n)] for r in range(n)]
-        aug = [P[r] + [ONE if r == c else ZERO for c in range(n)] for r in range(n)]
-        R, rk, _ = rref(self, aug)
-        if rk != n:  # pragma: no cover - product basis is always a basis
-            raise NonPrimitiveModpoly("basis change is singular")
-        self._coords_inv = [row[n:] for row in R]
-
-    def _fe_of_digit(self, d: int) -> Fe:
-        # a base-p digit names the constant polynomial d, whose packed value is d
-        return self._log[d] if d else ZERO
+        self.basis: tuple[Fe, ...] = tuple(range(m))
+        # sigma^j multiplies logs by q^(js) mod N, which is q^(js mod m) mod N
+        # since q^m = 1 mod N; twist is the j = 1 entry, sigma's action on logs
+        self._frob = tuple(pow(self.q, j * s % m, N) for j in range(m))
+        self.twist = self._frob[1 % m]
+        # the Moore matrix of the basis, rows sigma^i(b_0..b_(m-1)), is
+        # invertible as gcd(s, m) = 1; its inverse maps sigma^i(a) to coords
+        moore = [[self.frobenius(b, i) for b in self.basis] for i in range(m)]
+        aug = [row + [ONE if r == c else ZERO for c in range(m)] for r, row in enumerate(moore)]
+        self._coords_inv = [row[m:] for row in rref(self, aug)[0]]
 
     # -- element arithmetic ----------------------------------------------------
 
@@ -280,16 +269,7 @@ class FieldCtx:
 
     def coords(self, a: Fe) -> list[Fe]:
         """F_q-coordinates of a with respect to self.basis."""
-        d = _digits(0 if a == ZERO else self._antilog[a], self.p, self.n)
-        dvec = [self._fe_of_digit(x) for x in d]
-        y = mat_vec(self, self._coords_inv, dvec)
-        out = []
-        for j in range(self.m):
-            c = ZERO
-            for t in range(self.k):
-                c = self.add(c, self.mul(y[j * self.k + t], self._sub_gen_pows[t]))
-            out.append(c)
-        return out
+        return mat_vec(self, self._coords_inv, [self.frobenius(a, i) for i in range(self.m)])
 
     def uncoords(self, v: Iterable[Fe]) -> Fe:
         acc = ZERO
@@ -312,8 +292,11 @@ class FieldCtx:
             return ZERO
         if t == "1":
             return ONE
-        if t.startswith("g") and t[1:].isdigit():
-            return int(t[1:]) % (self.order - 1)
+        if t.startswith("g") and t[1:].isascii() and t[1:].isdigit():
+            try:
+                return int(t[1:]) % (self.order - 1)
+            except ValueError:  # more digits than int() converts
+                pass
         raise ParseError(f"bad element token {text!r}")
 
     def format_element(self, a: Fe) -> str:
@@ -362,15 +345,25 @@ def get_field(p: int, n: int, k: int, s: int, modpoly: int | None = None) -> Fie
 def field_from_spec(text: str) -> FieldCtx:
     """Parse "p,n,k,s[,modpoly]" into a (cached) field context."""
     parts = [t.strip() for t in text.split(",")]
-    if len(parts) not in (4, 5) or not all(t.lstrip("-").isdigit() for t in parts):
-        raise ParseError(f"bad field spec {text!r}; expected p,n,k,s[,modpoly]")
-    nums = [int(t) for t in parts]
+    bad = ParseError(f"bad field spec {text!r}; expected p,n,k,s[,modpoly]")
+    # ASCII digits only: str.isdigit() also admits digits such as "²"
+    if len(parts) not in (4, 5) or not all(
+        t.isascii() and t.removeprefix("-").isdigit() for t in parts
+    ):
+        raise bad
+    try:
+        nums = [int(t) for t in parts]
+    except ValueError:  # more digits than int() converts
+        raise bad from None
     return get_field(*nums)
 
 
-# -- linear algebra over the subfield -----------------------------------------
+# -- linear algebra ------------------------------------------------------
 #
-# Matrices are lists of rows; entries are Fe values assumed to lie in F_q.
+# Matrices are lists of rows of Fe values, eliminated over the whole field F.
+# Callers pass F_q-matrices, whose rank and kernel over F_q are those over F,
+# except the Moore system of FieldCtx's coordinates, whose entries lie outside
+# F_q.
 
 def rref(ctx: FieldCtx, rows: list[list[Fe]]) -> tuple[list[list[Fe]], int, list[int]]:
     """Reduced row echelon form; returns (matrix, rank, pivot columns)."""

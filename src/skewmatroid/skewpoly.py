@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .conjugacy import conjugate
 from .errors import DivisionByZeroPoly, MixedContexts, ParseError, ZeroInput
 from .field import MAX_ORDER, Fe, FieldCtx, ONE, ZERO
 
@@ -154,7 +155,7 @@ class SkewPoly:
         ctx = self.ctx
         if a == ZERO:  # 0^dbracket(i) is 1 at i = 0 only
             return self.coeff(0)
-        N, qs = ctx.order - 1, ctx.q**ctx.s
+        N, qs = ctx.order - 1, ctx.twist
         acc, e = ZERO, 0  # e = dbracket(i) mod N; dbracket(i+1) = dbracket(i) q^s + 1
         for c in self.coeffs:
             if c != ZERO:
@@ -186,7 +187,7 @@ class SkewPoly:
 
     # -- text form --------------------------------------------------------------------
 
-    _XPART = re.compile(r"^x(?:\^0*(\d+))?$")
+    _XPART = re.compile(r"^x(?:\^0*([0-9]+))?$")  # ASCII digits: \d admits others
 
     @classmethod
     def parse(cls, ctx: FieldCtx, text: str) -> "SkewPoly":
@@ -325,5 +326,4 @@ def eval_product(f: SkewPoly, g: SkewPoly, a: Fe) -> Fe:
     gv = g.evaluate(a)
     if gv == ZERO:
         return ZERO
-    warped = ctx.pow(gv, ctx.q**ctx.s - 1)
-    return ctx.mul(f.evaluate(ctx.mul(a, warped)), gv)
+    return ctx.mul(f.evaluate(conjugate(ctx, a, gv)), gv)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -265,6 +266,57 @@ def test_domain_errors_exit_1(capsys):
     # the exponent cap rejects this before allocating 10^9 coefficients
     code, out, err = run(capsys, "--field", "2,2,1,1", "mul", "x^1000000000", "x")
     assert code == 1 and out == "" and err.startswith("error: ParseError")
+    # only ASCII digits are numbers, and int()'s digit limit is a parse error
+    many = "1" * 5000
+    for argv in (
+        ["--field", "\u00b2,4,2,1", "fieldinfo"],
+        [*F16, "classof", "g\u00b2"],
+        [*F16, "mul", "g\u00b2*x", "x"],
+        [*F16, "mul", "x^\u0663", "x"],
+        ["--field", f"{many},1,1,1", "fieldinfo"],
+        [*F16, "classof", f"g{many}"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error: ParseError"), argv
+
+
+def _cli_child(*argv):
+    """`python -m skewmatroid` in a child process under a 10 s timeout and a
+    1 GiB address space, so an input that hangs or explodes fails the test,
+    not the suite.  The child imports the same package as this process,
+    installed or not."""
+    package_root = str(Path(skewmatroid.__file__).resolve().parent.parent)
+    path = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    return subprocess.run(
+        [sys.executable, "-m", "skewmatroid", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "1000000000000000003,1,1,1",  # prime: trial division would run to 10^9
+        "1000000016000000063,1,1,1",  # (10^9 + 7)(10^9 + 9)
+        "2,100000000000,1,1",  # p^n would need 12.5 GB
+    ],
+)
+def test_oversized_field_fails_before_validation(spec):
+    proc = _cli_child("--field", spec, "fieldinfo")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: FieldTooLarge")
+
+
+@pytest.mark.parametrize("verb", [["eval", "x", "g1"], ["closure", "1,g3"]])
+def test_twist_taken_mod_m_on_cli(capsys, verb):
+    # s = 10^12 + 1 is 1 mod m = 2: the same sigma as s = 1, and q^s is
+    # never expanded
+    proc = _cli_child("--field", "2,4,2,1000000000001", *verb)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, *run(capsys, *F16, *verb)[1:])
 
 
 def test_largest_odd_p_field_builds(capsys):
@@ -289,15 +341,6 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_console_script_installed():
-    # the child imports the same package as this process, installed or not
-    package_root = str(Path(skewmatroid.__file__).resolve().parent.parent)
-    path = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    proc = subprocess.run(
-        [sys.executable, "-m", "skewmatroid", "--field", "2,4,2,1", "rank", "1,g3"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
-    )
+    proc = _cli_child("--field", "2,4,2,1", "rank", "1,g3")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"

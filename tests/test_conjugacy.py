@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 
 from skewmatroid import (
     InapplicableField,
     ONE,
+    SkewPoly,
     WrongClass,
     ZERO,
     ZeroArgument,
@@ -13,7 +15,9 @@ from skewmatroid import (
     class_invariance_holds,
     class_label,
     class_of,
+    closure,
     conjugate,
+    eval_product,
     get_field,
     unwarp,
     unwarp_method1,
@@ -162,6 +166,42 @@ def test_kernel_dimension_via_independent_matrix(f16, f9, f32s2):
                 ]
                 null_basis = kernel(ctx, rows)
                 assert len(null_basis) == 1
+
+
+# -------------------------------------------------------------------- twist
+
+
+def _poly_values(ctx, f, g, a):
+    f, g = SkewPoly(ctx, f), SkewPoly(ctx, g)
+    return f.evaluate(a), g.evaluate(a), eval_product(f, g, a)
+
+
+@pytest.mark.parametrize(
+    "p,n,k,s",
+    [(2, 1, 1, 1), (3, 1, 1, 1), (2, 4, 2, 1), (3, 2, 1, 1), (3, 3, 1, 2), (2, 6, 1, 5)],
+)
+def test_twist_depends_on_s_mod_m(p, n, k, s):
+    # sigma^(s + t m) = sigma^s on F_(q^m), so every twist-dependent result
+    # must match (the CLI tests take s near 10^12, in a child process)
+    ctx = get_field(p, n, k, s)
+    m = ctx.m
+    rng = random.Random(f"{p},{n},{k},{s}")
+    nonzero = list(ctx.nonzero_elements())
+    els = [ZERO] + nonzero
+    for t in (1, 1000):
+        big = get_field(p, n, k, s + t * m)
+        assert big.modpoly == ctx.modpoly and big.twist == ctx.twist
+        for a in nonzero:
+            assert warp(big, a) == warp(ctx, a)
+            ell = class_of(ctx, a)
+            assert unwarp(big, a, ell) == unwarp(ctx, a, ell)
+            assert big.coords(a) == ctx.coords(a)
+        for _ in range(20):
+            f, g = ([rng.choice(els) for _ in range(rng.randint(1, 2 * m + 2))] for _ in "fg")
+            a = rng.choice(els)
+            assert _poly_values(big, f, g, a) == _poly_values(ctx, f, g, a)
+            pts = rng.sample(nonzero, min(3, len(nonzero)))
+            assert closure(big, pts) == closure(ctx, pts)
 
 
 # ------------------------------------------------------------------- labels

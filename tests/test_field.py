@@ -117,6 +117,8 @@ def test_construction_errors():
         get_field(2, 4, 1, 2)  # gcd(s, m) = 2
     with pytest.raises(FieldTooLarge):
         get_field(2, 21, 1, 1)
+    with pytest.raises(FieldTooLarge):
+        get_field(4, 21, 1, 1)  # the size bound comes first
     with pytest.raises(NonPrimitiveModpoly):
         get_field(2, 4, 2, 1, 31)  # irreducible but of order 5
     with pytest.raises(NonPrimitiveModpoly):
@@ -341,16 +343,26 @@ def test_bracket_exactness_large():
 # ----------------------------------------------------------- coords, parsing
 
 
-@pytest.mark.parametrize("spec", ["2,4,2,1", "3,2,1,1", "2,6,1,1", "2,5,1,2", "3,3,1,2"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "2,4,2,1", "3,2,1,1", "2,6,1,1", "2,5,1,2", "3,3,1,2", "2,1,1,1", "3,1,1,1",
+        "2,6,3,1", "2,8,2,3", "3,4,2,1", "1021,2,1,1", "2,16,4,1", "2,20,1,1",
+    ],
+)
 def test_coords_roundtrip(spec):
     ctx = field_from_spec(spec)
-    for a in ctx.elements():
+    els = list(ctx.elements())
+    if ctx.order > 1 << 12:  # sampled
+        els = [ZERO] + random.Random(spec).sample(els[1:], 300)
+    subfield = set(ctx.subfield_elements)
+    for a in els:
         v = ctx.coords(a)
         assert len(v) == ctx.m
-        assert all(x in ctx.subfield_elements for x in v)
+        assert all(x in subfield for x in v)
         assert ctx.uncoords(v) == a
     # uncoords is the basis expansion
-    for a in ctx.elements():
+    for a in els:
         v = ctx.coords(a)
         acc = ZERO
         for j, c in enumerate(v):
