@@ -6,8 +6,8 @@ Nonzero elements are stored as the discrete log of a fixed generator g (a
 root of the modulus polynomial), so multiplication, inversion and powering
 are integer arithmetic mod p^n - 1; addition is one lookup in a precomputed
 table of logs of g^i + 1 (the Zech table, a list).  The context owns the
-twist: sigma multiplies logs by q^s mod p^n - 1, so q^s is never expanded
-outside the exact bracket and dbracket.
+twist: sigma multiplies logs by q^s mod p^n - 1, so q^s is never expanded;
+the exact bracket and dbracket read s only through its representative in 1..m.
 
 The default modulus is the smallest monic primitive one.  Candidates are
 accepted by an order test on x (square-and-multiply on digit lists), so no
@@ -195,6 +195,7 @@ class FieldCtx:
         # since q^m = 1 mod N; twist is the j = 1 entry, sigma's action on logs
         self._frob = tuple(pow(self.q, j * s % m, N) for j in range(m))
         self.twist = self._frob[1 % m]
+        self._s_rep = (s - 1) % m + 1  # s in 1..m: the same sigma, bounded brackets
         # the Moore matrix of the basis, rows sigma^i(b_0..b_(m-1)), is
         # invertible as gcd(s, m) = 1; its inverse maps sigma^i(a) to coords
         moore = [[self.frobenius(b, i) for b in self.basis] for i in range(m)]
@@ -251,16 +252,16 @@ class FieldCtx:
         return (a * self._frob[j % self.m]) % (self.order - 1)
 
     def bracket(self, i: int) -> int:
-        """q^(i*s): the exponent through which sigma^i acts, exact."""
+        """q^(i*s'), s' = (s - 1) mod m + 1: sigma^i's exponent, exact."""
         if i < 0:
             raise ValueError("bracket index must be >= 0")
-        return self.q ** (i * self.s)
+        return self.q ** (i * self._s_rep)
 
     def dbracket(self, i: int) -> int:
-        """(q^(i*s) - 1) / (q^s - 1): geometric-series exponent, exact."""
+        """(q^(i*s') - 1) / (q^s' - 1): geometric-series exponent, exact."""
         if i < 0:
             raise ValueError("dbracket index must be >= 0")
-        return (self.q ** (i * self.s) - 1) // (self.q**self.s - 1)
+        return (self.q ** (i * self._s_rep) - 1) // (self.q**self._s_rep - 1)
 
     # -- subfield and coordinates ----------------------------------------------
 

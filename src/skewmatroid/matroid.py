@@ -2,25 +2,29 @@
 
 Ground set: all of F_{q^m} (twist power s = 1).  A set is independent when
 its minimal polynomial has degree equal to its size; rank, closure and flats
-follow.  The matroid is representable over F_q: lifting each nonzero class
-through unwarp produces one m x class_size block per class, assembled with a
-single extra column for the zero element.  Flats of the class-of-1 submatroid
-correspond to F_q-subspaces of F_{q^m} through the warp map, and that
-correspondence is an isometry between the subspace metric and the flat
-metric d(X, Y) = rank(X) + rank(Y) - 2 * rank-of-common-part computed via
-the greatest common right divisor.
+follow.  A flat is the zero set of its monic minimal polynomial, which is
+unique, so a flat is known by that polynomial: rank is its degree, equality
+compares it, and the points are enumerated only when read.  The matroid is
+representable over F_q: lifting each nonzero class through unwarp produces
+one m x class_size block per class, assembled with a single extra column for
+the zero element.  Flats of the class-of-1 submatroid correspond to
+F_q-subspaces of F_{q^m} through the warp map, and that correspondence is an
+isometry between the subspace metric and the flat metric d(X, Y) = rank(X) +
+rank(Y) - 2 * rank-of-common-part computed via the greatest common right
+divisor.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .conjugacy import class_elements, class_of, unwarp, warp
+from .conjugacy import class_elements, class_of, warp
 from .errors import InapplicableField, NotC1Flat, TooLargeToEnumerate
 from .field import Fe, FieldCtx, ONE, ZERO, mat_rank, rref, span_elements
-from .minimal import canonical_points, closure, minimal_poly, p_basis, rank_of
+from .minimal import canonical_points, closure, lift, minimal_poly_and_basis, rank_of
 from .skewpoly import SkewPoly, grcd
 
 # Exhaustive enumeration (flats, subspaces, isometry checks) is only offered
@@ -30,22 +34,27 @@ _ENUM_MAX_ORDER = 1 << 12
 
 @dataclass(frozen=True, eq=False)
 class Flat:
-    """A closed set with its rank and minimal polynomial."""
+    """A flat, held as its monic minimal polynomial (the flat is its zero
+    set) and a P-basis: an independent subset with the same closure."""
 
     ctx: FieldCtx
-    points: tuple[Fe, ...]
-    rank: int
     minpoly: SkewPoly
+    basis: tuple[Fe, ...]
+
+    @property
+    def rank(self) -> int:
+        return self.minpoly.degree
+
+    @functools.cached_property
+    def points(self) -> tuple[Fe, ...]:
+        """Every point of the flat in canonical order, enumerated on first read."""
+        return closure(self.ctx, self.basis)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Flat)
-            and self.ctx is other.ctx
-            and self.points == other.points
-        )
+        return isinstance(other, Flat) and self.minpoly == other.minpoly
 
     def __hash__(self) -> int:
-        return hash(self.points)
+        return hash(self.minpoly)
 
     def __str__(self) -> str:
         inner = ", ".join(self.ctx.format_element(a) for a in self.points)
@@ -56,10 +65,8 @@ class Flat:
 
 
 def matroid_closure(ctx: FieldCtx, points: Iterable[Fe]) -> Flat:
-    """The flat spanned by a point set; it shares the set's minimal poly."""
-    pts = canonical_points(points)
-    f = minimal_poly(ctx, pts)
-    return Flat(ctx, closure(ctx, pts), f.degree, f)
+    """The flat spanned by a point set: its minimal polynomial and P-basis."""
+    return Flat(ctx, *minimal_poly_and_basis(ctx, points))
 
 
 def closure_definitional(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[Fe, ...]:
@@ -227,7 +234,7 @@ def representation(ctx: FieldCtx) -> RepMatrix:
     if ctx.s != 1:
         raise InapplicableField("the matroid representation is defined for s=1")
     m, cs, nclasses = ctx.m, ctx.class_size, ctx.q - 1
-    cols = [ctx.coords(unwarp(ctx, alpha, 0)) for alpha in class_elements(ctx, 0)]
+    cols = lift(ctx, class_elements(ctx, 0))
     a_rows = tuple(tuple(cols[i][r] for i in range(cs)) for r in range(m))
     nrows, ncols = m * nclasses + 1, cs * nclasses + 1
     script = [[ZERO] * ncols for _ in range(nrows)]
@@ -259,11 +266,10 @@ def phi(ctx: FieldCtx, v: Subspace) -> Flat:
 
 
 def phi_inverse(ctx: FieldCtx, x: Flat) -> Subspace:
-    """Subspace spanned by canonical warp preimages of a class-of-1 flat."""
-    if any(class_of(ctx, a) != 0 for a in x.points):
+    """Subspace spanned by the warp preimages of a class-of-1 flat's P-basis."""
+    if any(class_of(ctx, a) != 0 for a in x.basis):
         raise NotC1Flat("flat contains points outside the class of 1")
-    basis_pts = p_basis(ctx, x.points)
-    return Subspace.from_elements(ctx, (unwarp(ctx, b, 0) for b in basis_pts))
+    return Subspace.from_vectors(ctx, lift(ctx, x.basis))
 
 
 @dataclass(frozen=True)

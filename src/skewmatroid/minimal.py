@@ -17,7 +17,7 @@ the unwarped points, with no scan of the field.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .conjugacy import class_of, conjugate, unwarp, warp
 from .errors import MixedClasses, NotClosed
@@ -30,7 +30,7 @@ def canonical_points(points: Iterable[Fe]) -> tuple[Fe, ...]:
     return tuple(sorted(set(points)))
 
 
-def _minimal_poly_and_basis(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[SkewPoly, tuple[Fe, ...]]:
+def minimal_poly_and_basis(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[SkewPoly, tuple[Fe, ...]]:
     """The minimal polynomial and the points that raised its degree."""
     f = SkewPoly.one(ctx)
     basis = []
@@ -47,7 +47,7 @@ def minimal_poly(ctx: FieldCtx, points: Iterable[Fe]) -> SkewPoly:
     """Monic least-degree skew polynomial vanishing on the set (1 for the
     empty set).  Insertion happens in canonical order; the result does not
     depend on that order."""
-    return _minimal_poly_and_basis(ctx, points)[0]
+    return minimal_poly_and_basis(ctx, points)[0]
 
 
 def rank_of(ctx: FieldCtx, points: Iterable[Fe]) -> int:
@@ -62,25 +62,17 @@ def is_p_independent(ctx: FieldCtx, points: Iterable[Fe]) -> bool:
 
 def p_basis(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[Fe, ...]:
     """Greedy independent subset (canonical order) with the same closure."""
-    return _minimal_poly_and_basis(ctx, points)[1]
-
-
-def _single_class(ctx: FieldCtx, pts: Sequence[Fe]) -> int:
-    """The common nonzero class index, or raise MixedClasses."""
-    cls = {class_of(ctx, b) for b in pts}
-    if len(cls) != 1 or None in cls:
-        raise MixedClasses(f"points span classes {sorted(cls, key=repr)}")
-    return cls.pop()
+    return minimal_poly_and_basis(ctx, points)[1]
 
 
 def lift(ctx: FieldCtx, points: Iterable[Fe]) -> list[list[Fe]]:
     """Coordinates of canonical warp preimages of a single-class set; the
     set is P-independent exactly when these vectors are F_q-independent."""
     pts = canonical_points(points)
-    if not pts:
-        return []
-    ell = _single_class(ctx, pts)
-    return [ctx.coords(unwarp(ctx, b, ell)) for b in pts]
+    classes = {class_of(ctx, b) for b in pts}
+    if len(classes) > 1 or None in classes:
+        raise MixedClasses(f"points span classes {sorted(classes, key=repr)}")
+    return [ctx.coords(unwarp(ctx, b, class_of(ctx, b))) for b in pts]
 
 
 def closure(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[Fe, ...]:

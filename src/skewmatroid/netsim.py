@@ -4,9 +4,10 @@ A source encodes its message as a flat of one conjugacy class and is treated
 as a relay preloaded with a P-basis of that flat.  Every node forwards, per
 outgoing edge, one element drawn uniformly from the closure of the packets it
 holds: unwarp the packets, draw a uniform nonzero F_q-linear combination of
-the unwarped field elements, warp the result back into the class.  Sinks
-decode by taking the matroid closure of everything they received; success is
-exact flat recovery, partial recovery is reported through the flat metric.
+the unwarped field elements, warp the result back into the class.  A flat is
+known by its monic minimal polynomial: forwarded packets are checked to be
+its zeros, sinks decode to the flat of what they received, and success is
+exact flat recovery; partial recovery is reported through the flat metric.
 
 Links are error-free and carry one packet per trial; relays keep no state
 across trials.  A classical random-linear-network-coding simulator over
@@ -21,11 +22,12 @@ metrics are separate code.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .conjugacy import class_of, unwarp, warp
 from .errors import (
@@ -37,7 +39,7 @@ from .errors import (
 )
 from .field import Fe, FieldCtx, ZERO, field_from_spec, mat_rank
 from .matroid import Flat, Subspace, class_flat, dist, matroid_closure, subspace_dist
-from .minimal import p_basis
+from .minimal import lift, p_basis
 
 Edge = tuple[str, str]
 
@@ -48,6 +50,15 @@ _SPEC_KEYS = frozenset({"field", "nodes", "edges", "class", "rank", "trials", "s
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise SpecInvalid(message)
+
+
+class WalkPlan(NamedTuple):
+    """What a walk of the DAG reads; see NetSpec.plan."""
+
+    source: str
+    order: tuple[str, ...]
+    successors: dict[str, list[str]]
+    sinks: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -135,25 +146,16 @@ class NetSpec:
     def ctx(self) -> FieldCtx:
         return field_from_spec(self.field)
 
-    def source_id(self) -> str:
-        for nid, role in self.nodes:
-            if role == "source":
-                return nid
-        raise SpecInvalid("no source node")
-
-    def sink_ids(self) -> tuple[str, ...]:
-        return tuple(nid for nid, role in self.nodes if role == "sink")
-
-    def successors(self) -> dict[str, list[str]]:
-        """Heads of each node's out-edges in edge order; parallel edges repeat."""
-        out: dict[str, list[str]] = {nid: [] for nid, _ in self.nodes}
+    @functools.cached_property
+    def plan(self) -> WalkPlan:
+        """The source, a topological order (Kahn's algorithm, ties broken by
+        node insertion order), the heads of each node's out-edges in edge
+        order (parallel edges repeat) and the sinks; built once per spec."""
+        sources = [nid for nid, role in self.nodes if role == "source"]
+        _require(bool(sources), "no source node")
+        succ: dict[str, list[str]] = {nid: [] for nid, _ in self.nodes}
         for u, v in self.edges:
-            out[u].append(v)
-        return out
-
-    def topo_order(self) -> tuple[str, ...]:
-        """Kahn's algorithm; ties broken by node insertion order."""
-        succ = self.successors()
+            succ[u].append(v)
         indeg = Counter(v for _, v in self.edges)
         # the order list doubles as the FIFO queue of ready nodes
         order = [nid for nid, _ in self.nodes if indeg[nid] == 0]
@@ -163,7 +165,8 @@ class NetSpec:
                 if indeg[v] == 0:
                     order.append(v)
         _require(len(order) == len(self.nodes), "edges contain a cycle")
-        return tuple(order)
+        sinks = tuple(nid for nid, role in self.nodes if role == "sink")
+        return WalkPlan(sources[0], tuple(order), succ, sinks)
 
     def validate(self, ctx: FieldCtx | None = None) -> None:
         ids = [nid for nid, _ in self.nodes]
@@ -181,12 +184,12 @@ class NetSpec:
             "the source cannot have incoming edges",
         )
         _require(self.trials >= 0, "trials must be nonnegative")
-        succ = self.successors()
-        reachable = {sources[0]}
-        for nid in self.topo_order():
+        plan = self.plan
+        reachable = {plan.source}
+        for nid in plan.order:
             if nid in reachable:
-                reachable.update(succ[nid])
-        for nid in self.sink_ids():
+                reachable.update(plan.successors[nid])
+        for nid in plan.sinks:
             _require(nid in reachable, f"sink {nid!r} is unreachable from the source")
         if ctx is not None:
             if self.class_index is not None:
@@ -261,14 +264,14 @@ def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
 class SinkResult:
     sink: str
     received: tuple  # arrival order, duplicates kept: points, or vectors in the oracle
-    decoded: tuple[Fe, ...] | Subspace  # flat points in canonical order, or the row space
+    decoded: Flat | Subspace  # the flat of what was received, or the row space
     success: bool
     distance: int
 
 
 @dataclass(frozen=True)
 class TrialReport:
-    message: tuple[Fe, ...] | Subspace
+    message: Flat | Subspace
     sinks: tuple[SinkResult, ...]
     success: bool  # every sink recovered the message exactly
     packets_forwarded: int
@@ -277,7 +280,7 @@ class TrialReport:
 
 def _walk(
     spec: NetSpec,
-    message: tuple[Fe, ...] | Subspace,
+    message: Flat | Subspace,
     preload: list,
     forward: Callable,
     decode: Callable,
@@ -289,20 +292,19 @@ def _walk(
     received packets through decode to (decoded, distance), and succeeds when
     decoded == message."""
     rng = random.Random(seed)
-    source = spec.source_id()
-    successors = spec.successors()
+    plan = spec.plan
     held: dict[str, list] = {nid: [] for nid, _ in spec.nodes}
     edge_log = []
-    for u in spec.topo_order():
-        pool = preload if u == source else held[u]
+    for u in plan.order:
+        pool = preload if u == plan.source else held[u]
         if not pool:
             continue
-        for v in successors[u]:
+        for v in plan.successors[u]:
             value = forward(pool, rng, u, v)
             held[v].append(value)
             edge_log.append((u, v, value))
     sinks = []
-    for nid in spec.sink_ids():
+    for nid in plan.sinks:
         got = tuple(held[nid])
         decoded, distance = decode(got)
         sinks.append(SinkResult(nid, got, decoded, decoded == message, distance))
@@ -319,25 +321,25 @@ def run_trial(
     ctx: FieldCtx, spec: NetSpec, message: Flat, seed: int | str
 ) -> TrialReport:
     """One generation of the element simulator: relays forward with
-    relay_forward, each packet checked against the message closure on the
-    spot, and sinks decode the matroid closure of what they received."""
-    allowed = set(message.points)
+    relay_forward, each packet checked on the spot to be a zero of the
+    message's minimal polynomial, and sinks decode the flat of what they
+    received."""
 
     def forward(pool: list[Fe], rng: random.Random, u: str, v: str) -> Fe:
         value = relay_forward(ctx, pool, rng)
-        if value not in allowed:
+        if message.minpoly.evaluate(value) != ZERO:
             raise AssertionError(
                 f"containment violated: {ctx.format_element(value)} "
                 f"forwarded on [{u}, {v}] lies outside the message closure"
             )
         return value
 
-    def decode(got: tuple[Fe, ...]) -> tuple[tuple[Fe, ...], int]:
+    def decode(got: tuple[Fe, ...]) -> tuple[Flat, int]:
         decoded = matroid_closure(ctx, got)
-        return decoded.points, dist(message, decoded)
+        return decoded, dist(message, decoded)
 
     preload = list(p_basis(ctx, message.points))
-    return _walk(spec, message.points, preload, forward, decode, seed)
+    return _walk(spec, message, preload, forward, decode, seed)
 
 
 def canonical_line_rep(ctx: FieldCtx, vector: Sequence[Fe]) -> tuple[Fe, ...]:
@@ -377,15 +379,9 @@ def rlnc_oracle_trial(
 def mirrored_source_vectors(ctx: FieldCtx, message: Flat) -> list[tuple[Fe, ...]]:
     """Lifts of the P-basis the element simulator preloads — the oracle's
     source must start from exactly these vectors for the runs to mirror."""
-    if not message.points:
-        return []
-    ell = class_of(ctx, message.points[0])
-    if ell is None:
+    if ZERO in message.basis:
         raise SpecInvalid("the zero-class message has no vector counterpart")
-    return [
-        tuple(ctx.coords(unwarp(ctx, b, ell)))
-        for b in p_basis(ctx, message.points)
-    ]
+    return [tuple(v) for v in lift(ctx, p_basis(ctx, message.points))]
 
 
 def build_message(ctx: FieldCtx, spec: NetSpec, rng: random.Random) -> Flat:
@@ -418,7 +414,7 @@ def simulate(
         raise SpecInvalid(f"unknown oracle {oracle!r}; supported: rlnc")
     if oracle is not None and spec.class_index is None:
         raise SpecInvalid("the rlnc oracle mirrors nonzero-class messages only")
-    sink_ids = spec.sink_ids()
+    sink_ids = spec.plan.sinks
     successes = 0
     packets = 0
     per_sink = {nid: {"successes": 0, "dist": 0} for nid in sink_ids}
@@ -439,7 +435,7 @@ def simulate(
             oracle_successes += oreport.success
             ell = spec.class_index % (ctx.q - 1)
             for s, os in zip(report.sinks, oreport.sinks):
-                if class_flat(ctx, os.decoded, ell).points != s.decoded:
+                if class_flat(ctx, os.decoded, ell) != s.decoded:
                     oracle_matches = False
     dist_total = sum(entry["dist"] for entry in per_sink.values())
     dist_count = n_trials * len(sink_ids)

@@ -181,7 +181,7 @@ def test_criterion_7_simulation_equivalence(f16):
             )
             assert report.packets_forwarded == oracle.packets_forwarded
             for s, os in zip(report.sinks, oracle.sinks):
-                assert class_flat(f16, os.decoded, ell).points == s.decoded
+                assert class_flat(f16, os.decoded, ell).points == s.decoded.points
             packets += report.packets_forwarded
             trial_count += 1
     assert specs >= 100 and packets >= 100_000

@@ -317,7 +317,9 @@ def test_frobenius_is_subfield_linear(spec):
         assert ctx.frobenius(a, ctx.m) == a  # full twist is the identity
 
 
-@pytest.mark.parametrize("spec", ["2,4,2,1", "3,2,1,1", "2,5,1,2"])
+@pytest.mark.parametrize(
+    "spec", ["2,4,2,1", "3,2,1,1", "2,5,1,2", "2,4,2,3", "3,3,1,5", "2,4,2,-1", "2,5,1,-3"]
+)
 def test_bracket_identities(spec):
     ctx = field_from_spec(spec)
     for i in range(2 * ctx.m + 1):

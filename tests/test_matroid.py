@@ -147,6 +147,35 @@ def test_flat_equality_and_str(f16):
     assert zero.points == (ZERO,) and zero.rank == 1
 
 
+def _check_identity_is_point_set(found):
+    for x, y in itertools.product(found, repeat=2):
+        assert (x == y) == (x.points == y.points)
+        assert x != y or hash(x) == hash(y)
+
+
+def test_flat_identity_is_its_point_set(f4, f8, f16):
+    # equality and hash read the minimal polynomial; the enumerated points
+    # are the independent identity they must agree with
+    _check_identity_is_point_set(list(flats(f4)))
+    for ctx in (f8, f16):
+        per_class = [f for ell in range(ctx.q - 1) for f in flats(ctx, ell)]
+        _check_identity_is_point_set(per_class)
+
+
+def test_class_flats_are_definitional_fixed_points(f8, f16):
+    # flats(ctx, 0) is onto the closure-fixed subsets of the class of 1,
+    # found by the rank-based scan rather than through class_flat or closure
+    for ctx in (f8, f16):
+        c1 = class_elements(ctx, 0)
+        fixed = {
+            pts
+            for r in range(len(c1) + 1)
+            for pts in itertools.combinations(c1, r)
+            if closure_definitional(ctx, pts) == pts
+        }
+        assert {f.points for f in flats(ctx, 0)} == fixed
+
+
 # ---------------------------------------------------------------- subspaces
 
 

@@ -261,6 +261,16 @@ def test_linearized_associate_constant_term(f4):
     assert assoc.terms == ((1, ONE), (4, ONE))
 
 
+@pytest.mark.parametrize("s", [-1, 3, 10**12 + 1])
+def test_associates_read_s_mod_m(s):
+    # sigma depends on s mod m only, so both associates print as at s = 1,
+    # exactly and at once however large or negative s is
+    base = SkewPoly.parse(get_field(2, 4, 2, 1), "x^2+g1*x+1")
+    f = SkewPoly.parse(get_field(2, 4, 2, s), "x^2+g1*x+1")
+    assert str(f.regular_associate()) == str(base.regular_associate()) == "x^5 + g1*x + 1"
+    assert str(f.linearized_associate()) == str(base.linearized_associate())
+
+
 @pytest.mark.parametrize("spec", ["2,4,2,1", "3,2,1,1", "2,5,1,2"])
 def test_linearized_correspondence(spec):
     ctx = get_field(*[int(t) for t in spec.split(",")])
