@@ -23,13 +23,17 @@ from typing import Iterable, Iterator
 
 from .conjugacy import class_elements, class_of, warp
 from .errors import InapplicableField, NotC1Flat, TooLargeToEnumerate
-from .field import Fe, FieldCtx, ONE, ZERO, mat_rank, rref, span_elements
+from .field import Fe, FieldCtx, ONE, ZERO, mat_rank, rref
 from .minimal import canonical_points, closure, lift, minimal_poly_and_basis, rank_of
 from .skewpoly import SkewPoly, grcd
 
-# Exhaustive enumeration (flats, subspaces, isometry checks) is only offered
-# on fields small enough to scan.
-_ENUM_MAX_ORDER = 1 << 12
+# Exhaustive enumeration is offered only while what it builds, counted in
+# closed form, stays small: a class's subspaces, the whole matroid's flat
+# combinations, an isometry check's subspace pairs, a representation's entries.
+_MAX_CLASS_FLATS = 1 << 12
+_MAX_FLAT_COMBINATIONS = 1 << 15
+_MAX_ISOMETRY_PAIRS = 1 << 17
+_MAX_REP_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +104,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def element_logs(self) -> tuple[Fe, ...]:
-        """All nonzero members as field elements, canonical order."""
-        span = span_elements(self.ctx, (self.ctx.uncoords(r) for r in self.rows))
-        return tuple(sorted(span - {ZERO}))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -163,11 +162,21 @@ def all_subspaces(ctx: FieldCtx, dim: int | None = None) -> Iterator[Subspace]:
                 yield Subspace(ctx, tuple(tuple(row) for row in rows))
 
 
-def _guard_enumeration(ctx: FieldCtx) -> None:
-    if ctx.order > _ENUM_MAX_ORDER:
-        raise TooLargeToEnumerate(
-            f"field order {ctx.order} exceeds the enumeration cap {_ENUM_MAX_ORDER}"
-        )
+def subspace_count(ctx: FieldCtx) -> int:
+    """Number of F_q-subspaces of F_{q^m}: the Gaussian binomials [m r]_q
+    summed over r, each from the last in one exact step."""
+    q, m = ctx.q, ctx.m
+    total, term = 0, 1
+    for r in range(m + 1):
+        total += term
+        term = term * (q ** (m - r) - 1) // (q ** (r + 1) - 1)
+    return total
+
+
+def _guard_enumeration(what: str, size: int, cap: int) -> None:
+    """Refuse an enumeration, before anything is built, by its counted size."""
+    if size > cap:
+        raise TooLargeToEnumerate(f"the {what} exceed the enumeration cap of {cap}")
 
 
 def class_flat(ctx: FieldCtx, v: Subspace, ell: int) -> Flat:
@@ -185,14 +194,18 @@ def flats(
     """Flats of one class's submatroid, or of the whole matroid (every
     combination of per-class flats, with and without zero), each candidate
     verified to be closure-fixed."""
-    _guard_enumeration(ctx)
+    n = subspace_count(ctx)
     if class_index is not None:
+        _guard_enumeration("subspaces behind a class's flats", n, _MAX_CLASS_FLATS)
         ell = class_index % (ctx.q - 1)
         for v in all_subspaces(ctx):
             if max_rank is not None and v.dim > max_rank:
                 continue
             yield class_flat(ctx, v, ell)
         return
+    # n >= 2, so an exponent past the cap's bit length is past the cap
+    combos = 2 * n ** min(ctx.q - 1, _MAX_FLAT_COMBINATIONS.bit_length())
+    _guard_enumeration("combinations of per-class flats", combos, _MAX_FLAT_COMBINATIONS)
     per_class = [list(flats(ctx, ell)) for ell in range(ctx.q - 1)]
     for zero_part in ((), (ZERO,)):
         for combo in itertools.product(*per_class):
@@ -234,9 +247,10 @@ def representation(ctx: FieldCtx) -> RepMatrix:
     if ctx.s != 1:
         raise InapplicableField("the matroid representation is defined for s=1")
     m, cs, nclasses = ctx.m, ctx.class_size, ctx.q - 1
+    nrows, ncols = m * nclasses + 1, cs * nclasses + 1
+    _guard_enumeration("representation matrix entries", nrows * ncols, _MAX_REP_ENTRIES)
     cols = lift(ctx, class_elements(ctx, 0))
     a_rows = tuple(tuple(cols[i][r] for i in range(cs)) for r in range(m))
-    nrows, ncols = m * nclasses + 1, cs * nclasses + 1
     script = [[ZERO] * ncols for _ in range(nrows)]
     labels: list[Fe] = []
     for ell in range(nclasses):
@@ -288,17 +302,17 @@ def verify_isometry(ctx: FieldCtx) -> IsometryReport:
     """Exhaustively check that the warp correspondence is a bijective
     isometry between subspaces (subspace metric) and class-of-1 flats
     (flat metric)."""
-    _guard_enumeration(ctx)
+    n = subspace_count(ctx)
+    _guard_enumeration("subspace pairs", n * (n - 1) // 2, _MAX_ISOMETRY_PAIRS)
     subs = list(all_subspaces(ctx))
     images = [phi(ctx, v) for v in subs]
-    c1_flats = set(flats(ctx, 0))
-    bijective = len(set(images)) == len(subs) and set(images) == c1_flats
+    flat_count = len(set(images))
+    # injective, and phi_inverse takes every image back to its subspace
+    bijective = flat_count == len(subs) and all(
+        phi_inverse(ctx, x) == v for v, x in zip(subs, images)
+    )
     isometric = all(
         subspace_dist(v, w) == dist(images[i], images[j])
         for (i, v), (j, w) in itertools.combinations(enumerate(subs), 2)
     )
-    # round trips both ways
-    bijective = bijective and all(
-        phi_inverse(ctx, images[i]) == v for i, v in enumerate(subs)
-    )
-    return IsometryReport(len(subs), len(c1_flats), bijective, isometric)
+    return IsometryReport(len(subs), flat_count, bijective, isometric)

@@ -345,12 +345,12 @@ def run_trial(
 def canonical_line_rep(ctx: FieldCtx, vector: Sequence[Fe]) -> tuple[Fe, ...]:
     """The scalar multiple whose field element has the least discrete log —
     the same representative unwarping chooses, which is what lets the vector
-    simulator mirror the element simulator."""
+    simulator mirror the element simulator.  F_q* is {g^(j*class_size)}, so
+    that least log is a mod class_size."""
     a = ctx.uncoords(list(vector))
     if a == ZERO:
         raise ZeroArgument("the zero vector spans no line")
-    best = min(ctx.mul(c, a) for c in ctx.subfield_elements[1:])
-    return tuple(ctx.coords(best))
+    return tuple(ctx.coords(a % ctx.class_size))
 
 
 def rlnc_oracle_trial(

@@ -4,13 +4,16 @@ Polynomials live in F_{q^m}[x; sigma] where coefficients sit on the left and
 x moves past a coefficient by twisting it: x * a = sigma(a) * x.  Division
 happens on the right (f = p*g + r), which keeps remainders unique, and
 evaluation at a point is the remainder of right division by (x - a),
-computed directly as sum c_i * a^dbracket(i).
+computed directly as sum c_i * a^dbracket(i).  The greatest common right
+divisor is the bare right Euclidean remainder sequence; the least common
+left multiple also tracks the one cofactor it multiplies.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 from .conjugacy import conjugate
 from .errors import DivisionByZeroPoly, MixedContexts, ParseError, ZeroInput
@@ -224,20 +227,8 @@ class SkewPoly:
         return cls(ctx, out)
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        ctx = self.ctx
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == ZERO:
-                continue
-            if i == 0:
-                terms.append(ctx.format_element(c))
-                continue
-            xp = "x" if i == 1 else f"x^{i}"
-            terms.append(xp if c == ONE else f"{ctx.format_element(c)}*{xp}")
-        return " + ".join(terms)
+        terms = [(i, c) for i, c in enumerate(self.coeffs) if c != ZERO]
+        return _format_terms(self.ctx, reversed(terms))
 
     def __repr__(self) -> str:
         return f"SkewPoly({self!s})"
@@ -266,56 +257,49 @@ class AssocPoly:
         return tuple(a for a in self.ctx.elements() if self.evaluate(a) == ZERO)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        ctx = self.ctx
-        out = []
-        for e, c in reversed(self.terms):
-            if e == 0:
-                out.append(ctx.format_element(c))
-            else:
-                xp = "x" if e == 1 else f"x^{e}"
-                out.append(xp if c == ONE else f"{ctx.format_element(c)}*{xp}")
-        return " + ".join(out)
+        return _format_terms(self.ctx, reversed(self.terms))
 
 
-def _extended_right_euclid(f: SkewPoly, g: SkewPoly):
-    """Right Euclid with cofactor tracking: returns (r, u, v, u2, v2) where
-    r = u*f + v*g is the last nonzero remainder and u2*f + v2*g = 0."""
-    ctx = f.ctx
-    one, zero = SkewPoly.one(ctx), SkewPoly.zero(ctx)
+def _format_terms(ctx: FieldCtx, terms: Iterable[tuple[int, Fe]]) -> str:
+    """'c*x^e + ...' from (exponent, coefficient) terms in the order given;
+    "0" when there are none."""
+    out = []
+    for e, c in terms:
+        if e == 0:
+            out.append(ctx.format_element(c))
+        else:
+            xp = "x" if e == 1 else f"x^{e}"
+            out.append(xp if c == ONE else f"{ctx.format_element(c)}*{xp}")
+    return " + ".join(out) or "0"
+
+
+def grcd(f: SkewPoly, g: SkewPoly) -> SkewPoly:
+    """Monic greatest common right divisor: the last nonzero remainder of the
+    right Euclidean remainder sequence, normalised; no product is formed."""
+    f._check(g)
+    if f.is_zero() and g.is_zero():
+        raise ZeroInput("grcd(0, 0) is undefined")
     r0, r1 = f, g
-    u0, u1 = one, zero
-    v0, v1 = zero, one
+    while not r1.is_zero():
+        r0, r1 = r1, r0.right_divmod(r1)[1]
+    return r0.monic()
+
+
+def llcm(f: SkewPoly, g: SkewPoly) -> SkewPoly:
+    """Monic least common left multiple.  Right Euclid on (f, g) tracks only
+    the cofactor u_i of f in each remainder r_i = u_i*f + v_i*g; when the
+    remainder reaches zero, u*f = -v*g is the least common left multiple,
+    so no left division is ever needed."""
+    f._check(g)
+    if f.is_zero() or g.is_zero():
+        raise ZeroInput("llcm requires both polynomials nonzero")
+    r0, r1 = f, g
+    u0, u1 = SkewPoly.one(f.ctx), SkewPoly.zero(f.ctx)
     while not r1.is_zero():
         q, r2 = r0.right_divmod(r1)
         r0, r1 = r1, r2
         u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return r0, u0, v0, u1, v1
-
-
-def grcd(f: SkewPoly, g: SkewPoly, with_cofactors: bool = False):
-    """Monic greatest common right divisor; optionally also (u, v) with
-    u*f + v*g = grcd."""
-    f._check(g)
-    if f.is_zero() and g.is_zero():
-        raise ZeroInput("grcd(0, 0) is undefined")
-    r, u, v, _, _ = _extended_right_euclid(f, g)
-    c = r.ctx.inv(r.lead())
-    if with_cofactors:
-        return r.scale_left(c), u.scale_left(c), v.scale_left(c)
-    return r.scale_left(c)
-
-
-def llcm(f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    """Monic least common left multiple, from the terminal Euclid cofactor
-    (h = u2*f), so no left division is ever needed."""
-    f._check(g)
-    if f.is_zero() or g.is_zero():
-        raise ZeroInput("llcm requires both polynomials nonzero")
-    _, _, _, u2, _ = _extended_right_euclid(f, g)
-    return (u2 * f).monic()
+    return (u1 * f).monic()
 
 
 def eval_product(f: SkewPoly, g: SkewPoly, a: Fe) -> Fe:

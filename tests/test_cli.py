@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -309,6 +310,24 @@ def test_oversized_field_fails_before_validation(spec):
     proc = _cli_child("--field", spec, "fieldinfo")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: FieldTooLarge")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--field", "2,6,1,1", "isometry-check"],  # 3,988,900 subspace pairs
+        ["--field", "2,20,1,1", "repmatrix"],  # a 21 x 1,048,576 matrix
+        ["--field", "2,8,2,1", "flats"],  # 2 * 529^3 flat combinations
+    ],
+)
+def test_enumeration_refused_by_size_before_building(argv):
+    # each field is legal and builds, but what the verb would enumerate is
+    # too large; the guard counts it in closed form, so the refusal is at once
+    start = time.monotonic()
+    proc = _cli_child(*argv)
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: TooLargeToEnumerate")
 
 
 @pytest.mark.parametrize("verb", [["eval", "x", "g1"], ["closure", "1,g3"]])

@@ -22,6 +22,7 @@ from skewmatroid import (
     class_of,
     closure,
     encode_message,
+    get_field,
     matroid_closure,
     relay_forward,
     rlnc_oracle_trial,
@@ -468,6 +469,18 @@ def test_canonical_line_rep(f16):
         )
     with pytest.raises(ZeroArgument):
         canonical_line_rep(f16, [ZERO] * f16.m)
+
+
+@pytest.mark.parametrize(
+    "spec", ["2,2,1,1", "2,4,2,1", "3,2,1,1", "3,3,1,2", "2,5,1,2", "5,2,2,1", "2,6,3,1", "3,4,2,3"]
+)
+def test_canonical_line_rep_closed_form_matches_scan(spec):
+    # the least-log multiple over every scalar of F_q*, on fields with
+    # m = 1, odd p and s != 1
+    ctx = get_field(*[int(t) for t in spec.split(",")])
+    for a in ctx.nonzero_elements():
+        best = min(ctx.mul(c, a) for c in ctx.subfield_elements[1:])
+        assert canonical_line_rep(ctx, ctx.coords(a)) == tuple(ctx.coords(best))
 
 
 # ----------------------------------------------------------------- simulate

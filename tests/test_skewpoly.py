@@ -325,6 +325,22 @@ def test_llcm_brute_force_oracle(f4):
             )
 
 
+def _bezout(f, g):
+    """Right Euclid tracking both cofactors: monic d with u*f + v*g = d.
+    An oracle written apart from the library's grcd, which tracks none."""
+    ctx = f.ctx
+    r0, r1 = f, g
+    u0, u1 = SkewPoly.one(ctx), SkewPoly.zero(ctx)
+    v0, v1 = SkewPoly.zero(ctx), SkewPoly.one(ctx)
+    while not r1.is_zero():
+        quo, rem = r0.right_divmod(r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, u0 - quo * u1
+        v0, v1 = v1, v0 - quo * v1
+    c = ctx.inv(r0.lead())
+    return r0.scale_left(c), u0.scale_left(c), v0.scale_left(c)
+
+
 @pytest.mark.parametrize("spec", ["2,2,1,1", "2,4,2,1", "3,2,1,1"])
 def test_grcd_llcm_properties_random(spec):
     ctx = get_field(*[int(t) for t in spec.split(",")])
@@ -332,7 +348,8 @@ def test_grcd_llcm_properties_random(spec):
     for _ in range(300):
         f = _random_poly(ctx, rng, nonzero=True)
         g = _random_poly(ctx, rng, nonzero=True)
-        d, u, v = grcd(f, g, with_cofactors=True)
+        d, u, v = _bezout(f, g)
+        assert grcd(f, g) == d
         assert d.lead() == ONE
         assert u * f + v * g == d
         assert f.right_divmod(d)[1].is_zero()
