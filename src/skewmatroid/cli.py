@@ -1,28 +1,26 @@
 """Command line front end.
 
-One executable, verb-style subcommands.  Output is plain text by default and
-single-line JSON with --json (fixed key order, safe to golden-file).  Exit
-codes: 0 success, 1 domain error (the error class name is printed to
-stderr), 2 usage error.
+One executable, verb-style subcommands.  The payload is the output: a field
+verb's handler returns a dict, and `main` prints it as single-line JSON with
+--json (fixed key order, safe to golden-file) or else as the text form `_text`
+derives from it (classof, flats and repmatrix have their own).  `simulate`
+and `selftest` need no field and print for themselves.  Exit codes: 0
+success, 1 domain error (its class name on stderr) or a payload whose "ok" is
+false, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .conjugacy import class_elements, class_label, class_of, unwarp_method1, unwarp_method2
-from .errors import DomainError
+from .errors import DomainError, SpecInvalid
 from .field import Fe, FieldCtx, field_from_spec
-from .matroid import (
-    dist,
-    flats,
-    matroid_closure,
-    representation,
-    verify_isometry,
-)
+from .matroid import dist, flats, matroid_closure, representation, verify_isometry
 from .minimal import closure, is_p_independent, minimal_poly, p_basis, rank_of
 from .netsim import NetSpec, simulate
 from .selftest import run_all
@@ -41,30 +39,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", metavar="SEED", help="seed override for randomized verbs")
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
 
-    sub.add_parser("fieldinfo", help="describe the field context")
+    sp = sub.add_parser("fieldinfo", help="describe the field context")
+    sp.set_defaults(handler=_cmd_fieldinfo)
 
-    for verb, help_text in (
-        ("mul", "skew product of two polynomials"),
-        ("divmod", "right quotient and remainder"),
-        ("grcd", "greatest common right divisor"),
-        ("llcm", "least left common multiple"),
+    for verb, help_text, op in (
+        ("mul", "skew product of two polynomials", operator.mul),
+        ("divmod", "right quotient and remainder", None),
+        ("grcd", "greatest common right divisor", grcd),
+        ("llcm", "least left common multiple", llcm),
     ):
         sp = sub.add_parser(verb, help=help_text)
         sp.add_argument("f", help="polynomial, e.g. 'g2*x^2 + x + 1'")
         sp.add_argument("g", help="polynomial")
+        sp.set_defaults(handler=_cmd_poly_binop, op=op)
 
     sp = sub.add_parser("eval", help="evaluate a polynomial at an element")
     sp.add_argument("f", help="polynomial")
     sp.add_argument("a", help="element token (0, 1, or g<i>)")
+    sp.set_defaults(handler=_cmd_eval)
 
     sp = sub.add_parser("zeros", help="zero set of a polynomial")
     sp.add_argument("f", help="polynomial")
+    sp.set_defaults(handler=_cmd_zeros)
 
     sp = sub.add_parser("classof", help="conjugacy class of an element")
     sp.add_argument("a", help="element token")
+    sp.set_defaults(handler=_cmd_classof, text=operator.itemgetter("label"))
 
     sp = sub.add_parser("classelems", help="list a conjugacy class")
     sp.add_argument("ell", type=int, help="class index (0 for the class of 1)")
+    sp.set_defaults(handler=_cmd_classelems)
 
     sp = sub.add_parser("unwarp", help="invert the warping map inside a class")
     sp.add_argument("alpha", help="element token")
@@ -72,38 +76,46 @@ def build_parser() -> argparse.ArgumentParser:
                     help="class index (default: the element's own class)")
     sp.add_argument("--method", choices=("1", "2", "both"), default="1",
                     help="kernel method, exponent method, or both")
+    sp.set_defaults(handler=_cmd_unwarp)
 
-    for verb, help_text in (
-        ("minpoly", "minimal skew polynomial of a point set"),
-        ("closure", "closure of a point set"),
-        ("pindep", "is the point set P-independent?"),
-        ("pbasis", "greedy P-basis of a point set"),
-        ("rank", "matroid rank of a point set"),
+    for verb, help_text, handler in (
+        ("minpoly", "minimal skew polynomial of a point set", _cmd_minpoly),
+        ("closure", "closure of a point set", _cmd_closure),
+        ("pindep", "is the point set P-independent?", _cmd_pindep),
+        ("pbasis", "greedy P-basis of a point set", _cmd_pbasis),
+        ("rank", "matroid rank of a point set", _cmd_rank),
     ):
         sp = sub.add_parser(verb, help=help_text)
         sp.add_argument("points", help="comma-separated element tokens, e.g. '1,g3'")
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("flats", help="enumerate flats (small fields only)")
     sp.add_argument("--class", dest="ell", type=int, default=None,
                     help="restrict to one class's submatroid")
     sp.add_argument("--max-rank", type=int, default=None)
+    sp.set_defaults(handler=_cmd_flats, text=_flats_text)
 
-    sub.add_parser("repmatrix", help="representation matrices over the base field")
+    sp = sub.add_parser("repmatrix", help="representation matrices over the base field")
+    sp.set_defaults(handler=_cmd_repmatrix, text=_repmatrix_text)
 
     sp = sub.add_parser("dist", help="flat-metric distance between two point sets")
     sp.add_argument("x", help="comma-separated element tokens")
     sp.add_argument("y", help="comma-separated element tokens")
+    sp.set_defaults(handler=_cmd_dist)
 
-    sub.add_parser("isometry-check",
-                   help="verify the subspace-to-flat correspondence is a bijective isometry")
+    sp = sub.add_parser("isometry-check",
+                        help="verify the subspace-to-flat correspondence is a bijective isometry")
+    sp.set_defaults(handler=_cmd_isometry_check)
 
     sp = sub.add_parser("simulate", help="run the network simulator on a JSON spec")
     sp.add_argument("--spec", required=True, metavar="FILE", help="NetSpec JSON file")
     sp.add_argument("--oracle", choices=("rlnc",), default=None,
                     help="mirror every trial on the vector simulator and compare")
     sp.add_argument("--trials", type=int, default=None, help="override the spec's trial count")
+    sp.set_defaults(run=_cmd_simulate)
 
-    sub.add_parser("selftest", help="run the built-in golden checks")
+    sp = sub.add_parser("selftest", help="run the built-in golden checks")
+    sp.set_defaults(run=_cmd_selftest)
     return parser
 
 
@@ -111,23 +123,27 @@ def _parse_points(ctx: FieldCtx, text: str) -> tuple[Fe, ...]:
     return tuple(ctx.parse_element(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
-def _format_points(ctx: FieldCtx, points: Sequence[Fe]) -> str:
-    return ", ".join(ctx.format_element(a) for a in points) if points else "(empty)"
-
-
 def _point_list(ctx: FieldCtx, points: Sequence[Fe]) -> list[str]:
     return [ctx.format_element(a) for a in points]
 
 
-def _emit(args, payload: dict, human: Callable[[], None]) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        human()
+def _text(payload: dict) -> str:
+    """A lone "result" prints as its value, any other payload as "key: value" lines."""
+    if list(payload) == ["result"]:
+        return _text_value(payload["result"])
+    return "\n".join(f"{key}: {_text_value(value)}" for key, value in payload.items())
 
 
-def _cmd_fieldinfo(ctx: FieldCtx, args) -> int:
-    info = {
+def _text_value(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return ", ".join(value) if value else "(empty)"
+    return str(value)
+
+
+def _cmd_fieldinfo(ctx: FieldCtx, args) -> dict:
+    return {
         "order": ctx.order,
         "p": ctx.p,
         "n": ctx.n,
@@ -141,125 +157,81 @@ def _cmd_fieldinfo(ctx: FieldCtx, args) -> int:
         "subfield_units": _point_list(ctx, ctx.subfield_elements[1:]),
     }
 
-    def human() -> None:
-        for key, value in info.items():
-            if key == "subfield_units":
-                value = ", ".join(value)
-            print(f"{key}: {value}")
 
-    _emit(args, info, human)
-    return 0
-
-
-def _cmd_poly_binop(ctx: FieldCtx, args) -> int:
+def _cmd_poly_binop(ctx: FieldCtx, args) -> dict:
     f = SkewPoly.parse(ctx, args.f)
     g = SkewPoly.parse(ctx, args.g)
-    if args.verb == "mul":
-        result = f * g
-    elif args.verb == "grcd":
-        result = grcd(f, g)
-    elif args.verb == "llcm":
-        result = llcm(f, g)
-    else:  # divmod
-        quo, rem = f.right_divmod(g)
-        _emit(args, {"quotient": str(quo), "remainder": str(rem)},
-              lambda: print(f"quotient: {quo}\nremainder: {rem}"))
-        return 0
-    _emit(args, {"result": str(result)}, lambda: print(result))
-    return 0
+    if args.op is not None:
+        return {"result": str(args.op(f, g))}
+    quo, rem = f.right_divmod(g)
+    return {"quotient": str(quo), "remainder": str(rem)}
 
 
-def _cmd_eval(ctx: FieldCtx, args) -> int:
+def _cmd_eval(ctx: FieldCtx, args) -> dict:
     value = SkewPoly.parse(ctx, args.f).evaluate(ctx.parse_element(args.a))
-    token = ctx.format_element(value)
-    _emit(args, {"result": token}, lambda: print(token))
-    return 0
+    return {"result": ctx.format_element(value)}
 
 
-def _cmd_zeros(ctx: FieldCtx, args) -> int:
-    zs = SkewPoly.parse(ctx, args.f).zeros()
-    _emit(args, {"result": _point_list(ctx, zs)}, lambda: print(_format_points(ctx, zs)))
-    return 0
+def _cmd_zeros(ctx: FieldCtx, args) -> dict:
+    return {"result": _point_list(ctx, SkewPoly.parse(ctx, args.f).zeros())}
 
 
-def _cmd_classof(ctx: FieldCtx, args) -> int:
+def _cmd_classof(ctx: FieldCtx, args) -> dict:
     cid = class_of(ctx, ctx.parse_element(args.a))
-    label = class_label(ctx, cid)
-    _emit(args, {"class": cid, "label": label}, lambda: print(label))
-    return 0
+    return {"class": cid, "label": class_label(ctx, cid)}
 
 
-def _cmd_classelems(ctx: FieldCtx, args) -> int:
-    pts = class_elements(ctx, args.ell)
-    _emit(args, {"result": _point_list(ctx, pts)}, lambda: print(_format_points(ctx, pts)))
-    return 0
+def _cmd_classelems(ctx: FieldCtx, args) -> dict:
+    return {"result": _point_list(ctx, class_elements(ctx, args.ell))}
 
 
-def _cmd_unwarp(ctx: FieldCtx, args) -> int:
+def _cmd_unwarp(ctx: FieldCtx, args) -> dict:
     alpha = ctx.parse_element(args.alpha)
     ell = args.ell if args.ell is not None else class_of(ctx, alpha)
     if ell is None:
         raise DomainError("zero belongs to no nonzero class")
     if args.method == "both":
-        one = ctx.format_element(unwarp_method1(ctx, alpha, ell))
-        two = ctx.format_element(unwarp_method2(ctx, alpha, ell))
-        _emit(args, {"method1": one, "method2": two},
-              lambda: print(f"method1: {one}\nmethod2: {two}"))
-        return 0
+        return {
+            "method1": ctx.format_element(unwarp_method1(ctx, alpha, ell)),
+            "method2": ctx.format_element(unwarp_method2(ctx, alpha, ell)),
+        }
     fn = unwarp_method1 if args.method == "1" else unwarp_method2
-    token = ctx.format_element(fn(ctx, alpha, ell))
-    _emit(args, {"result": token}, lambda: print(token))
-    return 0
+    return {"result": ctx.format_element(fn(ctx, alpha, ell))}
 
 
-def _cmd_minpoly(ctx: FieldCtx, args) -> int:
-    f = minimal_poly(ctx, _parse_points(ctx, args.points))
-    _emit(args, {"result": str(f)}, lambda: print(f))
-    return 0
+def _cmd_minpoly(ctx: FieldCtx, args) -> dict:
+    return {"result": str(minimal_poly(ctx, _parse_points(ctx, args.points)))}
 
 
-def _cmd_closure(ctx: FieldCtx, args) -> int:
-    cl = closure(ctx, _parse_points(ctx, args.points))
-    _emit(args, {"result": _point_list(ctx, cl)}, lambda: print(_format_points(ctx, cl)))
-    return 0
+def _cmd_closure(ctx: FieldCtx, args) -> dict:
+    return {"result": _point_list(ctx, closure(ctx, _parse_points(ctx, args.points)))}
 
 
-def _cmd_pindep(ctx: FieldCtx, args) -> int:
-    verdict = is_p_independent(ctx, _parse_points(ctx, args.points))
-    _emit(args, {"result": verdict}, lambda: print("true" if verdict else "false"))
-    return 0
+def _cmd_pindep(ctx: FieldCtx, args) -> dict:
+    return {"result": is_p_independent(ctx, _parse_points(ctx, args.points))}
 
 
-def _cmd_pbasis(ctx: FieldCtx, args) -> int:
-    basis = p_basis(ctx, _parse_points(ctx, args.points))
-    _emit(args, {"result": _point_list(ctx, basis)}, lambda: print(_format_points(ctx, basis)))
-    return 0
+def _cmd_pbasis(ctx: FieldCtx, args) -> dict:
+    return {"result": _point_list(ctx, p_basis(ctx, _parse_points(ctx, args.points)))}
 
 
-def _cmd_rank(ctx: FieldCtx, args) -> int:
-    r = rank_of(ctx, _parse_points(ctx, args.points))
-    _emit(args, {"result": r}, lambda: print(r))
-    return 0
+def _cmd_rank(ctx: FieldCtx, args) -> dict:
+    return {"result": rank_of(ctx, _parse_points(ctx, args.points))}
 
 
-def _cmd_flats(ctx: FieldCtx, args) -> int:
-    found = list(flats(ctx, class_index=args.ell, max_rank=args.max_rank))
-    payload = {"result": [
-        {"rank": f.rank, "points": _point_list(ctx, f.points)} for f in found
-    ]}
-
-    def human() -> None:
-        for f in found:
-            print(f"rank {f.rank}: {_format_points(ctx, f.points)}")
-        print(f"total: {len(found)}")
-
-    _emit(args, payload, human)
-    return 0
+def _cmd_flats(ctx: FieldCtx, args) -> dict:
+    found = flats(ctx, class_index=args.ell, max_rank=args.max_rank)
+    return {"result": [{"rank": f.rank, "points": _point_list(ctx, f.points)} for f in found]}
 
 
-def _cmd_repmatrix(ctx: FieldCtx, args) -> int:
+def _flats_text(payload: dict) -> str:
+    lines = [f"rank {f['rank']}: {_text_value(f['points'])}" for f in payload["result"]]
+    return "\n".join(lines + [f"total: {len(lines)}"])
+
+
+def _cmd_repmatrix(ctx: FieldCtx, args) -> dict:
     rep = representation(ctx)
-    payload = {
+    return {
         "basis": _point_list(ctx, ctx.basis),
         "modpoly": ctx.modpoly_string(),
         "a": [_point_list(ctx, row) for row in rep.a_rows],
@@ -267,31 +239,25 @@ def _cmd_repmatrix(ctx: FieldCtx, args) -> int:
         "labels": _point_list(ctx, rep.column_labels),
     }
 
-    def human() -> None:
-        print(f"basis: {', '.join(payload['basis'])}; modpoly: {payload['modpoly']}")
-        print("A:")
-        for row in payload["a"]:
-            print("  " + " ".join(row))
-        print("script_A:")
-        for row in payload["script_a"]:
-            print("  " + " ".join(row))
-        print("labels: " + " ".join(payload["labels"]))
 
-    _emit(args, payload, human)
-    return 0
+def _repmatrix_text(payload: dict) -> str:
+    lines = [f"basis: {', '.join(payload['basis'])}; modpoly: {payload['modpoly']}", "A:"]
+    lines += ["  " + " ".join(row) for row in payload["a"]]
+    lines.append("script_A:")
+    lines += ["  " + " ".join(row) for row in payload["script_a"]]
+    lines.append("labels: " + " ".join(payload["labels"]))
+    return "\n".join(lines)
 
 
-def _cmd_dist(ctx: FieldCtx, args) -> int:
+def _cmd_dist(ctx: FieldCtx, args) -> dict:
     x = matroid_closure(ctx, _parse_points(ctx, args.x))
     y = matroid_closure(ctx, _parse_points(ctx, args.y))
-    d = dist(x, y)
-    _emit(args, {"result": d}, lambda: print(d))
-    return 0
+    return {"result": dist(x, y)}
 
 
-def _cmd_isometry_check(ctx: FieldCtx, args) -> int:
+def _cmd_isometry_check(ctx: FieldCtx, args) -> dict:
     report = verify_isometry(ctx)
-    payload = {
+    return {
         "subspaces": report.subspace_count,
         "flats": report.flat_count,
         "bijective": report.bijective,
@@ -299,17 +265,14 @@ def _cmd_isometry_check(ctx: FieldCtx, args) -> int:
         "ok": report.ok,
     }
 
-    def human() -> None:
-        for key, value in payload.items():
-            print(f"{key}: {str(value).lower() if isinstance(value, bool) else value}")
-
-    _emit(args, payload, human)
-    return 0 if report.ok else 1
-
 
 def _cmd_simulate(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = NetSpec.from_json(fh.read())
+    try:
+        with open(args.spec, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SpecInvalid(f"not UTF-8: {exc}") from None
+    spec = NetSpec.from_json(text)
     report = simulate(spec, trials=args.trials, seed=args.seed, oracle=args.oracle)
     print(json.dumps(report) if args.json else json.dumps(report, indent=2))
     return 0
@@ -337,41 +300,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.verb == "simulate":
-            return _cmd_simulate(args)
-        if args.verb == "selftest":
-            return _cmd_selftest(args)
+        if "run" in args:
+            return args.run(args)
         if args.field is None:
             parser.error(f"verb {args.verb!r} requires --field")
-        ctx = field_from_spec(args.field)
-        handler = {
-            "fieldinfo": _cmd_fieldinfo,
-            "mul": _cmd_poly_binop,
-            "divmod": _cmd_poly_binop,
-            "grcd": _cmd_poly_binop,
-            "llcm": _cmd_poly_binop,
-            "eval": _cmd_eval,
-            "zeros": _cmd_zeros,
-            "classof": _cmd_classof,
-            "classelems": _cmd_classelems,
-            "unwarp": _cmd_unwarp,
-            "minpoly": _cmd_minpoly,
-            "closure": _cmd_closure,
-            "pindep": _cmd_pindep,
-            "pbasis": _cmd_pbasis,
-            "rank": _cmd_rank,
-            "flats": _cmd_flats,
-            "repmatrix": _cmd_repmatrix,
-            "dist": _cmd_dist,
-            "isometry-check": _cmd_isometry_check,
-        }[args.verb]
-        return handler(ctx, args)
+        payload = args.handler(field_from_spec(args.field), args)
+        print(json.dumps(payload) if args.json else getattr(args, "text", _text)(payload))
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if payload.get("ok", True) else 1
 
 
 if __name__ == "__main__":

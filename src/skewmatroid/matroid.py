@@ -140,12 +140,10 @@ def dist_definitional(ctx: FieldCtx, x: Flat, y: Flat) -> int:
     return rank_of(ctx, union) - rank_of(ctx, inter)
 
 
-def all_subspaces(ctx: FieldCtx, dim: int | None = None) -> Iterator[Subspace]:
+def all_subspaces(ctx: FieldCtx) -> Iterator[Subspace]:
     """Every F_q-subspace of F_{q^m}, by dimension then echelon pattern."""
     m = ctx.m
-    dims = range(m + 1) if dim is None else (dim,)
-    nonzero = ctx.subfield_elements[1:]
-    for r in dims:
+    for r in range(m + 1):
         for pivots in itertools.combinations(range(m), r):
             free = [
                 (i, j)

@@ -79,6 +79,10 @@ class NetSpec:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SpecInvalid(f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise SpecInvalid("JSON nested too deeply") from None
+        except ValueError:  # an integer literal past int()'s digit limit
+            raise SpecInvalid("an integer literal has too many digits") from None
         _require(isinstance(doc, dict), "top level must be a JSON object")
         missing = _SPEC_KEYS - doc.keys()
         _require(not missing, f"missing keys: {', '.join(sorted(missing))}")

@@ -330,6 +330,25 @@ def test_enumeration_refused_by_size_before_building(argv):
     assert proc.stderr.startswith("error: TooLargeToEnumerate")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"field": "\xff"}',  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+        b'{"trials": ' + b"1" * 5000 + b"}",  # past int()'s digit limit
+    ],
+    ids=["not_utf8", "deep", "long_int"],
+)
+def test_simulate_unparseable_spec_is_spec_invalid(tmp_path, content):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    start = time.monotonic()
+    proc = _cli_child("simulate", "--spec", str(path))
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: SpecInvalid") and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("verb", [["eval", "x", "g1"], ["closure", "1,g3"]])
 def test_twist_taken_mod_m_on_cli(capsys, verb):
     # s = 10^12 + 1 is 1 mod m = 2: the same sigma as s = 1, and q^s is

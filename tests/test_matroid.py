@@ -194,8 +194,8 @@ def test_subspace_counts(f4, f8, f16):
     assert len(list(all_subspaces(f4))) == _gaussian_total(2, 2) == 5
     assert len(list(all_subspaces(f8))) == _gaussian_total(2, 3) == 16
     assert len(list(all_subspaces(f16))) == _gaussian_total(4, 2) == 7
-    assert len(list(all_subspaces(f8, dim=1))) == 7
-    assert all(v.dim == 2 for v in all_subspaces(f8, dim=2))
+    # by dimension: 7 lines and 7 planes in F_2^3
+    assert [v.dim for v in all_subspaces(f8)] == [0] + [1] * 7 + [2] * 7 + [3]
 
 
 def test_subspace_count_is_closed_form():

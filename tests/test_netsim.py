@@ -135,6 +135,19 @@ def test_from_json_rejects_malformed():
     NetSpec.from_json(json.dumps({**good, "seed": "run-1"}))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,  # nested past the recursion limit
+        '{"trials": ' + "1" * 5000 + "}",  # past int()'s digit limit
+    ],
+    ids=["deep", "long_int"],
+)
+def test_from_json_rejects_what_json_cannot_build(text):
+    with pytest.raises(SpecInvalid):
+        NetSpec.from_json(text)
+
+
 def test_validate_rejects_bad_topologies():
     bad = [
         # duplicate node id
