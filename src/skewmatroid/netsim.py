@@ -1,13 +1,15 @@
 """Network-coding simulator where packets are single field elements.
 
 A source encodes its message as a flat of one conjugacy class and is treated
-as a relay preloaded with a P-basis of that flat.  Every node forwards, per
-outgoing edge, one element drawn uniformly from the closure of the packets it
-holds: unwarp the packets, draw a uniform nonzero F_q-linear combination of
-the unwarped field elements, warp the result back into the class.  A flat is
-known by its monic minimal polynomial: forwarded packets are checked to be
-its zeros, sinks decode to the flat of what they received, and success is
-exact flat recovery; partial recovery is reported through the flat metric.
+as a relay preloaded with message.basis, the flat's greedy P-basis in
+canonical order.  NetSpec.plan is the spec check, so no walk reads an
+unchecked spec.  Every node forwards, per outgoing edge, one element drawn
+uniformly from the closure of the packets it holds: unwarp the packets, draw
+a uniform nonzero F_q-linear combination of the unwarped field elements, warp
+the result back into the class.  A flat is known by its monic minimal
+polynomial: forwarded packets are checked to be its zeros, sinks decode to
+the flat of what they received, and success is exact flat recovery; partial
+recovery is reported through the flat metric.
 
 Links are error-free and carry one packet per trial; relays keep no state
 across trials.  A classical random-linear-network-coding simulator over
@@ -45,6 +47,7 @@ Edge = tuple[str, str]
 
 _ROLES = frozenset({"source", "relay", "sink"})
 _SPEC_KEYS = frozenset({"field", "nodes", "edges", "class", "rank", "trials", "seed"})
+_MAX_EDGE_TRIALS = 250_000  # trials x max(1, edges): 62,500 trials on the diamond
 
 
 def _require(cond: bool, message: str) -> None:
@@ -152,49 +155,50 @@ class NetSpec:
 
     @functools.cached_property
     def plan(self) -> WalkPlan:
-        """The source, a topological order (Kahn's algorithm, ties broken by
-        node insertion order), the heads of each node's out-edges in edge
-        order (parallel edges repeat) and the sinks; built once per spec."""
-        sources = [nid for nid, role in self.nodes if role == "source"]
-        _require(bool(sources), "no source node")
-        succ: dict[str, list[str]] = {nid: [] for nid, _ in self.nodes}
-        for u, v in self.edges:
-            succ[u].append(v)
-        indeg = Counter(v for _, v in self.edges)
-        # the order list doubles as the FIFO queue of ready nodes
-        order = [nid for nid, _ in self.nodes if indeg[nid] == 0]
-        for nid in order:
-            for v in succ[nid]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    order.append(v)
-        _require(len(order) == len(self.nodes), "edges contain a cycle")
-        sinks = tuple(nid for nid, role in self.nodes if role == "sink")
-        return WalkPlan(sources[0], tuple(order), succ, sinks)
-
-    def validate(self, ctx: FieldCtx | None = None) -> None:
+        """The spec check, raising SpecInvalid, and what a walk reads: the one
+        source, a topological order (Kahn's algorithm, ties broken by node
+        insertion order), the heads of each node's out-edges in edge order
+        (parallel edges repeat) and the reachable sinks; built once per spec."""
         ids = [nid for nid, _ in self.nodes]
         _require(len(set(ids)) == len(ids), "duplicate node id")
         for nid, role in self.nodes:
             _require(role in _ROLES, f"unknown role {role!r} for node {nid!r}")
-        known = set(ids)
+        succ: dict[str, list[str]] = {nid: [] for nid in ids}
         for u, v in self.edges:
-            _require(u in known and v in known, f"edge [{u!r}, {v!r}] references an unknown node")
+            _require(u in succ and v in succ, f"edge [{u!r}, {v!r}] references an unknown node")
             _require(u != v, f"self-loop on {u!r}")
+            succ[u].append(v)
         sources = [nid for nid, role in self.nodes if role == "source"]
         _require(len(sources) == 1, f"exactly one source required, found {len(sources)}")
-        _require(
-            all(v != sources[0] for _, v in self.edges),
-            "the source cannot have incoming edges",
-        )
-        _require(self.trials >= 0, "trials must be nonnegative")
-        plan = self.plan
-        reachable = {plan.source}
-        for nid in plan.order:
+        indeg = Counter(v for _, v in self.edges)
+        _require(indeg[sources[0]] == 0, "the source cannot have incoming edges")
+        # the order list doubles as the FIFO queue of ready nodes
+        order = [nid for nid in ids if indeg[nid] == 0]
+        reachable = {sources[0]}
+        for nid in order:
             if nid in reachable:
-                reachable.update(plan.successors[nid])
-        for nid in plan.sinks:
+                reachable.update(succ[nid])
+            for v in succ[nid]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    order.append(v)
+        _require(len(order) == len(ids), "edges contain a cycle")
+        sinks = tuple(nid for nid, role in self.nodes if role == "sink")
+        for nid in sinks:
             _require(nid in reachable, f"sink {nid!r} is unreachable from the source")
+        return WalkPlan(sources[0], tuple(order), succ, sinks)
+
+    def _check_trials(self, trials: int) -> None:
+        """The trial-count rule, for the spec's count and for an override."""
+        _require(trials >= 0, "trials must be nonnegative")
+        _require(
+            trials * max(1, len(self.edges)) <= _MAX_EDGE_TRIALS,
+            f"trials x max(1, edges) is capped at {_MAX_EDGE_TRIALS:,}; got {trials} trials",
+        )
+
+    def validate(self, ctx: FieldCtx | None = None) -> None:
+        self._check_trials(self.trials)
+        self.plan  # the structural checks
         if ctx is not None:
             if self.class_index is not None:
                 _require(
@@ -253,7 +257,8 @@ def relay_forward(ctx: FieldCtx, in_packets: Sequence[Fe], rng: random.Random) -
 
 def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
     """Uniformly random rank-r flat of class ell: draw r independent vectors
-    over the base field and push the subspace through the class map."""
+    over the base field and push the subspace through the class map.  Its
+    basis, which the source sends, is the greedy P-basis of its points."""
     if not 1 <= r <= ctx.m:
         raise RankOutOfRange(f"rank {r} outside 1..{ctx.m}")
     rows: list[list[Fe]] = []
@@ -261,7 +266,8 @@ def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
         vec = [ctx.subfield_elements[rng.randrange(ctx.q)] for _ in range(ctx.m)]
         if mat_rank(ctx, rows + [vec]) == len(rows) + 1:
             rows.append(vec)
-    return class_flat(ctx, Subspace.from_vectors(ctx, rows), ell % (ctx.q - 1))
+    flat = class_flat(ctx, Subspace.from_vectors(ctx, rows), ell % (ctx.q - 1))
+    return matroid_closure(ctx, p_basis(ctx, flat.points))
 
 
 @dataclass(frozen=True)
@@ -290,17 +296,18 @@ def _walk(
     decode: Callable,
     seed: int | str,
 ) -> TrialReport:
-    """One generation on the DAG, shared by both simulators.  In topological
-    order, each node that holds packets sends forward(pool, rng, u, v) on
-    each out-edge; the source's pool is the preload.  Each sink then maps its
-    received packets through decode to (decoded, distance), and succeeds when
-    decoded == message."""
+    """One generation on the DAG, shared by both simulators.  The source
+    starts out holding the preload.  In topological order, each node that
+    holds packets sends forward(pool, rng, u, v) on each out-edge.  Each sink
+    then maps its received packets through decode to (decoded, distance), and
+    succeeds when decoded == message."""
     rng = random.Random(seed)
     plan = spec.plan
     held: dict[str, list] = {nid: [] for nid, _ in spec.nodes}
+    held[plan.source] = preload
     edge_log = []
     for u in plan.order:
-        pool = preload if u == plan.source else held[u]
+        pool = held[u]
         if not pool:
             continue
         for v in plan.successors[u]:
@@ -342,8 +349,7 @@ def run_trial(
         decoded = matroid_closure(ctx, got)
         return decoded, dist(message, decoded)
 
-    preload = list(p_basis(ctx, message.points))
-    return _walk(spec, message, preload, forward, decode, seed)
+    return _walk(spec, message, list(message.basis), forward, decode, seed)
 
 
 def canonical_line_rep(ctx: FieldCtx, vector: Sequence[Fe]) -> tuple[Fe, ...]:
@@ -381,11 +387,11 @@ def rlnc_oracle_trial(
 
 
 def mirrored_source_vectors(ctx: FieldCtx, message: Flat) -> list[tuple[Fe, ...]]:
-    """Lifts of the P-basis the element simulator preloads — the oracle's
-    source must start from exactly these vectors for the runs to mirror."""
+    """Lifts of message.basis, which the element simulator preloads — the
+    oracle's source must start from exactly these vectors to mirror it."""
     if ZERO in message.basis:
         raise SpecInvalid("the zero-class message has no vector counterpart")
-    return [tuple(v) for v in lift(ctx, p_basis(ctx, message.points))]
+    return [tuple(v) for v in lift(ctx, message.basis)]
 
 
 def build_message(ctx: FieldCtx, spec: NetSpec, rng: random.Random) -> Flat:
@@ -396,6 +402,10 @@ def build_message(ctx: FieldCtx, spec: NetSpec, rng: random.Random) -> Flat:
     if spec.class_index is None:
         return matroid_closure(ctx, (ZERO,))
     return encode_message(ctx, spec.class_index, spec.rank, rng)
+
+
+def _mean(total: int, count: int) -> float | None:
+    return total / count if count else None
 
 
 def simulate(
@@ -412,17 +422,16 @@ def simulate(
     ctx = spec.ctx()
     spec.validate(ctx)
     n_trials = spec.trials if trials is None else trials
-    _require(n_trials >= 0, "trials must be nonnegative")
+    spec._check_trials(n_trials)
     master = spec.seed if seed is None else seed
     if oracle not in (None, "rlnc"):
         raise SpecInvalid(f"unknown oracle {oracle!r}; supported: rlnc")
     if oracle is not None and spec.class_index is None:
         raise SpecInvalid("the rlnc oracle mirrors nonzero-class messages only")
     sink_ids = spec.plan.sinks
-    successes = 0
-    packets = 0
-    per_sink = {nid: {"successes": 0, "dist": 0} for nid in sink_ids}
-    oracle_successes = 0
+    successes = packets = oracle_successes = 0
+    sink_successes = [0] * len(sink_ids)
+    sink_dists = [0] * len(sink_ids)
     oracle_matches = True
     for i in range(n_trials):
         message = build_message(ctx, spec, random.Random(f"{master}:msg:{i}"))
@@ -430,9 +439,9 @@ def simulate(
         report = run_trial(ctx, spec, message, trial_seed)
         successes += report.success
         packets += report.packets_forwarded
-        for s in report.sinks:
-            per_sink[s.sink]["successes"] += s.success
-            per_sink[s.sink]["dist"] += s.distance
+        for j, s in enumerate(report.sinks):
+            sink_successes[j] += s.success
+            sink_dists[j] += s.distance
         if oracle is not None:
             vecs = mirrored_source_vectors(ctx, message)
             oreport = rlnc_oracle_trial(ctx, spec, vecs, trial_seed)
@@ -441,28 +450,19 @@ def simulate(
             for s, os in zip(report.sinks, oreport.sinks):
                 if class_flat(ctx, os.decoded, ell) != s.decoded:
                     oracle_matches = False
-    dist_total = sum(entry["dist"] for entry in per_sink.values())
-    dist_count = n_trials * len(sink_ids)
-    out = {
-        "success_rate": successes / n_trials if n_trials else None,
-        "mean_distance": dist_total / dist_count if dist_count else None,
+    return {
+        "success_rate": _mean(successes, n_trials),
+        "mean_distance": _mean(sum(sink_dists), n_trials * len(sink_ids)),
         "per_sink": [
-            {
-                "id": nid,
-                "success_rate": per_sink[nid]["successes"] / n_trials if n_trials else None,
-                "mean_distance": per_sink[nid]["dist"] / n_trials if n_trials else None,
-            }
-            for nid in sink_ids
+            {"id": nid, "success_rate": _mean(ok, n_trials), "mean_distance": _mean(d, n_trials)}
+            for nid, ok, d in zip(sink_ids, sink_successes, sink_dists)
         ],
         "trials": n_trials,
         "seed": master,
         "packets_forwarded": packets,
-        "oracle": None,
-    }
-    if oracle is not None:
-        out["oracle"] = {
+        "oracle": None if oracle is None else {
             "protocol": "rlnc",
-            "success_rate": oracle_successes / n_trials if n_trials else None,
+            "success_rate": _mean(oracle_successes, n_trials),
             "per_trial_match": oracle_matches,
-        }
-    return out
+        },
+    }

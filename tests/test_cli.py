@@ -349,6 +349,22 @@ def test_simulate_unparseable_spec_is_spec_invalid(tmp_path, content):
     assert proc.stderr.startswith("error: SpecInvalid") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "trials, extra",
+    [(10**30, []), (60, ["--trials", str(10**30)])],
+    ids=["spec", "override"],
+)
+def test_simulate_trial_count_is_capped(spec_file, trials, extra):
+    # trials x edges is capped, for the spec's count and for --trials alike
+    doc = json.loads(Path(spec_file).read_text())
+    Path(spec_file).write_text(json.dumps({**doc, "trials": trials}))
+    start = time.monotonic()
+    proc = _cli_child("simulate", "--spec", spec_file, *extra)
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: SpecInvalid")
+
+
 @pytest.mark.parametrize("verb", [["eval", "x", "g1"], ["closure", "1,g3"]])
 def test_twist_taken_mod_m_on_cli(capsys, verb):
     # s = 10^12 + 1 is 1 mod m = 2: the same sigma as s = 1, and q^s is

@@ -30,7 +30,8 @@ from skewmatroid import (
     simulate,
     warp,
 )
-from skewmatroid import netsim
+from skewmatroid import matroid, netsim
+from skewmatroid.minimal import p_basis
 from skewmatroid.netsim import (
     build_message,
     canonical_line_rep,
@@ -84,7 +85,7 @@ def test_walk_plan_built_once_per_spec(monkeypatch):
     assert builds == [spec]
 
 
-def test_trace_span_names_are_netsim_globals():
+def _netsim_spans() -> dict:
     # the benchmark's traced run swaps these netsim globals by name; read
     # them from its source so that a rename fails here, without importing it
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -98,8 +99,24 @@ def test_trace_span_names_are_netsim_globals():
         and any(isinstance(t, ast.Name) and t.id == "NETSIM_SPANS" for t in node.targets)
     ]
     assert spans
-    missing = [name for name in spans if not callable(getattr(netsim, name, None))]
+    return spans
+
+
+def test_trace_span_names_are_netsim_globals():
+    missing = [name for name in _netsim_spans() if not callable(getattr(netsim, name, None))]
     assert not missing
+
+
+def test_trace_span_names_are_called(monkeypatch):
+    # a swapped global that simulate never looks up would trace nothing
+    called = set()
+    for name in _netsim_spans():
+        fn = getattr(netsim, name)
+        monkeypatch.setattr(
+            netsim, name, lambda *a, _name=name, _fn=fn, **k: called.add(_name) or _fn(*a, **k)
+        )
+    simulate(_spec(trials=5), oracle="rlnc")
+    assert called == set(_netsim_spans())
 
 
 def test_from_json_rejects_malformed():
@@ -181,6 +198,33 @@ def test_validate_rejects_bad_topologies():
     for changes in bad:
         with pytest.raises(SpecInvalid):
             _spec(**changes).validate()
+
+
+def test_unchecked_spec_fails_before_the_walk(f16):
+    # the walk reads the plan, and the plan is the spec check
+    message = encode_message(f16, 0, 2, random.Random(0))
+    vecs = mirrored_source_vectors(f16, message)
+    cases = [
+        (dict(edges=[["s", "a"], ["a", "zz"], ["s", "t"]]), "references an unknown node"),
+        (dict(edges=[["s", "a"], ["a", "b"]]), "sink 't' is unreachable"),
+    ]
+    for changes, match in cases:
+        with pytest.raises(SpecInvalid, match=match):
+            run_trial(f16, _spec(**changes), message, seed=1)
+        with pytest.raises(SpecInvalid, match=match):
+            rlnc_oracle_trial(f16, _spec(**changes), vecs, seed=1)
+
+
+def test_trial_cap_is_trials_times_edges():
+    limit = netsim._MAX_EDGE_TRIALS
+    _spec(trials=limit // 4).validate()  # the diamond has four edges
+    lone = dict(nodes=[{"id": "s", "role": "source"}], edges=[])
+    _spec(trials=limit, **lone).validate()  # no edges counts as one
+    for bad in (_spec(trials=limit // 4 + 1), _spec(trials=limit + 1, **lone)):
+        with pytest.raises(SpecInvalid, match="capped"):
+            bad.validate()
+    with pytest.raises(SpecInvalid, match="capped"):
+        simulate(_spec(), trials=limit // 4 + 1)  # an override obeys the same rule
 
 
 def test_validate_field_dependent_bounds(f16):
@@ -345,6 +389,29 @@ def test_encode_message_reaches_every_line(f16):
     rng = random.Random(3)
     seen = {encode_message(f16, 0, 1, rng).points for _ in range(400)}
     assert seen == {(a,) for a in class_elements(f16, 0)}
+
+
+@pytest.mark.parametrize("field", ["2,4,2,1", "2,16,4,1", "3,3,1,1", "2,5,1,2"])
+def test_message_basis_is_the_canonical_p_basis(field):
+    # the source sends message.basis; it is the greedy P-basis of the flat's
+    # points in canonical order, at every rank and for the zero class
+    ctx = get_field(*[int(t) for t in field.split(",")])
+    specs = [_spec(**{"class": None, "rank": 1})]
+    for r in range(ctx.m + 1):
+        for ell in range(min(ctx.q - 1, 3)):
+            specs += [_spec(rank=r, **{"class": ell})] * (1 if r == ctx.m else 3)
+    for i, spec in enumerate(specs):
+        message = build_message(ctx, spec, random.Random(f"{field}:{i}"))
+        assert message.basis == p_basis(ctx, message.points)
+
+
+def test_run_trial_enumerates_nothing(f16, monkeypatch):
+    calls = []
+    monkeypatch.setattr(matroid, "closure", lambda *a: calls.append(a) or closure(*a))
+    message = build_message(f16, _spec(), random.Random(0))
+    calls.clear()  # encoding enumerates the message once, to choose its basis
+    run_trial(f16, _spec(), message, seed=3)
+    assert calls == []
 
 
 def test_build_message_variants(f16):
