@@ -419,13 +419,3 @@ def mat_vec(ctx: FieldCtx, rows: list[list[Fe]], v: list[Fe]) -> list[Fe]:
         out.append(acc)
     return out
 
-
-def span_elements(ctx: FieldCtx, elements: Iterable[Fe]) -> set[Fe]:
-    """The F_q-span of field elements, zero included; an element already in
-    the span adds nothing."""
-    span = {ZERO}
-    for a in elements:
-        if a in span:
-            continue
-        span = {ctx.add(x, ctx.mul(c, a)) for x in span for c in ctx.subfield_elements}
-    return span

@@ -11,8 +11,9 @@ Closures take the other route the paper gives: the matroid is the direct sum
 of {0} and one submatroid per conjugacy class (Lam & Leroy, "Vandermonde and
 Wronskian matrices over division rings", J. Algebra 1988), and warping
 carries each class's flats one-to-one onto the F_q-subspaces of the field.
-So a closure is computed class by class as the warp image of the span of
-the unwarped points, with no scan of the field.
+Warp kills F_q*, so each class's flats are projective geometries: a closure
+is computed class by class as the warp image of the lines of the span of the
+unwarped points, one point per line, with no scan of the field.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable
 
 from .conjugacy import class_of, conjugate, unwarp, warp
 from .errors import MixedClasses, NotClosed
-from .field import Fe, FieldCtx, ONE, ZERO, span_elements
+from .field import Fe, FieldCtx, ONE, ZERO
 from .skewpoly import SkewPoly, grcd, llcm
 
 
@@ -76,19 +77,28 @@ def lift(ctx: FieldCtx, points: Iterable[Fe]) -> list[list[Fe]]:
 
 
 def closure(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[Fe, ...]:
-    """All zeros of the minimal polynomial: zero if the set holds it, and for
-    each class l present, g^l * warp(a) for every nonzero a in the F_q-span
-    of that class's unwarped points."""
-    lifts: dict[int, list[Fe]] = {}
+    """All zeros of the minimal polynomial, the warp image of the lines of
+    the span: zero if the set holds it, and for each class l present, one
+    point g^l * warp(t) per line of the F_q-span of that class's unwarped
+    points.  A line is held as its least-log element t; F_q* is the logs
+    j * class_size, so t is x mod class_size for any x on the line, and
+    warp is constant on it."""
+    spans: dict[int, set[Fe]] = {}
     out = set()
     for b in points:
         ell = class_of(ctx, b)
         if ell is None:
             out.add(ZERO)
-        else:
-            lifts.setdefault(ell, []).append(unwarp(ctx, b, ell))
-    for ell, elements in lifts.items():
-        out.update(ctx.mul(ell, warp(ctx, a)) for a in span_elements(ctx, elements) if a != ZERO)
+            continue
+        t = unwarp(ctx, b, ell)
+        lines = spans.setdefault(ell, set())
+        if t not in lines:
+            # t's line joins, and the line of x + c*t for each held x and c in F_q*
+            multiples = [ctx.mul(c, t) for c in ctx.subfield_elements[1:]]
+            lines |= {ctx.add(x, ct) % ctx.class_size for x in lines for ct in multiples}
+            lines.add(t)
+    for ell, lines in spans.items():
+        out.update(ctx.mul(ell, warp(ctx, t)) for t in lines)
     return canonical_points(out)
 
 

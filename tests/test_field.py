@@ -25,7 +25,6 @@ from skewmatroid.field import (
     mat_rank,
     mat_vec,
     rref,
-    span_elements,
 )
 
 
@@ -427,19 +426,3 @@ def test_rref_kernel_properties(spec):
         assert len(ker) == nc - rank
         for vec in ker:
             assert mat_vec(ctx, mat, vec) == [ZERO] * nr
-
-
-def test_span_elements(f16):
-    span = span_elements(f16, (ONE, 3))
-    assert len(span) == f16.q ** 2
-    assert ZERO in span
-    # the span is the image of every coordinate combination
-    combos = {
-        f16.add(f16.mul(c, ONE), f16.mul(d, 3))
-        for c in f16.subfield_elements
-        for d in f16.subfield_elements
-    }
-    assert span == combos
-    # an element already spanned adds nothing
-    assert span_elements(f16, (ONE, 3, f16.add(ONE, 3))) == span
-    assert span_elements(f16, ()) == {ZERO}

@@ -97,6 +97,23 @@ CASES = {
         functools.partial(_layered, "golden-20-2", "2,20,4,1", 15, 3, 6), {"oracle": "rlnc"},
         "fa18fbf20b9ec9c3b3ba574658ff7b1aba5fbb0d1301120fc069bc1d191b5f81",
     ),
+    # q - 1 > 1 nonzero scalars share each line of a span here: odd p, s = 2, q = 16
+    "layered_3_4_2_1_rank2_rlnc": (
+        functools.partial(_layered, "golden-9-2-0", "3,4,2,1", 8, 2, 20), {"oracle": "rlnc"},
+        "8b73611eb7fa9bc07e41f8b1771b6fd05f978c4e5de058817436300731f6eed9",
+    ),
+    "layered_2_6_2_2_rank2_rlnc": (
+        functools.partial(_layered, "golden-64s2-2-2", "2,6,2,2", 3, 2, 20), {"oracle": "rlnc"},
+        "5f11585b33d6f519d025590a0c5eb196aafabe1718b2664def61439050c83dee",
+    ),
+    "layered_2_6_2_2_rank3_rlnc": (
+        functools.partial(_layered, "golden-64s2-3-2", "2,6,2,2", 3, 3, 20), {"oracle": "rlnc"},
+        "f65866199b667d35de5bb5830c103f8dc283e2c4641a7b95b9d4a2597d1ef53d",
+    ),
+    "layered_2_16_4_1_rank2_rlnc": (
+        functools.partial(_layered, "golden-16-2-2", "2,16,4,1", 15, 2, 20), {"oracle": "rlnc"},
+        "559243a60dacafb7107cb49c12beeb9835c23a698db1a46f2a6fc38f0a8dfcc5",
+    ),
 }
 
 

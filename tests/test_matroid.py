@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from skewmatroid import (
     TooLargeToEnumerate,
     ZERO,
     all_subspaces,
+    canonical_points,
     class_elements,
     columns_independent,
     dist,
@@ -19,6 +21,7 @@ from skewmatroid import (
     get_field,
     is_p_independent,
     matroid_closure,
+    p_basis,
     phi,
     phi_inverse,
     rank_of,
@@ -27,7 +30,7 @@ from skewmatroid import (
     subspace_sum,
     verify_isometry,
 )
-from skewmatroid.field import mat_rank, span_elements
+from skewmatroid.field import mat_rank
 from skewmatroid.matroid import closure_definitional, dist_definitional, subspace_count
 
 
@@ -162,6 +165,26 @@ def test_flat_identity_is_its_point_set(f4, f8, f16):
         _check_identity_is_point_set(per_class)
 
 
+@pytest.mark.parametrize("spec", ["2,4,2,1", "3,3,1,1"])
+def test_whole_matroid_flats_are_closed_direct_sums(spec):
+    # flats(ctx) spans each combination from its parts' bases; its points
+    # must be the union of the parts' points (plus zero), closure-fixed by
+    # the rank-based scan, and its basis the greedy one over those points
+    ctx = get_field(*map(int, spec.split(",")))
+    per_class = [list(flats(ctx, ell)) for ell in range(ctx.q - 1)]
+    unions = [
+        canonical_points(zero_part + tuple(a for f in combo for a in f.points))
+        for zero_part in ((), (ZERO,))
+        for combo in itertools.product(*per_class)
+    ]
+    whole = list(flats(ctx))
+    assert len(whole) == len(unions)
+    for flat, points in zip(whole, unions):
+        assert flat.points == points
+        assert flat.points == closure_definitional(ctx, flat.points)
+        assert flat.basis == p_basis(ctx, flat.points)
+
+
 def test_class_flats_are_definitional_fixed_points(f8, f16):
     # flats(ctx, 0) is onto the closure-fixed subsets of the class of 1,
     # found by the rank-based scan rather than through class_flat or closure
@@ -213,7 +236,11 @@ def test_subspace_canonical_and_roundtrip(f16):
         els = rng.sample(range(f16.order - 1), rng.randint(1, 3))
         v = Subspace.from_elements(f16, els)
         # canonical: rebuilding from any spanning set gives identical rows
-        members = span_elements(f16, (f16.uncoords(r) for r in v.rows)) - {ZERO}
+        rows = [f16.uncoords(r) for r in v.rows]
+        members = {
+            functools.reduce(f16.add, map(f16.mul, cs, rows), ZERO)
+            for cs in itertools.product(f16.subfield_elements, repeat=v.dim)
+        } - {ZERO}
         w = Subspace.from_elements(f16, members)
         assert v == w and hash(v) == hash(w)
     zero = Subspace.from_vectors(f16, [])

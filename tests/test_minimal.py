@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from skewmatroid import (
     ZERO,
     canonical_points,
     class_elements,
+    class_of,
     closure,
     decompose_check,
     get_field,
@@ -21,6 +23,7 @@ from skewmatroid import (
     minimal_poly,
     p_basis,
     rank_of,
+    unwarp,
     warp,
 )
 from skewmatroid.field import mat_rank
@@ -196,6 +199,67 @@ def test_closure_size_is_bracket_of_rank(f16, f9):
                 assert set(pts) <= set(cl)
                 # closure is idempotent
                 assert closure(ctx, cl) == cl
+
+
+def _vector_span_closure(ctx, pts):
+    """Closure by the vector span, the independent route: zero if the set
+    holds it, and g^l * warp(sum c_i u_i) over every nonzero coefficient
+    vector c, u_i the unwarped points of class l."""
+    out = {ZERO} & set(pts)
+    for ell in {class_of(ctx, b) for b in pts} - {None}:
+        us = [unwarp(ctx, b, ell) for b in set(pts) if class_of(ctx, b) == ell]
+        for cs in itertools.product(ctx.subfield_elements, repeat=len(us)):
+            a = functools.reduce(ctx.add, map(ctx.mul, cs, us), ZERO)
+            if a != ZERO:
+                out.add(ctx.mul(ell, warp(ctx, a)))
+    return canonical_points(out)
+
+
+@pytest.mark.parametrize("spec", ["2,4,2,1", "3,4,2,1", "2,6,2,2", "2,5,1,2", "5,2,1,1", "2,4,4,1"])
+def test_closure_is_warp_image_of_vector_span(spec):
+    ctx = get_field(*map(int, spec.split(",")))
+    rng = random.Random(spec)
+    assert closure(ctx, ()) == _vector_span_closure(ctx, ()) == ()
+    for _ in range(12):
+        ell = rng.randrange(ctx.q - 1)
+        members = class_elements(ctx, ell)
+        pts = tuple(rng.sample(members, rng.randint(1, min(3, len(members)))))
+        # a point of the span: g^l * warp of a combination of two lifts
+        u, v = (unwarp(ctx, b, ell) for b in rng.choices(pts, k=2))
+        c = rng.choice(ctx.subfield_elements[1:])
+        spanned = ctx.add(u, ctx.mul(c, v))
+        dependent = () if spanned == ZERO else (ctx.mul(ell, warp(ctx, spanned)),)
+        other = (ell + 1) % (ctx.q - 1)
+        mixed = pts + tuple(rng.sample(class_elements(ctx, other), 2 if ctx.m > 1 else 1))
+        base = closure(ctx, pts)
+        assert base == _vector_span_closure(ctx, pts)
+        # a repeated or spanned point adds nothing
+        assert closure(ctx, pts + pts[:1] + dependent) == base
+        for extra in (pts + (ZERO,), (ZERO,) + pts + pts, mixed, mixed + (ZERO,)):
+            assert closure(ctx, extra) == _vector_span_closure(ctx, extra)
+
+
+@pytest.mark.parametrize("spec", ["2,16,4,1", "3,4,2,1"])
+def test_closure_warps_once_per_line(spec, monkeypatch):
+    # warp is constant on a line of the span, so closure warps one element
+    # per point it returns: (q^r - 1)/(q - 1) of them, not q^r - 1
+    import skewmatroid.minimal
+
+    ctx = get_field(*map(int, spec.split(",")))
+    calls = []
+
+    def counting_warp(ctx, a):
+        calls.append(a)
+        return warp(ctx, a)
+
+    monkeypatch.setattr(skewmatroid.minimal, "warp", counting_warp)
+    q, ell = ctx.q, ctx.q - 2
+    for r in range(1, min(3, ctx.m) + 1):
+        # 1, g, ..., g^(r-1) are F_q-independent, so their images are P-independent
+        pts = tuple(ctx.mul(ell, warp(ctx, i)) for i in range(r))
+        calls.clear()
+        cl = closure(ctx, pts)
+        assert len(calls) == len(cl) == (q**r - 1) // (q - 1)
 
 
 def test_warp_root_correspondence_class0(f16):
