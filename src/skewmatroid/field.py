@@ -263,10 +263,7 @@ class FieldCtx:
             raise ValueError("dbracket index must be >= 0")
         return (self.q ** (i * self._s_rep) - 1) // (self.q**self._s_rep - 1)
 
-    # -- subfield and coordinates ----------------------------------------------
-
-    def in_subfield(self, a: Fe) -> bool:
-        return a == ZERO or a % self.class_size == 0
+    # -- coordinates -----------------------------------------------------------
 
     def coords(self, a: Fe) -> list[Fe]:
         """F_q-coordinates of a with respect to self.basis."""

@@ -1,17 +1,17 @@
 """The matroid induced on the field by minimal-polynomial degree.
 
-Ground set: all of F_{q^m} (twist power s = 1).  A set is independent when
-its minimal polynomial has degree equal to its size; rank, closure and flats
-follow.  A flat is the zero set of its monic minimal polynomial, which is
-unique, so a flat is known by that polynomial: rank is its degree, equality
-compares it, and the points are enumerated only when read.  The matroid is
-representable over F_q: lifting each nonzero class through unwarp produces
-one m x class_size block per class, assembled with a single extra column for
-the zero element.  Flats of the class-of-1 submatroid correspond to
-F_q-subspaces of F_{q^m} through the warp map, and that correspondence is an
-isometry between the subspace metric and the flat metric d(X, Y) = rank(X) +
-rank(Y) - 2 * rank-of-common-part computed via the greatest common right
-divisor.
+Ground set: all of F_{q^m}.  A set is independent when its minimal
+polynomial has degree equal to its size; rank, closure and flats follow.  A
+flat is the zero set of its monic minimal polynomial, which is unique, so a
+flat is known by that polynomial: rank is its degree, equality compares it,
+and the points are enumerated only when read.  When sigma is the s = 1
+automorphism (s = 1 mod m), the matroid is representable over F_q: lifting
+each nonzero class through unwarp produces one m x class_size block per
+class, assembled with a single extra column for the zero element.  Flats of
+the class-of-1 submatroid correspond to F_q-subspaces of F_{q^m} through the
+warp map, and that correspondence is an isometry between the subspace metric
+and the flat metric d(X, Y) = rank(X) + rank(Y) - 2 * rank-of-common-part
+computed via the greatest common right divisor.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 from .conjugacy import class_elements, class_of, warp
 from .errors import InapplicableField, NotC1Flat, TooLargeToEnumerate
 from .field import Fe, FieldCtx, ONE, ZERO, mat_rank, rref
-from .minimal import canonical_points, closure, lift, minimal_poly_and_basis, p_basis, rank_of
+from .minimal import closure, lift, minimal_poly_and_basis, p_basis
 from .skewpoly import SkewPoly, grcd
 
 # Exhaustive enumeration is offered only while what it builds, counted in
@@ -39,7 +39,9 @@ _MAX_REP_ENTRIES = 1 << 20
 @dataclass(frozen=True, eq=False)
 class Flat:
     """A flat, held as its monic minimal polynomial (the flat is its zero
-    set) and a P-basis: an independent subset with the same closure."""
+    set) and a P-basis: an independent subset with the same closure.  The
+    basis depends on the route that built the flat (matroid_closure: greedy
+    over the points it is given; class_flat: over its rows' images)."""
 
     ctx: FieldCtx
     minpoly: SkewPoly
@@ -71,14 +73,6 @@ class Flat:
 def matroid_closure(ctx: FieldCtx, points: Iterable[Fe]) -> Flat:
     """The flat spanned by a point set: its minimal polynomial and P-basis."""
     return Flat(ctx, *minimal_poly_and_basis(ctx, points))
-
-
-def closure_definitional(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[Fe, ...]:
-    """Rank-based closure {x : r(X + x) = r(X)}; scans the whole field, used
-    as the independent route in tests."""
-    pts = canonical_points(points)
-    r = rank_of(ctx, pts)
-    return tuple(a for a in ctx.elements() if rank_of(ctx, pts + (a,)) == r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,13 +125,6 @@ def dist(x: Flat, y: Flat) -> int:
     """Flat metric via the common right divisor of the minimal polynomials."""
     g = grcd(x.minpoly, y.minpoly)
     return x.rank + y.rank - 2 * g.degree
-
-
-def dist_definitional(ctx: FieldCtx, x: Flat, y: Flat) -> int:
-    """r(X u Y) - r(X & Y); independent route for tests."""
-    union = set(x.points) | set(y.points)
-    inter = set(x.points) & set(y.points)
-    return rank_of(ctx, union) - rank_of(ctx, inter)
 
 
 def all_subspaces(ctx: FieldCtx) -> Iterator[Subspace]:
@@ -230,10 +217,6 @@ class RepMatrix:
     column_labels: tuple[Fe, ...]
 
     @property
-    def a_shape(self) -> tuple[int, int]:
-        return (len(self.a_rows), len(self.a_rows[0]))
-
-    @property
     def script_shape(self) -> tuple[int, int]:
         return (len(self.script_rows), len(self.script_rows[0]))
 
@@ -241,7 +224,8 @@ class RepMatrix:
 def representation(ctx: FieldCtx) -> RepMatrix:
     """Build the class block A (lift coordinates of C(1), canonical order)
     and the block-diagonal full matrix with the extra zero column."""
-    if ctx.s != 1:
+    # sigma is refused unless it acts on logs as s = 1 does, by a factor of q
+    if ctx.twist != ctx.q % (ctx.order - 1):
         raise InapplicableField("the matroid representation is defined for s=1")
     m, cs, nclasses = ctx.m, ctx.class_size, ctx.q - 1
     nrows, ncols = m * nclasses + 1, cs * nclasses + 1

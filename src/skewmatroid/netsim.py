@@ -267,7 +267,7 @@ def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
         if mat_rank(ctx, rows + [vec]) == len(rows) + 1:
             rows.append(vec)
     flat = class_flat(ctx, Subspace.from_vectors(ctx, rows), ell % (ctx.q - 1))
-    return matroid_closure(ctx, p_basis(ctx, flat.points))
+    return Flat(ctx, flat.minpoly, p_basis(ctx, flat.points))
 
 
 @dataclass(frozen=True)

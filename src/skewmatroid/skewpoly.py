@@ -42,18 +42,6 @@ class SkewPoly:
     def one(cls, ctx: FieldCtx) -> "SkewPoly":
         return cls(ctx, (ONE,))
 
-    @classmethod
-    def x(cls, ctx: FieldCtx) -> "SkewPoly":
-        return cls(ctx, (ZERO, ONE))
-
-    @classmethod
-    def constant(cls, ctx: FieldCtx, c: Fe) -> "SkewPoly":
-        return cls(ctx, (c,))
-
-    @classmethod
-    def monomial(cls, ctx: FieldCtx, c: Fe, e: int) -> "SkewPoly":
-        return cls(ctx, (ZERO,) * e + (c,))
-
     # -- basic structure ---------------------------------------------------------
 
     @property
@@ -252,9 +240,6 @@ class AssocPoly:
         for e, c in self.terms:
             acc = ctx.add(acc, ctx.mul(c, ctx.pow(a, e)))
         return acc
-
-    def zeros(self) -> tuple[Fe, ...]:
-        return tuple(a for a in self.ctx.elements() if self.evaluate(a) == ZERO)
 
     def __str__(self) -> str:
         return _format_terms(self.ctx, reversed(self.terms))

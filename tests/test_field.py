@@ -379,11 +379,6 @@ def test_coords_subfield_linear(f16):
             assert f16.coords(f16.mul(c, a)) == want
 
 
-def test_in_subfield(f16):
-    members = {a for a in f16.elements() if f16.in_subfield(a)}
-    assert members == set(f16.subfield_elements)
-
-
 def test_parse_format_roundtrip(f16):
     for a in f16.elements():
         assert f16.parse_element(f16.format_element(a)) == a

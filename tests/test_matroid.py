@@ -31,7 +31,9 @@ from skewmatroid import (
     verify_isometry,
 )
 from skewmatroid.field import mat_rank
-from skewmatroid.matroid import closure_definitional, dist_definitional, subspace_count
+from skewmatroid.matroid import subspace_count
+
+from oracles import closure_definitional, dist_definitional
 
 
 # ------------------------------------------------------- generic axiom checks
@@ -269,7 +271,7 @@ def test_representation_golden_f16(f16):
         (ONE, ZERO, g5, g5, ONE),
         (ZERO, ONE, ONE, g10, ONE),
     )
-    assert rep.a_shape == (2, 5)
+    assert (len(rep.a_rows), len(rep.a_rows[0])) == (2, 5)
     assert rep.script_shape == (7, 16)
     assert mat_rank(f16, [list(r) for r in rep.script_rows]) == 7
     assert rep.column_labels[:5] == class_elements(f16, 0)
@@ -277,9 +279,21 @@ def test_representation_golden_f16(f16):
     assert len(set(rep.column_labels)) == 16
 
 
-def test_representation_requires_untwisted_ring(f32s2):
-    with pytest.raises(InapplicableField):
-        representation(f32s2)
+def test_representation_requires_untwisted_ring(f32s2, f27s2):
+    for ctx in (f32s2, f27s2):
+        with pytest.raises(InapplicableField):
+            representation(ctx)
+
+
+@pytest.mark.parametrize("spec", ["2,4,2,3", "3,4,2,3", "2,3,3,2", "2,6,2,4", "2,2,1,3"])
+def test_representation_reads_sigma_not_s(spec):
+    # s = 1 mod m, or m = 1, is the s = 1 automorphism: the same matrices
+    p, n, k, s = (int(t) for t in spec.split(","))
+    rep = representation(get_field(p, n, k, s))
+    base = representation(get_field(p, n, k, 1))
+    assert rep.a_rows == base.a_rows
+    assert rep.script_rows == base.script_rows
+    assert rep.column_labels == base.column_labels
 
 
 def test_columns_independent_matches_p_independence(f16, f8):

@@ -391,7 +391,9 @@ def test_encode_message_reaches_every_line(f16):
     assert seen == {(a,) for a in class_elements(f16, 0)}
 
 
-@pytest.mark.parametrize("field", ["2,4,2,1", "2,16,4,1", "3,3,1,1", "2,5,1,2"])
+@pytest.mark.parametrize(
+    "field", ["2,4,2,1", "2,16,4,1", "3,3,1,1", "2,5,1,2", "2,3,3,1", "3,2,2,1"]
+)
 def test_message_basis_is_the_canonical_p_basis(field):
     # the source sends message.basis; it is the greedy P-basis of the flat's
     # points in canonical order, at every rank and for the zero class

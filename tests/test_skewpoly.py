@@ -19,6 +19,8 @@ from skewmatroid import (
 )
 from skewmatroid.field import MAX_ORDER
 
+from oracles import scan_zeros
+
 
 def _random_poly(ctx, rng, max_deg=4, nonzero=False):
     els = [ZERO] + list(range(ctx.order - 1))
@@ -50,20 +52,17 @@ def test_basic_shape(f4):
         z.lead()
     with pytest.raises(ZeroInput):
         z.monic()
-    assert SkewPoly.x(f4) == SkewPoly(f4, (ZERO, ONE))
-    assert SkewPoly.monomial(f4, 2, 3) == SkewPoly(f4, (ZERO, ZERO, ZERO, 2))
-    assert SkewPoly.constant(f4, ZERO).is_zero()
 
 
 def test_mixed_contexts_rejected(f4, f16):
     with pytest.raises(MixedContexts):
-        SkewPoly.x(f4) + SkewPoly.x(f16)
+        SkewPoly(f4, (ZERO, ONE)) + SkewPoly(f16, (ZERO, ONE))
     with pytest.raises(MixedContexts):
-        SkewPoly.x(f4) * SkewPoly.one(f16)
+        SkewPoly(f4, (ZERO, ONE)) * SkewPoly.one(f16)
     # equal parameters but a different modulus is still a different ring
     other = get_field(2, 4, 2, 1, 25)
     with pytest.raises(MixedContexts):
-        SkewPoly.x(other) + SkewPoly.x(get_field(2, 4, 2, 1))
+        SkewPoly(other, (ZERO, ONE)) + SkewPoly(get_field(2, 4, 2, 1), (ZERO, ONE))
 
 
 # ------------------------------------------------------------------ parsing
@@ -76,11 +75,11 @@ def test_parse_goldens(f4):
     assert SkewPoly.parse(f4, " x^2 + g2 ") == SkewPoly(f4, (2, ZERO, ONE))
     assert SkewPoly.parse(f4, "0") == SkewPoly.zero(f4)
     assert SkewPoly.parse(f4, "1") == SkewPoly.one(f4)
-    assert SkewPoly.parse(f4, "x") == SkewPoly.x(f4)
-    assert SkewPoly.parse(f4, "g2") == SkewPoly.constant(f4, 2)
+    assert SkewPoly.parse(f4, "x") == SkewPoly(f4, (ZERO, ONE))
+    assert SkewPoly.parse(f4, "g2") == SkewPoly(f4, (2,))
     # repeated exponents are summed (char 2: they cancel)
     assert SkewPoly.parse(f4, "x+x") == SkewPoly.zero(f4)
-    assert SkewPoly.parse(f4, "x+x+x") == SkewPoly.x(f4)
+    assert SkewPoly.parse(f4, "x+x+x") == SkewPoly(f4, (ZERO, ONE))
 
 
 def test_parse_errors(f4):
@@ -130,9 +129,9 @@ def test_product_goldens(f4):
 def test_commuting_rule():
     for spec in ("2,2,1,1", "2,4,2,1", "3,2,1,1", "2,5,1,2"):
         ctx = get_field(*[int(t) for t in spec.split(",")])
-        x = SkewPoly.x(ctx)
+        x = SkewPoly(ctx, (ZERO, ONE))
         for c in ctx.elements():
-            lhs = x * SkewPoly.constant(ctx, c)
+            lhs = x * SkewPoly(ctx, (c,))
             rhs = SkewPoly(ctx, (ZERO, ctx.frobenius(c)))
             assert lhs == rhs
 
@@ -191,7 +190,7 @@ def test_division_contract_random(spec):
 
 def test_division_by_zero(f4):
     with pytest.raises(DivisionByZeroPoly):
-        SkewPoly.x(f4).right_divmod(SkewPoly.zero(f4))
+        SkewPoly(f4, (ZERO, ONE)).right_divmod(SkewPoly.zero(f4))
 
 
 # --------------------------------------------------------------- evaluation
@@ -252,7 +251,7 @@ def test_regular_associate_golden(f4):
     assoc = SkewPoly.parse(f4, "x^2+1").regular_associate()
     assert assoc.terms == ((0, ONE), (3, ONE))
     assert str(assoc) == "x^3 + 1"
-    assert assoc.zeros() == (0, 1, 2)
+    assert scan_zeros(assoc) == (0, 1, 2)
 
 
 def test_linearized_associate_constant_term(f4):
@@ -289,7 +288,7 @@ def test_linearized_root_bound(spec):
     rng = random.Random(spec)
     for _ in range(60):
         f = _random_poly(ctx, rng, nonzero=True)
-        roots = f.linearized_associate().zeros()
+        roots = scan_zeros(f.linearized_associate())
         assert len(roots) <= ctx.q ** f.degree
 
 
