@@ -1,17 +1,18 @@
 """Command line front end.
 
-One executable, verb-style subcommands.  The payload is the output: a field
-verb's handler returns a dict, and `main` prints it as single-line JSON with
---json (fixed key order, safe to golden-file) or else as the text form `_text`
-derives from it (classof, flats and repmatrix have their own).  `simulate`
-and `selftest` need no field and print for themselves.  Exit codes: 0
+One executable, verb-style subcommands.  The payload is the output: each
+verb's handler returns a dict, and `main`, the one print site, prints it as
+single-line JSON with --json (fixed key order, safe to golden-file) or else as
+the verb's text form, by default the one `_text` derives from it (classof,
+flats, repmatrix, simulate and selftest register their own).  Exit codes: 0
 success, 1 domain error (its class name on stderr) or a payload whose "ok" is
-false, 2 usage error.
+false or whose "failed" count is nonzero, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import sys
@@ -37,6 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--field", metavar="SPEC", help="field spec p,n,k,s[,modpoly]")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--seed", metavar="SEED", help="seed override for randomized verbs")
+    parser.set_defaults(text=_text, needs_field=True)
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
 
     sp = sub.add_parser("fieldinfo", help="describe the field context")
@@ -105,17 +107,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("isometry-check",
                         help="verify the subspace-to-flat correspondence is a bijective isometry")
-    sp.set_defaults(handler=_cmd_isometry_check)
+    sp.set_defaults(handler=lambda ctx, args: verify_isometry(ctx))
 
     sp = sub.add_parser("simulate", help="run the network simulator on a JSON spec")
     sp.add_argument("--spec", required=True, metavar="FILE", help="NetSpec JSON file")
     sp.add_argument("--oracle", choices=("rlnc",), default=None,
                     help="mirror every trial on the vector simulator and compare")
     sp.add_argument("--trials", type=int, default=None, help="override the spec's trial count")
-    sp.set_defaults(run=_cmd_simulate)
+    sp.set_defaults(handler=_cmd_simulate, text=functools.partial(json.dumps, indent=2),
+                    needs_field=False)
 
     sp = sub.add_parser("selftest", help="run the built-in golden checks")
-    sp.set_defaults(run=_cmd_selftest)
+    sp.set_defaults(handler=lambda ctx, args: run_all(), text=_selftest_text, needs_field=False)
     return parser
 
 
@@ -255,64 +258,41 @@ def _cmd_dist(ctx: FieldCtx, args) -> dict:
     return {"result": dist(x, y)}
 
 
-def _cmd_isometry_check(ctx: FieldCtx, args) -> dict:
-    report = verify_isometry(ctx)
-    return {
-        "subspaces": report.subspace_count,
-        "flats": report.flat_count,
-        "bijective": report.bijective,
-        "isometric": report.isometric,
-        "ok": report.ok,
-    }
-
-
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(ctx: None, args) -> dict:
     try:
         with open(args.spec, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise SpecInvalid(f"not UTF-8: {exc}") from None
     spec = NetSpec.from_json(text)
-    report = simulate(spec, trials=args.trials, seed=args.seed, oracle=args.oracle)
-    print(json.dumps(report) if args.json else json.dumps(report, indent=2))
-    return 0
+    return simulate(spec, trials=args.trials, seed=args.seed, oracle=args.oracle)
 
 
-def _cmd_selftest(args) -> int:
-    results = run_all()
-    failed = [r for r in results if not r.ok]
-    if args.json:
-        print(json.dumps({
-            "passed": len(results) - len(failed),
-            "failed": len(failed),
-            "checks": [
-                {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
-            ],
-        }))
-    else:
-        for r in results:
-            print(f"{'PASS' if r.ok else 'FAIL'} {r.name}" + (f" ({r.detail})" if r.detail else ""))
-        print(f"passed {len(results) - len(failed)}/{len(results)}")
-    return 1 if failed else 0
+def _selftest_text(payload: dict) -> str:
+    lines = []
+    for c in payload["checks"]:
+        detail = f" ({c['detail']})" if c["detail"] else ""
+        lines.append(f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}{detail}")
+    lines.append(f"passed {payload['passed']}/{len(payload['checks'])}")
+    return "\n".join(lines)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.needs_field and args.field is None:
+        parser.error(f"verb {args.verb!r} requires --field")
     try:
-        if "run" in args:
-            return args.run(args)
-        if args.field is None:
-            parser.error(f"verb {args.verb!r} requires --field")
-        payload = args.handler(field_from_spec(args.field), args)
-        print(json.dumps(payload) if args.json else getattr(args, "text", _text)(payload))
+        ctx = field_from_spec(args.field) if args.needs_field else None
+        payload = args.handler(ctx, args)
+        print(json.dumps(payload) if args.json else args.text(payload))
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0 if payload.get("ok", True) else 1
+    return 0 if payload.get("ok", True) and not payload.get("failed") else 1
 
 
 if __name__ == "__main__":

@@ -267,22 +267,10 @@ def phi_inverse(ctx: FieldCtx, x: Flat) -> Subspace:
     return Subspace.from_vectors(ctx, lift(ctx, x.basis))
 
 
-@dataclass(frozen=True)
-class IsometryReport:
-    subspace_count: int
-    flat_count: int
-    bijective: bool
-    isometric: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.bijective and self.isometric
-
-
-def verify_isometry(ctx: FieldCtx) -> IsometryReport:
+def verify_isometry(ctx: FieldCtx) -> dict:
     """Exhaustively check that the warp correspondence is a bijective
     isometry between subspaces (subspace metric) and class-of-1 flats
-    (flat metric)."""
+    (flat metric); the report is what `isometry-check` prints."""
     n = subspace_count(ctx)
     _guard_enumeration("subspace pairs", n * (n - 1) // 2, _MAX_ISOMETRY_PAIRS)
     subs = list(all_subspaces(ctx))
@@ -296,4 +284,10 @@ def verify_isometry(ctx: FieldCtx) -> IsometryReport:
         subspace_dist(v, w) == dist(images[i], images[j])
         for (i, v), (j, w) in itertools.combinations(enumerate(subs), 2)
     )
-    return IsometryReport(len(subs), flat_count, bijective, isometric)
+    return {
+        "subspaces": len(subs),
+        "flats": flat_count,
+        "bijective": bijective,
+        "isometric": isometric,
+        "ok": bijective and isometric,
+    }

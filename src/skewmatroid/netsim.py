@@ -39,7 +39,7 @@ from .errors import (
     SpecInvalid,
     ZeroArgument,
 )
-from .field import Fe, FieldCtx, ZERO, field_from_spec, mat_rank
+from .field import Fe, FieldCtx, ZERO, field_from_spec
 from .matroid import Flat, Subspace, class_flat, dist, matroid_closure, subspace_dist
 from .minimal import lift, p_basis
 
@@ -256,17 +256,16 @@ def relay_forward(ctx: FieldCtx, in_packets: Sequence[Fe], rng: random.Random) -
 
 
 def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
-    """Uniformly random rank-r flat of class ell: draw r independent vectors
-    over the base field and push the subspace through the class map.  Its
+    """Uniformly random rank-r flat of class ell: draw base-field vectors until
+    they span r dimensions and push the subspace through the class map.  Its
     basis, which the source sends, is the greedy P-basis of its points."""
     if not 1 <= r <= ctx.m:
         raise RankOutOfRange(f"rank {r} outside 1..{ctx.m}")
-    rows: list[list[Fe]] = []
-    while len(rows) < r:
-        vec = [ctx.subfield_elements[rng.randrange(ctx.q)] for _ in range(ctx.m)]
-        if mat_rank(ctx, rows + [vec]) == len(rows) + 1:
-            rows.append(vec)
-    flat = class_flat(ctx, Subspace.from_vectors(ctx, rows), ell % (ctx.q - 1))
+    v = Subspace(ctx, ())
+    while v.dim < r:
+        vec = tuple(ctx.subfield_elements[rng.randrange(ctx.q)] for _ in range(ctx.m))
+        v = Subspace.from_vectors(ctx, v.rows + (vec,))
+    flat = class_flat(ctx, v, ell % (ctx.q - 1))
     return Flat(ctx, flat.minpoly, p_basis(ctx, flat.points))
 
 

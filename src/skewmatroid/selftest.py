@@ -8,7 +8,6 @@ pass.  Every check is exact — no tolerances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from .conjugacy import (
@@ -31,13 +30,6 @@ def _f4():
 
 def _f16():
     return get_field(2, 4, 2, 1, 19)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
 
 
 _CHECKS: list[tuple[str, Callable[[], None]]] = []
@@ -377,14 +369,16 @@ def _cli_strings() -> None:
     _assert_eq(is_p_independent(f16, (0, 3, 6)), False, "pindep prints false")
 
 
-def run_all() -> list[CheckResult]:
-    """Run every registered check; never raises."""
-    results = []
+def run_all() -> dict:
+    """Run every registered check and return the `selftest` report; never raises."""
+    checks = []
     for name, fn in _CHECKS:
         try:
             fn()
         except Exception as exc:  # noqa: BLE001 - report, don't abort the run
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         else:
-            results.append(CheckResult(name, True))
-    return results
+            ok, detail = True, ""
+        checks.append({"name": name, "ok": ok, "detail": detail})
+    failed = sum(not c["ok"] for c in checks)
+    return {"passed": len(checks) - failed, "failed": failed, "checks": checks}

@@ -55,9 +55,9 @@ def _dbracket(ctx, i: int) -> int:
 
 def test_criterion_1_golden_examples():
     done = _timed(1.0)
-    results = run_all()
-    failed = [r for r in results if not r.ok]
-    assert not failed, f"golden checks failed: {[r.name for r in failed]}"
+    results = run_all()["checks"]
+    failed = [r for r in results if not r["ok"]]
+    assert not failed, f"golden checks failed: {[r['name'] for r in failed]}"
     done(1, f"all {len(results)} golden examples exact")
 
 
@@ -135,8 +135,8 @@ def test_criterion_5_isometry(f8, f16):
     done = _timed(10.0)
     for ctx in (f16, f8):
         report = verify_isometry(ctx)
-        assert report.bijective and report.isometric
-        assert report.subspace_count == report.flat_count
+        assert report["bijective"] and report["isometric"]
+        assert report["subspaces"] == report["flats"]
     done(5, "warp correspondence is a bijective isometry on F16 and F8")
 
 

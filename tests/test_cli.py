@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import resource
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import skewmatroid
+from skewmatroid import field_from_spec, selftest, verify_isometry
 from skewmatroid.cli import main
 
 F16 = ["--field", "2,4,2,1"]
@@ -182,6 +184,13 @@ def test_isometry_check(capsys):
     }
 
 
+@pytest.mark.parametrize("spec", ["2,4,2,1", "2,2,1,1"])
+def test_isometry_report_is_its_payload(capsys, spec):
+    _, doc = run_json(capsys, "--field", spec, "--json", "isometry-check")
+    report = verify_isometry(field_from_spec(spec))
+    assert report == doc and list(report) == list(doc)
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -191,6 +200,26 @@ def test_selftest(capsys):
     code, doc = run_json(capsys, "--json", "selftest")
     assert code == 0 and doc["failed"] == 0
     assert doc["passed"] == len(doc["checks"]) > 0
+    report = selftest.run_all()  # the report is the payload, key order included
+    assert report == doc and json.dumps(report) == json.dumps(doc)
+
+
+def test_selftest_failing_check_exits_1(capsys, monkeypatch):
+    def broken() -> None:
+        raise AssertionError("deliberately broken")
+
+    monkeypatch.setattr(selftest, "_CHECKS", selftest._CHECKS + [("broken check", broken)])
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert out.strip().splitlines()[-2:] == [
+        "FAIL broken check (AssertionError: deliberately broken)",
+        "passed 35/36",
+    ]
+    code, doc = run_json(capsys, "--json", "selftest")
+    assert code == 1 and doc["passed"] == 35 and doc["failed"] == 1
+    assert doc["checks"][-1] == {
+        "name": "broken check", "ok": False, "detail": "AssertionError: deliberately broken",
+    }
 
 
 # ------------------------------------------------------------------ simulate
@@ -398,3 +427,16 @@ def test_console_script_installed():
     proc = _cli_child("--field", "2,4,2,1", "rank", "1,g3")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+def test_package_exports_are_one_list():
+    """`__all__` is sorted and names exactly what the package `__init__` imports."""
+    tree = ast.parse(Path(skewmatroid.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert skewmatroid.__all__ == sorted(skewmatroid.__all__)
+    assert set(skewmatroid.__all__) == imported

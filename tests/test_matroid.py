@@ -354,8 +354,8 @@ def test_phi_inverse_rejects_other_classes(f16):
 def test_verify_isometry(f4, f8, f16):
     for ctx, count in ((f4, 5), (f8, 16), (f16, 7)):
         report = verify_isometry(ctx)
-        assert report.ok and report.bijective and report.isometric
-        assert report.subspace_count == report.flat_count == count
+        assert report["ok"] and report["bijective"] and report["isometric"]
+        assert report["subspaces"] == report["flats"] == count
 
 
 # ----------------------------------------------------------- rank shortcuts
