@@ -167,6 +167,7 @@ def _guard_enumeration(what: str, size: int, cap: int) -> None:
 def class_flat(ctx: FieldCtx, v: Subspace, ell: int) -> Flat:
     """Image of a subspace inside class ell: the flat spanned by g^ell * warp
     of its basis rows."""
+    ell %= ctx.q - 1
     flat = matroid_closure(ctx, (ctx.mul(ell, warp(ctx, ctx.uncoords(r))) for r in v.rows))
     if flat.rank != v.dim:  # pragma: no cover - structural identity
         raise AssertionError("class flat rank does not match subspace dimension")
@@ -182,11 +183,10 @@ def flats(
     n = subspace_count(ctx)
     if class_index is not None:
         _guard_enumeration("subspaces behind a class's flats", n, _MAX_CLASS_FLATS)
-        ell = class_index % (ctx.q - 1)
         for v in all_subspaces(ctx):
             if max_rank is not None and v.dim > max_rank:
                 continue
-            yield class_flat(ctx, v, ell)
+            yield class_flat(ctx, v, class_index)
         return
     # n >= 2, so an exponent past the cap's bit length is past the cap
     combos = 2 * n ** min(ctx.q - 1, _MAX_FLAT_COMBINATIONS.bit_length())

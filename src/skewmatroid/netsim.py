@@ -18,8 +18,8 @@ vector it sends to the minimum-discrete-log representative of its line (the
 same representative unwarping picks) and draws combinations from the same
 seeded stream, so under a shared seed its decoded row space corresponds to
 the decoded flat through the warping correspondence, packet for packet.
-Both simulators share only the DAG walk; their arithmetic, decoding and
-metrics are separate code.
+Both simulators share the DAG walk and that draw, _draw_nonzero_combination;
+their element arithmetic, decoding and metrics are separate code.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
     while v.dim < r:
         vec = tuple(ctx.subfield_elements[rng.randrange(ctx.q)] for _ in range(ctx.m))
         v = Subspace.from_vectors(ctx, v.rows + (vec,))
-    flat = class_flat(ctx, v, ell % (ctx.q - 1))
+    flat = class_flat(ctx, v, ell)
     return Flat(ctx, flat.minpoly, p_basis(ctx, flat.points))
 
 
@@ -445,9 +445,8 @@ def simulate(
             vecs = mirrored_source_vectors(ctx, message)
             oreport = rlnc_oracle_trial(ctx, spec, vecs, trial_seed)
             oracle_successes += oreport.success
-            ell = spec.class_index % (ctx.q - 1)
             for s, os in zip(report.sinks, oreport.sinks):
-                if class_flat(ctx, os.decoded, ell) != s.decoded:
+                if class_flat(ctx, os.decoded, spec.class_index) != s.decoded:
                     oracle_matches = False
     return {
         "success_rate": _mean(successes, n_trials),

@@ -156,8 +156,17 @@ class SkewPoly:
 
     def zeros(self) -> tuple[Fe, ...]:
         """All field elements the polynomial evaluates to zero on, in
-        canonical order.  (Exhaustive scan; contexts are capped in size.)"""
-        return tuple(a for a in self.ctx.elements() if self.evaluate(a) == ZERO)
+        canonical order.  (Exhaustive scan; contexts are capped in size.)
+        x^(M+1) - x, M = m(q - 1), vanishes on the whole field, so the scan
+        runs on the copy with each exponent i >= 1 folded to (i - 1) mod M + 1."""
+        ctx = self.ctx
+        M = ctx.m * (ctx.q - 1)
+        folded = list(self.coeffs[: M + 1])
+        for i in range(M + 1, len(self.coeffs)):
+            j = (i - 1) % M + 1
+            folded[j] = ctx.add(folded[j], self.coeffs[i])
+        f = SkewPoly(ctx, folded)
+        return tuple(a for a in ctx.elements() if f.evaluate(a) == ZERO)
 
     def regular_associate(self) -> "AssocPoly":
         """Ordinary polynomial with x^i replaced by x^dbracket(i); evaluating

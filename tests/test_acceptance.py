@@ -16,9 +16,7 @@ from skewmatroid import (
     decompose_check,
     dist,
     flats,
-    get_field,
     is_p_independent,
-    matroid_closure,
     rank_of,
     relay_forward,
     representation,

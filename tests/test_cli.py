@@ -327,6 +327,15 @@ def _cli_child(*argv):
     )
 
 
+def test_zeros_of_a_high_degree_polynomial():
+    # zeros folds x^1048576 to x^6 on this field (M = 10) before it scans;
+    # the unfolded scan ran past a 10 s timeout
+    start = time.monotonic()
+    proc = _cli_child("--field", "2,10,1,1", "zeros", "x^1048576+x+g1")
+    assert proc.returncode == 0 and proc.stdout.strip() == "g593"
+    assert time.monotonic() - start < 5
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -440,3 +449,27 @@ def test_package_exports_are_one_list():
     }
     assert skewmatroid.__all__ == sorted(skewmatroid.__all__)
     assert set(skewmatroid.__all__) == imported
+
+
+def test_no_unused_imports():
+    """Every name an import binds in `src/` or `tests/` is read in its module.
+    The package `__init__` is exempt: its imports are its exports."""
+    package = Path(skewmatroid.__file__).resolve().parent
+    paths = [*Path(__file__).parent.glob("*.py"), *package.glob("*.py")]
+    unused = []
+    for path in sorted(p for p in paths if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{path.name}: {name}" for name in sorted(imported - loaded)]
+    assert unused == []

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from skewmatroid import (
-    Flat,
     InapplicableField,
     NotC1Flat,
     ONE,
@@ -15,6 +14,7 @@ from skewmatroid import (
     all_subspaces,
     canonical_points,
     class_elements,
+    class_flat,
     columns_independent,
     dist,
     flats,
@@ -199,6 +199,20 @@ def test_class_flats_are_definitional_fixed_points(f8, f16):
             if closure_definitional(ctx, pts) == pts
         }
         assert {f.points for f in flats(ctx, 0)} == fixed
+
+
+@pytest.mark.parametrize("spec", ["2,4,2,1", "3,3,1,1", "2,6,2,1"])
+def test_class_flat_reduces_its_class_index(spec):
+    # class_flat takes its index mod q - 1, as class_elements and unwarp do;
+    # ell - (q - 1) is negative, and -1 must not read as the zero sentinel
+    ctx = get_field(*map(int, spec.split(",")))
+    for v in all_subspaces(ctx):
+        if v.dim == 0:
+            continue
+        for ell in range(ctx.q - 1):
+            flat = class_flat(ctx, v, ell)
+            assert flat.points == class_flat(ctx, v, ell + (ctx.q - 1)).points
+            assert flat.points == class_flat(ctx, v, ell - (ctx.q - 1)).points
 
 
 # ---------------------------------------------------------------- subspaces

@@ -16,10 +16,8 @@ from skewmatroid import (
     closure,
     decompose_check,
     get_field,
-    grcd,
     is_p_independent,
     lift,
-    llcm,
     minimal_poly,
     p_basis,
     rank_of,

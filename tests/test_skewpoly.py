@@ -222,6 +222,29 @@ def test_evaluation_coherence(spec):
                 assert rem.coeff(0) == value
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "2,2,1,1", "2,3,1,1", "2,4,1,1", "2,4,2,1", "2,4,4,1", "2,5,1,2", "2,6,2,2",
+        "3,2,1,1", "3,2,2,1", "3,3,1,2", "5,1,1,1", "5,2,1,1", "7,1,1,1",
+    ],
+)
+def test_zeros_folds_exponents(spec):
+    # x^(M+1) - x, M = m(q - 1), vanishes on the whole field, so zeros may
+    # fold each exponent i >= 1 to (i - 1) mod M + 1; the scan of the
+    # unfolded polynomial is the oracle, and a right factor x - a makes
+    # half the samples vanish somewhere
+    ctx = get_field(*[int(t) for t in spec.split(",")])
+    rng = random.Random(spec)
+    big = 4 * ctx.m * (ctx.q - 1) + 3
+    for i in range(30):
+        f = _random_poly(ctx, rng, max_deg=big - 1)
+        if i % 2:
+            a = rng.choice(list(ctx.elements()))
+            f = f * SkewPoly(ctx, (ctx.neg(a), ONE))
+        assert f.zeros() == scan_zeros(f)
+
+
 @pytest.mark.parametrize("spec", ["2,4,2,1", "3,2,1,1"])
 def test_product_rule(spec):
     ctx = get_field(*[int(t) for t in spec.split(",")])
