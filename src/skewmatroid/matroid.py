@@ -193,7 +193,10 @@ def flats(
     _guard_enumeration("combinations of per-class flats", combos, _MAX_FLAT_COMBINATIONS)
     # the matroid is a direct sum over the classes, so the greedy P-basis of
     # a combination is the union of its per-class greedy bases
-    per_class = [[p_basis(ctx, f.points) for f in flats(ctx, ell)] for ell in range(ctx.q - 1)]
+    per_class = [
+        [p_basis(ctx, f.points, rank=f.rank) for f in flats(ctx, ell)]
+        for ell in range(ctx.q - 1)
+    ]
     for zero_part in ((), (ZERO,)):
         for bases in itertools.product(*per_class):
             rk = sum(map(len, bases)) + len(zero_part)

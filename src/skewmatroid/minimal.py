@@ -31,16 +31,24 @@ def canonical_points(points: Iterable[Fe]) -> tuple[Fe, ...]:
     return tuple(sorted(set(points)))
 
 
-def minimal_poly_and_basis(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[SkewPoly, tuple[Fe, ...]]:
-    """The minimal polynomial and the points that raised its degree."""
+def minimal_poly_and_basis(
+    ctx: FieldCtx, points: Iterable[Fe], *, rank: int | None = None
+) -> tuple[SkewPoly, tuple[Fe, ...]]:
+    """The minimal polynomial and the points that raised its degree, taken
+    greedily in canonical order.  With rank, the points are walked in the
+    order given, which must be canonical, and the greedy stops once it holds
+    rank of them: when they span a flat of that rank, every later point is a
+    zero of the polynomial by then, so the result is the same."""
     f = SkewPoly.one(ctx)
     basis = []
-    for b in canonical_points(points):
+    for b in canonical_points(points) if rank is None else points:
         v = f.evaluate(b)
         if v == ZERO:
             continue
         f = SkewPoly(ctx, (ctx.neg(conjugate(ctx, b, v)), ONE)) * f
         basis.append(b)
+        if len(basis) == rank:
+            break
     return f, tuple(basis)
 
 
@@ -61,9 +69,10 @@ def is_p_independent(ctx: FieldCtx, points: Iterable[Fe]) -> bool:
     return minimal_poly(ctx, pts).degree == len(pts)
 
 
-def p_basis(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[Fe, ...]:
-    """Greedy independent subset (canonical order) with the same closure."""
-    return minimal_poly_and_basis(ctx, points)[1]
+def p_basis(ctx: FieldCtx, points: Iterable[Fe], *, rank: int | None = None) -> tuple[Fe, ...]:
+    """Greedy independent subset (canonical order) with the same closure;
+    rank stops it early, as in minimal_poly_and_basis."""
+    return minimal_poly_and_basis(ctx, points, rank=rank)[1]
 
 
 def lift(ctx: FieldCtx, points: Iterable[Fe]) -> list[list[Fe]]:

@@ -11,6 +11,12 @@ polynomial: forwarded packets are checked to be its zeros, sinks decode to
 the flat of what they received, and success is exact flat recovery; partial
 recovery is reported through the flat metric.
 
+That basis costs what its rank r needs: the greedy stops at r points and
+reads whichever canonical-order stream has the smaller closed-form count, the
+flat's points enumerated from its (q^r - 1)/(q - 1) lines or the class
+scanned in ascending log for zeros of the minimal polynomial (about
+r^2 q^(m-r) field operations).
+
 Links are error-free and carry one packet per trial; relays keep no state
 across trials.  A classical random-linear-network-coding simulator over
 coordinate vectors acts as an independent oracle: it canonicalizes each
@@ -258,7 +264,11 @@ def relay_forward(ctx: FieldCtx, in_packets: Sequence[Fe], rng: random.Random) -
 def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
     """Uniformly random rank-r flat of class ell: draw base-field vectors until
     they span r dimensions and push the subspace through the class map.  Its
-    basis, which the source sends, is the greedy P-basis of its points."""
+    basis, which the source sends, is the greedy P-basis of its points in
+    canonical order, stopped at r points and read from the flat's lines
+    (one warp for each of its (q^r - 1)/(q - 1) lines) or from a scan of
+    class ell for zeros of its minimal polynomial (about r^2 q^(m-r) field
+    operations), whichever count is smaller."""
     if not 1 <= r <= ctx.m:
         raise RankOutOfRange(f"rank {r} outside 1..{ctx.m}")
     v = Subspace(ctx, ())
@@ -266,7 +276,12 @@ def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
         vec = tuple(ctx.subfield_elements[rng.randrange(ctx.q)] for _ in range(ctx.m))
         v = Subspace.from_vectors(ctx, v.rows + (vec,))
     flat = class_flat(ctx, v, ell)
-    return Flat(ctx, flat.minpoly, p_basis(ctx, flat.points))
+    if (ctx.q**r - 1) // (ctx.q - 1) <= r * r * ctx.q ** (ctx.m - r):
+        points = flat.points
+    else:
+        scan = range(ell % (ctx.q - 1), ctx.order - 1, ctx.q - 1)
+        points = (b for b in scan if flat.minpoly.evaluate(b) == ZERO)
+    return Flat(ctx, flat.minpoly, p_basis(ctx, points, rank=r))
 
 
 @dataclass(frozen=True)

@@ -335,3 +335,17 @@ def test_p_basis_greedy_and_spanning(f16, f64):
                 if rank_of(ctx, picked + [a]) > len(picked):
                     picked.append(a)
             assert basis == tuple(picked)
+
+
+def test_p_basis_stopped_at_the_rank(f16, f64):
+    # with rank, the greedy walks a canonical stream as given and reads no
+    # point past its last pick; over a flat it picks the unstopped basis
+    rng = random.Random(18)
+    for ctx in (f16, f64):
+        els = list(ctx.elements())
+        for _ in range(40):
+            flat = closure(ctx, rng.sample(els, rng.randint(1, 3)))
+            stream = iter(flat)
+            basis = p_basis(ctx, stream, rank=rank_of(ctx, flat))
+            assert basis == p_basis(ctx, flat)
+            assert tuple(stream) == flat[flat.index(basis[-1]) + 1 :]

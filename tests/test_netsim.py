@@ -13,6 +13,7 @@ from skewmatroid import (
     NetSpec,
     ONE,
     RankOutOfRange,
+    SkewPoly,
     SpecInvalid,
     Subspace,
     ZERO,
@@ -30,7 +31,7 @@ from skewmatroid import (
     simulate,
     warp,
 )
-from skewmatroid import matroid, netsim
+from skewmatroid import matroid, minimal, netsim
 from skewmatroid.minimal import p_basis
 from skewmatroid.netsim import (
     build_message,
@@ -392,11 +393,13 @@ def test_encode_message_reaches_every_line(f16):
 
 
 @pytest.mark.parametrize(
-    "field", ["2,4,2,1", "2,16,4,1", "3,3,1,1", "2,5,1,2", "2,3,3,1", "3,2,2,1"]
+    "field",
+    ["2,4,2,1", "2,16,4,1", "3,3,1,1", "2,5,1,2", "2,3,3,1", "3,2,2,1", "2,12,1,1", "3,6,1,1"],
 )
 def test_message_basis_is_the_canonical_p_basis(field):
     # the source sends message.basis; it is the greedy P-basis of the flat's
-    # points in canonical order, at every rank and for the zero class
+    # points in canonical order, at every rank and for the zero class, on
+    # both sides of the switch from enumerating lines to scanning the class
     ctx = get_field(*[int(t) for t in field.split(",")])
     specs = [_spec(**{"class": None, "rank": 1})]
     for r in range(ctx.m + 1):
@@ -411,9 +414,25 @@ def test_run_trial_enumerates_nothing(f16, monkeypatch):
     calls = []
     monkeypatch.setattr(matroid, "closure", lambda *a: calls.append(a) or closure(*a))
     message = build_message(f16, _spec(), random.Random(0))
-    calls.clear()  # encoding enumerates the message once, to choose its basis
+    calls.clear()  # encoding may enumerate the message, to choose its basis
     run_trial(f16, _spec(), message, seed=3)
     assert calls == []
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_encode_message_work_follows_the_cheaper_stream(r, monkeypatch):
+    # evaluate and warp calls are at most 2 min(q^r, r^2 q^(m-r)); the
+    # unstopped greedy over the enumerated flat alone costs about 2 q^r, a
+    # warp per line and an evaluate per point
+    ctx = get_field(2, 12, 1, 1)
+    calls = Counter()
+    evaluate, warp_ = SkewPoly.evaluate, minimal.warp
+    monkeypatch.setattr(SkewPoly, "evaluate", lambda f, a: calls.update("e") or evaluate(f, a))
+    monkeypatch.setattr(minimal, "warp", lambda c, a: calls.update("w") or warp_(c, a))
+    message = encode_message(ctx, 0, r, random.Random(f"work:{r}"))
+    assert message.rank == r
+    q, m = ctx.q, ctx.m
+    assert sum(calls.values()) <= 2 * min(q**r, r * r * q ** (m - r))
 
 
 def test_build_message_variants(f16):
