@@ -7,13 +7,16 @@ the verb's text form, by default the one `_text` derives from it (classof,
 flats, repmatrix, simulate and selftest register their own).  Exit codes: 0
 success, 1 domain error (its class name on stderr) or a payload whose "ok" is
 false or whose "failed" count is nonzero, 2 usage error.
+
+Each handler imports the modules it calls, so a cold call loads only what
+its verb reads: fieldinfo, classof, classelems and unwarp load no module
+beyond the field and its conjugacy classes.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import operator
 import sys
 from typing import Sequence
@@ -21,11 +24,6 @@ from typing import Sequence
 from .conjugacy import class_elements, class_label, class_of, unwarp_method1, unwarp_method2
 from .errors import DomainError, SpecInvalid
 from .field import Fe, FieldCtx, field_from_spec
-from .matroid import dist, flats, matroid_closure, representation, verify_isometry
-from .minimal import closure, is_p_independent, minimal_poly, p_basis, rank_of
-from .netsim import NetSpec, simulate
-from .selftest import run_all
-from .skewpoly import SkewPoly, grcd, llcm
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,16 +42,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fieldinfo", help="describe the field context")
     sp.set_defaults(handler=_cmd_fieldinfo)
 
-    for verb, help_text, op in (
-        ("mul", "skew product of two polynomials", operator.mul),
-        ("divmod", "right quotient and remainder", None),
-        ("grcd", "greatest common right divisor", grcd),
-        ("llcm", "least left common multiple", llcm),
+    for verb, help_text in (
+        ("mul", "skew product of two polynomials"),
+        ("divmod", "right quotient and remainder"),
+        ("grcd", "greatest common right divisor"),
+        ("llcm", "least left common multiple"),
     ):
         sp = sub.add_parser(verb, help=help_text)
         sp.add_argument("f", help="polynomial, e.g. 'g2*x^2 + x + 1'")
         sp.add_argument("g", help="polynomial")
-        sp.set_defaults(handler=_cmd_poly_binop, op=op)
+        sp.set_defaults(handler=_cmd_poly_binop)
 
     sp = sub.add_parser("eval", help="evaluate a polynomial at an element")
     sp.add_argument("f", help="polynomial")
@@ -107,18 +105,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("isometry-check",
                         help="verify the subspace-to-flat correspondence is a bijective isometry")
-    sp.set_defaults(handler=lambda ctx, args: verify_isometry(ctx))
+    sp.set_defaults(handler=_cmd_isometry_check)
 
     sp = sub.add_parser("simulate", help="run the network simulator on a JSON spec")
     sp.add_argument("--spec", required=True, metavar="FILE", help="NetSpec JSON file")
     sp.add_argument("--oracle", choices=("rlnc",), default=None,
                     help="mirror every trial on the vector simulator and compare")
     sp.add_argument("--trials", type=int, default=None, help="override the spec's trial count")
-    sp.set_defaults(handler=_cmd_simulate, text=functools.partial(json.dumps, indent=2),
+    sp.set_defaults(handler=_cmd_simulate, text=functools.partial(_json, indent=2),
                     needs_field=False)
 
     sp = sub.add_parser("selftest", help="run the built-in golden checks")
-    sp.set_defaults(handler=lambda ctx, args: run_all(), text=_selftest_text, needs_field=False)
+    sp.set_defaults(handler=_cmd_selftest, text=_selftest_text, needs_field=False)
     return parser
 
 
@@ -128,6 +126,12 @@ def _parse_points(ctx: FieldCtx, text: str) -> tuple[Fe, ...]:
 
 def _point_list(ctx: FieldCtx, points: Sequence[Fe]) -> list[str]:
     return [ctx.format_element(a) for a in points]
+
+
+def _json(payload: dict, **kwargs) -> str:
+    import json
+
+    return json.dumps(payload, **kwargs)
 
 
 def _text(payload: dict) -> str:
@@ -162,20 +166,27 @@ def _cmd_fieldinfo(ctx: FieldCtx, args) -> dict:
 
 
 def _cmd_poly_binop(ctx: FieldCtx, args) -> dict:
+    from .skewpoly import SkewPoly, grcd, llcm
+
     f = SkewPoly.parse(ctx, args.f)
     g = SkewPoly.parse(ctx, args.g)
-    if args.op is not None:
-        return {"result": str(args.op(f, g))}
-    quo, rem = f.right_divmod(g)
-    return {"quotient": str(quo), "remainder": str(rem)}
+    if args.verb == "divmod":
+        quo, rem = f.right_divmod(g)
+        return {"quotient": str(quo), "remainder": str(rem)}
+    op = {"mul": operator.mul, "grcd": grcd, "llcm": llcm}[args.verb]
+    return {"result": str(op(f, g))}
 
 
 def _cmd_eval(ctx: FieldCtx, args) -> dict:
+    from .skewpoly import SkewPoly
+
     value = SkewPoly.parse(ctx, args.f).evaluate(ctx.parse_element(args.a))
     return {"result": ctx.format_element(value)}
 
 
 def _cmd_zeros(ctx: FieldCtx, args) -> dict:
+    from .skewpoly import SkewPoly
+
     return {"result": _point_list(ctx, SkewPoly.parse(ctx, args.f).zeros())}
 
 
@@ -203,26 +214,38 @@ def _cmd_unwarp(ctx: FieldCtx, args) -> dict:
 
 
 def _cmd_minpoly(ctx: FieldCtx, args) -> dict:
+    from .minimal import minimal_poly
+
     return {"result": str(minimal_poly(ctx, _parse_points(ctx, args.points)))}
 
 
 def _cmd_closure(ctx: FieldCtx, args) -> dict:
+    from .minimal import closure
+
     return {"result": _point_list(ctx, closure(ctx, _parse_points(ctx, args.points)))}
 
 
 def _cmd_pindep(ctx: FieldCtx, args) -> dict:
+    from .minimal import is_p_independent
+
     return {"result": is_p_independent(ctx, _parse_points(ctx, args.points))}
 
 
 def _cmd_pbasis(ctx: FieldCtx, args) -> dict:
+    from .minimal import p_basis
+
     return {"result": _point_list(ctx, p_basis(ctx, _parse_points(ctx, args.points)))}
 
 
 def _cmd_rank(ctx: FieldCtx, args) -> dict:
+    from .minimal import rank_of
+
     return {"result": rank_of(ctx, _parse_points(ctx, args.points))}
 
 
 def _cmd_flats(ctx: FieldCtx, args) -> dict:
+    from .matroid import flats
+
     found = flats(ctx, class_index=args.ell, max_rank=args.max_rank)
     return {"result": [{"rank": f.rank, "points": _point_list(ctx, f.points)} for f in found]}
 
@@ -233,6 +256,8 @@ def _flats_text(payload: dict) -> str:
 
 
 def _cmd_repmatrix(ctx: FieldCtx, args) -> dict:
+    from .matroid import representation
+
     rep = representation(ctx)
     return {
         "basis": _point_list(ctx, ctx.basis),
@@ -253,12 +278,22 @@ def _repmatrix_text(payload: dict) -> str:
 
 
 def _cmd_dist(ctx: FieldCtx, args) -> dict:
+    from .matroid import dist, matroid_closure
+
     x = matroid_closure(ctx, _parse_points(ctx, args.x))
     y = matroid_closure(ctx, _parse_points(ctx, args.y))
     return {"result": dist(x, y)}
 
 
+def _cmd_isometry_check(ctx: FieldCtx, args) -> dict:
+    from .matroid import verify_isometry
+
+    return verify_isometry(ctx)
+
+
 def _cmd_simulate(ctx: None, args) -> dict:
+    from .netsim import NetSpec, simulate
+
     try:
         with open(args.spec, encoding="utf-8") as fh:
             text = fh.read()
@@ -266,6 +301,12 @@ def _cmd_simulate(ctx: None, args) -> dict:
         raise SpecInvalid(f"not UTF-8: {exc}") from None
     spec = NetSpec.from_json(text)
     return simulate(spec, trials=args.trials, seed=args.seed, oracle=args.oracle)
+
+
+def _cmd_selftest(ctx: None, args) -> dict:
+    from .selftest import run_all
+
+    return run_all()
 
 
 def _selftest_text(payload: dict) -> str:
@@ -285,7 +326,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         ctx = field_from_spec(args.field) if args.needs_field else None
         payload = args.handler(ctx, args)
-        print(json.dumps(payload) if args.json else args.text(payload))
+        print(_json(payload) if args.json else args.text(payload))
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -11,22 +11,24 @@ the exact bracket and dbracket read s only through its representative in 1..m.
 
 The default modulus is the smallest monic primitive one.  Candidates are
 accepted by an order test on x (square-and-multiply on digit lists), so no
-table is built for a rejected one.  The Zech table is then built once, in
-one pass that works for every p, from antilog and log arrays that are
-dropped afterwards: it is the one table a context keeps.
+table is built for a rejected one.  A context builds no table up front: the
+Zech table is built by the first addition, in one pass that works for every
+p, from antilog and log arrays that are dropped afterwards.  Class indices,
+warps and the canonical unwarp are closed forms on the log, so a caller that
+never adds two elements never pays for the table (p^n entries).
 
 F_q-coordinates w.r.t. the basis 1, g, ..., g^(m-1) solve the sigma-Moore
 system sum_j c_j sigma^i(b_j) = sigma^i(a), i < m, whose matrix is inverted
-once per context.  The module also provides Gaussian elimination over the
-field, operating on plain lists of elements, which is all the linear
-algebra the rest of the package needs.
+by the first coordinate read, once per context.  The module also provides
+Gaussian elimination over the field, operating on plain lists of elements,
+which is all the linear algebra the rest of the package needs.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     BadDegreeDivisibility,
@@ -147,6 +149,32 @@ def _zech_table(p: int, n: int, modpoly: int) -> list[Fe]:
     return [log[v - v % p + (v + 1) % p] for v in antilog]
 
 
+class _Deferred:
+    """Stands in for a context's table until its first read, which builds the
+    table and rebinds the context's attribute to it.  From then on add and
+    coords index a plain list in an instance attribute.  No descriptor sits
+    on the class (as functools.cached_property would leave), so the
+    interpreter keeps specializing the attribute read in add."""
+
+    __slots__ = ("ctx", "name", "build")
+
+    def __init__(self, ctx: FieldCtx, name: str, build: Callable[[], list]):
+        self.ctx, self.name, self.build = ctx, name, build
+
+    def _table(self) -> list:
+        table = getattr(self.ctx, self.name)
+        if table is self:
+            table = self.build()
+            setattr(self.ctx, self.name, table)
+        return table
+
+    def __getitem__(self, i):
+        return self._table()[i]
+
+    def __iter__(self):
+        return iter(self._table())
+
+
 class FieldCtx:
     """Immutable context for F_{q^m} over F_q with twist sigma(a) = a^{q^s}."""
 
@@ -181,7 +209,7 @@ class FieldCtx:
         elif not _is_primitive(p, n, modpoly, list(_prime_factors(p**n - 1))):
             raise NonPrimitiveModpoly(f"modpoly {modpoly} is not primitive")
         self.modpoly = modpoly
-        self._zech = _zech_table(p, n, modpoly)
+        self._zech = _Deferred(self, "_zech", lambda: _zech_table(p, n, modpoly))
 
         N = self.order - 1
         # number of F_q*-cosets in F*, also the size of every nonzero
@@ -196,11 +224,7 @@ class FieldCtx:
         self._frob = tuple(pow(self.q, j * s % m, N) for j in range(m))
         self.twist = self._frob[1 % m]
         self._s_rep = (s - 1) % m + 1  # s in 1..m: the same sigma, bounded brackets
-        # the Moore matrix of the basis, rows sigma^i(b_0..b_(m-1)), is
-        # invertible as gcd(s, m) = 1; its inverse maps sigma^i(a) to coords
-        moore = [[self.frobenius(b, i) for b in self.basis] for i in range(m)]
-        aug = [row + [ONE if r == c else ZERO for c in range(m)] for r, row in enumerate(moore)]
-        self._coords_inv = [row[m:] for row in rref(self, aug)[0]]
+        self._coords_inv = _Deferred(self, "_coords_inv", self._moore_inverse)
 
     # -- element arithmetic ----------------------------------------------------
 
@@ -264,6 +288,14 @@ class FieldCtx:
         return (self.q ** (i * self._s_rep) - 1) // (self.q**self._s_rep - 1)
 
     # -- coordinates -----------------------------------------------------------
+
+    def _moore_inverse(self) -> list[list[Fe]]:
+        # the Moore matrix of the basis, rows sigma^i(b_0..b_(m-1)), is
+        # invertible as gcd(s, m) = 1; its inverse maps sigma^i(a) to coords
+        m = self.m
+        moore = [[self.frobenius(b, i) for b in self.basis] for i in range(m)]
+        aug = [row + [ONE if r == c else ZERO for c in range(m)] for r, row in enumerate(moore)]
+        return [row[m:] for row in rref(self, aug)[0]]
 
     def coords(self, a: Fe) -> list[Fe]:
         """F_q-coordinates of a with respect to self.basis."""

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import resource
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import skewmatroid
-from skewmatroid import field_from_spec, selftest, verify_isometry
+from skewmatroid import field, field_from_spec, selftest, verify_isometry
 from skewmatroid.cli import main
 
 F16 = ["--field", "2,4,2,1"]
@@ -310,15 +311,15 @@ def test_domain_errors_exit_1(capsys):
         assert code == 1 and out == "" and err.startswith("error: ParseError"), argv
 
 
-def _cli_child(*argv):
+def _cli_child(*argv, python=("-m", "skewmatroid")):
     """`python -m skewmatroid` in a child process under a 10 s timeout and a
     1 GiB address space, so an input that hangs or explodes fails the test,
     not the suite.  The child imports the same package as this process,
-    installed or not."""
+    installed or not.  `python` replaces the interpreter's own arguments."""
     package_root = str(Path(skewmatroid.__file__).resolve().parent.parent)
     path = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     return subprocess.run(
-        [sys.executable, "-m", "skewmatroid", *argv],
+        [sys.executable, *python, *argv],
         capture_output=True,
         text=True,
         timeout=10,
@@ -411,10 +412,51 @@ def test_twist_taken_mod_m_on_cli(capsys, verb):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, *run(capsys, *F16, *verb)[1:])
 
 
-def test_largest_odd_p_field_builds(capsys):
-    # 3^12 elements: the build is bounded, so the verb answers in about a second
-    code, out, err = run(capsys, "--field", "3,12,1,1", "classof", "g5")
+def test_largest_odd_p_field_builds(capsys, monkeypatch):
+    # 3^12 elements: the build is bounded, so the verb answers in about a
+    # second; a closure of two points adds, so it builds the Zech table of
+    # a fresh context
+    monkeypatch.setattr(field, "_FIELD_CACHE", {})
+    code, out, err = run(capsys, "--field", "3,12,1,1", "closure", "1,g2")
     assert code == 0 and out.strip() and err == ""
+    assert type(field_from_spec("3,12,1,1")._zech) is list
+
+
+# closed forms on the log: none adds two elements or reads a coordinate
+LOG_VERBS = [
+    ["fieldinfo"], ["classof", "g5"], ["classelems", "1"], ["unwarp", "--method", "2", "g5"],
+]
+
+
+@pytest.mark.parametrize("verb", LOG_VERBS, ids=lambda v: v[0])
+def test_log_verbs_build_no_table(capsys, monkeypatch, verb):
+    # a fresh 2^20 context: building its Zech table costs about a second and
+    # 40 MiB, which these verbs must not pay
+    monkeypatch.setattr(field, "_FIELD_CACHE", {})
+    code, out, err = run(capsys, "--field", "2,20,4,1", *verb)
+    # exponentiation cannot invert warp here: gcd(class size, q^s - 1) = 15
+    assert code == (1 if verb[0] == "unwarp" else 0), err
+    ctx = field_from_spec("2,20,4,1")
+    assert isinstance(ctx._zech, field._Deferred)
+    assert isinstance(ctx._coords_inv, field._Deferred)
+
+
+@pytest.mark.parametrize("verb", LOG_VERBS, ids=lambda v: v[0])
+def test_log_verbs_import_only_what_they_read(verb):
+    proc = _cli_child(*F16, *verb, python=("-X", "importtime", "-m", "skewmatroid"))
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "skewmatroid.conjugacy" in imported
+    unread = {f"skewmatroid.{m}" for m in ("matroid", "minimal", "netsim", "selftest", "skewpoly")}
+    assert imported & unread == set()
+
+
+def test_package_import_loads_no_submodule():
+    script = "import sys, skewmatroid; print(sorted(m for m in sys.modules if 'skewmatroid' in m))"
+    proc = _cli_child(python=("-c", script))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['skewmatroid']"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -438,17 +480,34 @@ def test_console_script_installed():
     assert proc.stdout.strip() == "2"
 
 
+# the package surface as it was when the package root imported every module
+EXPORTS = """AssocPoly BadDegreeDivisibility DivisionByZero DivisionByZeroPoly DomainError
+    EmptyInput Fe FieldCtx FieldTooLarge Flat GcdViolation InapplicableField MixedClasses
+    MixedContexts NetSpec NonPrimeP NonPrimitiveModpoly NotC1Flat NotClosed ONE ParseError
+    RankOutOfRange RepMatrix SkewPoly SpecInvalid Subspace TooLargeToEnumerate TrialReport
+    WrongClass ZERO ZeroArgument ZeroConjugator ZeroInput all_subspaces canonical_points
+    class_elements class_flat class_invariance_holds class_label class_of closure
+    columns_independent conjugate decompose_check dist encode_message eval_product
+    field_from_spec flats get_field grcd is_p_independent lift llcm matroid_closure
+    minimal_poly p_basis phi phi_inverse rank_of relay_forward representation
+    rlnc_oracle_trial run_trial simulate subspace_dist subspace_sum unwarp unwarp_method1
+    unwarp_method2 verify_isometry warp""".split()
+
+
 def test_package_exports_are_one_list():
-    """`__all__` is sorted and names exactly what the package `__init__` imports."""
-    tree = ast.parse(Path(skewmatroid.__file__).read_text(encoding="utf-8"))
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert skewmatroid.__all__ == sorted(skewmatroid.__all__)
-    assert set(skewmatroid.__all__) == imported
+    """`__all__` is the sorted name -> module table, and each name reads as the
+    object its module defines."""
+    assert len(EXPORTS) == 72
+    assert skewmatroid.__all__ == sorted(skewmatroid._MODULE_OF) == EXPORTS
+    for name, module_name in skewmatroid._MODULE_OF.items():
+        module = importlib.import_module(f"skewmatroid.{module_name}")
+        value = getattr(skewmatroid, name)
+        assert value is getattr(module, name), name
+        # classes and functions name their module; Fe is int, ZERO and ONE ints
+        assert getattr(value, "__module__", "builtins") in (module.__name__, "builtins"), name
+    assert set(EXPORTS) <= set(dir(skewmatroid))
+    with pytest.raises(AttributeError):
+        skewmatroid.no_such_name
 
 
 def test_no_unused_imports():

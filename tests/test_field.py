@@ -19,6 +19,7 @@ from skewmatroid import (
     get_field,
 )
 from skewmatroid.field import (
+    _Deferred,
     _default_modpoly,
     _is_prime,
     kernel,
@@ -202,7 +203,7 @@ def test_arithmetic_against_digit_oracle(spec):
 
 
 def _x_power(mod, p, n, e):
-    """x^e (n >= 2) reduced by the monic modulus with digit list `mod`."""
+    """x^e reduced by the monic modulus with digit list `mod`."""
 
     def mul(a, b):
         prod = [0] * (2 * n)
@@ -215,7 +216,9 @@ def _x_power(mod, p, n, e):
                 prod[d - n + j] -= lead * mod[j]
         return tuple(c % p for c in prod[:n])
 
-    out, base = (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2)
+    # x itself, reduced: for n = 1 the modulus is x + mod[0]
+    base = (0, 1) + (0,) * (n - 2) if n > 1 else (-mod[0] % p,)
+    out = (1,) + (0,) * (n - 1)
     while e:
         if e & 1:
             out = mul(out, base)
@@ -223,25 +226,60 @@ def _x_power(mod, p, n, e):
     return out
 
 
+def _check_sampled_adds(ctx, rng, count):
+    """`count` sums a + b against digit-vector addition, a tenth of them a - a."""
+    mod = _digits_of(ctx.modpoly, ctx.p, ctx.n + 1)
+    zero_vec = (0,) * ctx.n
+
+    def vec_of(a):
+        return zero_vec if a == ZERO else _x_power(mod, ctx.p, ctx.n, a)
+
+    for _ in range(count):
+        a = rng.randrange(ctx.order - 1)
+        b = ctx.neg(a) if rng.random() < 0.1 else rng.randrange(ctx.order - 1)
+        want = tuple((x + y) % ctx.p for x, y in zip(vec_of(a), vec_of(b)))
+        assert vec_of(ctx.add(a, b)) == want
+
+
 def test_bounded_build_3_12():
-    # 531,441 elements; the table walk over 144 rejected candidates took ~50 s
+    # 531,441 elements; the table walk over 144 rejected candidates took ~50 s.
+    # The context defers its Zech table, so the timed work runs through the
+    # first addition, which builds it.
     start = time.process_time()
     ctx = FieldCtx(3, 12, 1, 1)
+    ctx.add(ONE, ONE)
     elapsed = time.process_time() - start
     assert elapsed < 5.0, f"3,12,1,1 built in {elapsed:.2f}s of CPU (> 5s)"
     assert ctx.modpoly == 531656
-    mod = _digits_of(ctx.modpoly, 3, 13)
-    zero_vec = (0,) * 12
+    _check_sampled_adds(ctx, random.Random(312), 300)
 
-    def vec_of(a):
-        return zero_vec if a == ZERO else _x_power(mod, 3, 12, a)
 
-    rng = random.Random(312)
-    for _ in range(300):
+# odd p, n = 1, m = 1 (k = n), s != 1 and the 2^20 cap; the last context
+# reads coords first, so rref builds the Zech table inside the Moore inverse
+@pytest.mark.parametrize(
+    "spec, first_read",
+    [
+        (spec, "add")
+        for spec in (
+            "2,2,1,1", "2,3,1,1", "2,4,2,1", "2,4,4,1", "2,5,1,2", "2,6,1,5",
+            "2,8,2,3", "2,10,5,1", "2,16,4,1", "2,20,4,1", "3,1,1,1", "3,2,1,1",
+            "3,3,1,2", "3,4,2,1", "3,5,5,1", "3,10,2,1", "5,2,1,1", "5,3,1,1",
+            "7,1,1,1", "7,2,1,1", "11,2,2,1", "101,1,1,1",
+        )
+    ]
+    + [("2,16,4,1", "coords")],
+)
+def test_tables_built_on_first_read(spec, first_read):
+    ctx = FieldCtx(*(int(t) for t in spec.split(",")))
+    assert isinstance(ctx._zech, _Deferred) and isinstance(ctx._coords_inv, _Deferred)
+    rng = random.Random(spec)
+    if first_read == "coords":
         a = rng.randrange(ctx.order - 1)
-        b = ctx.neg(a) if rng.random() < 0.1 else rng.randrange(ctx.order - 1)
-        want = tuple((x + y) % 3 for x, y in zip(vec_of(a), vec_of(b)))
-        assert vec_of(ctx.add(a, b)) == want
+        coords = ctx.coords(a)
+        assert type(ctx._coords_inv) is list and type(ctx._zech) is list
+        assert ctx.uncoords(coords) == a
+    _check_sampled_adds(ctx, rng, 200)
+    assert type(ctx._zech) is list
 
 
 def test_division_and_pow_edge_cases(f16):
