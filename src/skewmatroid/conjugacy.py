@@ -8,9 +8,10 @@ Frobenius is used as the twist.  Elements are discrete logs, so both the
 class index and the canonical warp inverse are integer arithmetic mod
 q^m - 1: the class of g^a is a mod (q - 1), and warp multiplies logs by
 q^s - 1.  Every use of q^s here reads the context's twist, q^s mod q^m - 1,
-so q^s is never expanded.  The paper's two unwarp routes stay alongside the
-closed form: the kernel of a linearized map, and a single exponentiation
-when the class size is coprime to q^s - 1.
+so q^s is never expanded.  By the paper's link, f(g^l warp(b)) b =
+sum f_i g^(l dbracket(i)) sigma^i(b) is F_q-linear in b: warp_kernel's kernel
+serves roots and the first unwarp route, its degree-1 case; the second is
+one exponentiation when the class size is coprime to q^s - 1.
 """
 
 from __future__ import annotations
@@ -68,23 +69,22 @@ def class_invariance_holds(ctx: FieldCtx, a: Fe) -> bool:
     return with_s == with_1
 
 
+def warp_kernel(ctx: FieldCtx, ell: int, value) -> list[Fe]:
+    """A basis, as field elements, of the kernel of b -> value(g^l warp(b)) b,
+    F_q-linear when value is a skew polynomial's evaluation.  Column j of its
+    matrix is the image of basis element b_j: m calls of value build it."""
+    cols = [ctx.coords(ctx.mul(value(ctx.mul(ell, warp(ctx, b))), b)) for b in ctx.basis]
+    return [ctx.uncoords(v) for v in kernel(ctx, list(zip(*cols)))]
+
+
 def unwarp_method1(ctx: FieldCtx, alpha: Fe, ell: int) -> Fe:
-    """Solve g^l * warp(a) = alpha for a via the kernel of the F_q-linear map
-    v -> v^(q^s) - beta*v, beta = alpha/g^l.  The kernel is one-dimensional;
-    the representative with the smallest discrete log is returned."""
+    """Solve g^l * warp(a) = alpha for a as warp_kernel's degree-1 case,
+    value = a -> a - alpha.  The kernel is one line, as alpha is in the
+    class; the representative with the smallest discrete log is returned."""
     ell = ell % (ctx.q - 1)
     if class_of(ctx, alpha) != ell:
         raise WrongClass(f"element is not in class {ell}")
-    beta = ctx.div(alpha, ell)  # g^l has log l
-    cols = []
-    for b in ctx.basis:
-        w = ctx.sub(ctx.frobenius(b, 1), ctx.mul(beta, b))
-        cols.append(ctx.coords(w))
-    mat = [[cols[j][r] for j in range(ctx.m)] for r in range(ctx.m)]
-    basis = kernel(ctx, mat)
-    if len(basis) != 1:  # pragma: no cover - guaranteed by the class check
-        raise WrongClass(f"kernel dimension {len(basis)}, expected 1")
-    a0 = ctx.uncoords(basis[0])
+    (a0,) = warp_kernel(ctx, ell, lambda a: ctx.sub(a, alpha))
     return min(ctx.mul(c, a0) for c in ctx.subfield_elements[1:])
 
 

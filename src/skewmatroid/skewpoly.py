@@ -4,9 +4,10 @@ Polynomials live in F_{q^m}[x; sigma] where coefficients sit on the left and
 x moves past a coefficient by twisting it: x * a = sigma(a) * x.  Division
 happens on the right (f = p*g + r), which keeps remainders unique, and
 evaluation at a point is the remainder of right division by (x - a),
-computed directly as sum c_i * a^dbracket(i).  The greatest common right
-divisor is the bare right Euclidean remainder sequence; the least common
-left multiple also tracks the one cofactor it multiplies.
+computed directly as sum c_i * a^dbracket(i); on a class it is a
+sigma-linearized map, so roots come from one m x m kernel per class.  The
+greatest common right divisor is the bare right Euclidean remainder
+sequence; the least common left multiple also tracks its one cofactor.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .conjugacy import conjugate
+from .conjugacy import conjugate, warp, warp_kernel
 from .errors import DivisionByZeroPoly, MixedContexts, ParseError, ZeroInput
 from .field import MAX_ORDER, Fe, FieldCtx, ONE, ZERO
 
@@ -156,9 +157,12 @@ class SkewPoly:
 
     def zeros(self) -> tuple[Fe, ...]:
         """All field elements the polynomial evaluates to zero on, in
-        canonical order.  (Exhaustive scan; contexts are capped in size.)
-        x^(M+1) - x, M = m(q - 1), vanishes on the whole field, so the scan
-        runs on the copy with each exponent i >= 1 folded to (i - 1) mod M + 1."""
+        canonical order.  x^(M+1) - x, M = m(q - 1), vanishes on the whole
+        field, so each exponent i >= 1 is first folded to (i - 1) mod M + 1.
+        Zero is a root when the constant term is; class l adds the closure of
+        g^l warp(t) over warp_kernel's basis t.  On m = 1, where each class is
+        one point, every element is evaluated instead."""
+        from .minimal import closure
         ctx = self.ctx
         M = ctx.m * (ctx.q - 1)
         folded = list(self.coeffs[: M + 1])
@@ -166,7 +170,12 @@ class SkewPoly:
             j = (i - 1) % M + 1
             folded[j] = ctx.add(folded[j], self.coeffs[i])
         f = SkewPoly(ctx, folded)
-        return tuple(a for a in ctx.elements() if f.evaluate(a) == ZERO)
+        if ctx.m == 1:
+            return tuple(a for a in ctx.elements() if f.evaluate(a) == ZERO)
+        pts = [ZERO] if f.coeff(0) == ZERO else []
+        for ell in range(ctx.q - 1):
+            pts += [ctx.mul(ell, warp(ctx, t)) for t in warp_kernel(ctx, ell, f.evaluate)]
+        return closure(ctx, pts)
 
     def regular_associate(self) -> "AssocPoly":
         """Ordinary polynomial with x^i replaced by x^dbracket(i); evaluating

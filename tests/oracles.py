@@ -3,7 +3,8 @@
 Each one answers from a definition by scanning the whole field, so it shares
 no code path with the route it checks beyond rank and evaluation: the closure
 from rank, the flat metric from ranks of union and intersection, the zeros of
-an associate polynomial by evaluating it everywhere.
+a polynomial by evaluating it everywhere.  scan_zeros is the oracle for
+SkewPoly.zeros, which on m > 1 fields takes the kernel route instead.
 """
 
 from skewmatroid import ZERO, canonical_points, rank_of

@@ -329,8 +329,9 @@ def _cli_child(*argv, python=("-m", "skewmatroid")):
 
 
 def test_zeros_of_a_high_degree_polynomial():
-    # zeros folds x^1048576 to x^6 on this field (M = 10) before it scans;
-    # the unfolded scan ran past a 10 s timeout
+    # zeros folds x^1048576 to x^6 on this field (q = 2, m = 10, so M = 10)
+    # and then solves one 10 x 10 kernel for its single class; the unfolded
+    # polynomial's scan of the field ran past a 10 s timeout
     start = time.monotonic()
     proc = _cli_child("--field", "2,10,1,1", "zeros", "x^1048576+x+g1")
     assert proc.returncode == 0 and proc.stdout.strip() == "g593"

@@ -175,14 +175,17 @@ def test_closure_matches_definitional(fixture, request):
         members = class_elements(ctx, ell)
         for _ in range(30):
             pts = tuple(rng.sample(members, rng.randint(1, min(4, len(members)))))
-            assert closure(ctx, pts) == minimal_poly(ctx, pts).zeros()
+            cl, mp = closure(ctx, pts), minimal_poly(ctx, pts)
+            assert cl == mp.zeros()
+            assert cl == scan_zeros(mp)
     # sets drawn from all units mix classes; each is checked with and without zero
     units = list(ctx.nonzero_elements())
     for _ in range(30):
         drawn = tuple(rng.sample(units, rng.randint(2, 5)))
         for pts in (drawn, drawn + (ZERO,)):
-            cl = closure(ctx, pts)
-            assert cl == minimal_poly(ctx, pts).zeros()
+            cl, mp = closure(ctx, pts), minimal_poly(ctx, pts)
+            assert cl == mp.zeros()
+            assert cl == scan_zeros(mp)
             assert cl == closure_definitional(ctx, pts)
 
 

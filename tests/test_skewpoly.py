@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -11,10 +12,12 @@ from skewmatroid import (
     SkewPoly,
     ZERO,
     ZeroInput,
+    class_elements,
     eval_product,
     get_field,
     grcd,
     llcm,
+    minimal_poly,
     warp,
 )
 from skewmatroid.field import MAX_ORDER
@@ -227,6 +230,8 @@ def test_evaluation_coherence(spec):
     [
         "2,2,1,1", "2,3,1,1", "2,4,1,1", "2,4,2,1", "2,4,4,1", "2,5,1,2", "2,6,2,2",
         "3,2,1,1", "3,2,2,1", "3,3,1,2", "5,1,1,1", "5,2,1,1", "7,1,1,1",
+        "2,4,1,3", "2,6,1,5", "2,8,2,3", "3,3,1,1", "3,4,1,3", "5,3,1,1",
+        "2,6,3,1", "2,9,3,2",
     ],
 )
 def test_zeros_folds_exponents(spec):
@@ -237,12 +242,51 @@ def test_zeros_folds_exponents(spec):
     ctx = get_field(*[int(t) for t in spec.split(",")])
     rng = random.Random(spec)
     big = 4 * ctx.m * (ctx.q - 1) + 3
+    samples = [SkewPoly.zero(ctx), SkewPoly(ctx, (rng.randrange(ctx.order - 1),))]
     for i in range(30):
         f = _random_poly(ctx, rng, max_deg=big - 1)
         if i % 2:
             a = rng.choice(list(ctx.elements()))
             f = f * SkewPoly(ctx, (ctx.neg(a), ONE))
+        samples.append(f)
+    # m + 1 linear right factors, the last two the minimal polynomial of two
+    # points of class l: on m > 1 its kernel there has dimension >= 2
+    ell = rng.randrange(ctx.q - 1)
+    product = minimal_poly(ctx, rng.sample(class_elements(ctx, ell), min(2, ctx.class_size)))
+    while product.degree <= ctx.m:
+        product = SkewPoly(ctx, (ctx.neg(rng.choice(list(ctx.elements()))), ONE)) * product
+    samples.append(product)
+    for f in samples:
         assert f.zeros() == scan_zeros(f)
+    in_class = [a for a in product.zeros() if a != ZERO and a % (ctx.q - 1) == ell]
+    assert len(in_class) >= (ctx.q + 1 if ctx.m > 1 else 1)
+
+
+def test_zeros_of_a_cubic_on_a_large_field():
+    # the kernel route evaluates the cubic m = 20 times and solves one
+    # 20 x 20 system; the scan evaluated it at all 2^20 elements (about 1.2 s)
+    ctx = get_field(2, 20, 1, 1)
+    ctx.add(ONE, ONE)  # builds the Zech table outside the timed call
+    f = SkewPoly.parse(ctx, "x^3+g5*x^2+x+g7")
+    start = time.process_time()
+    roots = f.zeros()
+    assert time.process_time() - start < 0.05
+    assert all(f.evaluate(a) == ZERO for a in roots)
+
+
+def test_zeros_on_m1_is_no_slower_than_the_scan():
+    # on m = 1 every class is one point, so zeros evaluates every element
+    ctx = get_field(2, 16, 16, 1)
+    f = SkewPoly.parse(ctx, "x^3+g5*x^2+x+g7")
+
+    def timed(run):
+        start = time.process_time()
+        return run(f), time.process_time() - start
+
+    # best of 3, the two routes taking turns so that both see the same load
+    rounds = [(timed(SkewPoly.zeros), timed(scan_zeros)) for _ in range(3)]
+    assert all(roots == scanned for (roots, _), (scanned, _) in rounds)
+    assert min(z for (_, z), _ in rounds) <= 1.25 * min(s for _, (_, s) in rounds)
 
 
 @pytest.mark.parametrize("spec", ["2,4,2,1", "3,2,1,1"])
