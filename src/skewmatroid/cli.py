@@ -78,16 +78,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="kernel method, exponent method, or both")
     sp.set_defaults(handler=_cmd_unwarp)
 
-    for verb, help_text, handler in (
-        ("minpoly", "minimal skew polynomial of a point set", _cmd_minpoly),
-        ("closure", "closure of a point set", _cmd_closure),
-        ("pindep", "is the point set P-independent?", _cmd_pindep),
-        ("pbasis", "greedy P-basis of a point set", _cmd_pbasis),
-        ("rank", "matroid rank of a point set", _cmd_rank),
+    for verb, help_text in (
+        ("minpoly", "minimal skew polynomial of a point set"),
+        ("closure", "closure of a point set"),
+        ("pindep", "is the point set P-independent?"),
+        ("pbasis", "greedy P-basis of a point set"),
+        ("rank", "matroid rank of a point set"),
     ):
         sp = sub.add_parser(verb, help=help_text)
         sp.add_argument("points", help="comma-separated element tokens, e.g. '1,g3'")
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=_cmd_points)
 
     sp = sub.add_parser("flats", help="enumerate flats (small fields only)")
     sp.add_argument("--class", dest="ell", type=int, default=None,
@@ -213,34 +213,17 @@ def _cmd_unwarp(ctx: FieldCtx, args) -> dict:
     return {"result": ctx.format_element(fn(ctx, alpha, ell))}
 
 
-def _cmd_minpoly(ctx: FieldCtx, args) -> dict:
-    from .minimal import minimal_poly
+def _cmd_points(ctx: FieldCtx, args) -> dict:
+    from .minimal import closure, is_p_independent, minimal_poly, p_basis, rank_of
 
-    return {"result": str(minimal_poly(ctx, _parse_points(ctx, args.points)))}
-
-
-def _cmd_closure(ctx: FieldCtx, args) -> dict:
-    from .minimal import closure
-
-    return {"result": _point_list(ctx, closure(ctx, _parse_points(ctx, args.points)))}
-
-
-def _cmd_pindep(ctx: FieldCtx, args) -> dict:
-    from .minimal import is_p_independent
-
-    return {"result": is_p_independent(ctx, _parse_points(ctx, args.points))}
-
-
-def _cmd_pbasis(ctx: FieldCtx, args) -> dict:
-    from .minimal import p_basis
-
-    return {"result": _point_list(ctx, p_basis(ctx, _parse_points(ctx, args.points)))}
-
-
-def _cmd_rank(ctx: FieldCtx, args) -> dict:
-    from .minimal import rank_of
-
-    return {"result": rank_of(ctx, _parse_points(ctx, args.points))}
+    fn = {"minpoly": minimal_poly, "closure": closure, "pindep": is_p_independent,
+          "pbasis": p_basis, "rank": rank_of}[args.verb]
+    result = fn(ctx, _parse_points(ctx, args.points))
+    if isinstance(result, tuple):  # closure and pbasis return point sets
+        result = _point_list(ctx, result)
+    elif args.verb == "minpoly":
+        result = str(result)
+    return {"result": result}
 
 
 def _cmd_flats(ctx: FieldCtx, args) -> dict:

@@ -80,12 +80,13 @@ def warp_kernel(ctx: FieldCtx, ell: int, value) -> list[Fe]:
 def unwarp_method1(ctx: FieldCtx, alpha: Fe, ell: int) -> Fe:
     """Solve g^l * warp(a) = alpha for a as warp_kernel's degree-1 case,
     value = a -> a - alpha.  The kernel is one line, as alpha is in the
-    class; the representative with the smallest discrete log is returned."""
+    class; its least-log element is returned, the log mod the class size, as
+    F_q* is the logs j * class_size."""
     ell = ell % (ctx.q - 1)
     if class_of(ctx, alpha) != ell:
         raise WrongClass(f"element is not in class {ell}")
     (a0,) = warp_kernel(ctx, ell, lambda a: ctx.sub(a, alpha))
-    return min(ctx.mul(c, a0) for c in ctx.subfield_elements[1:])
+    return a0 % ctx.class_size
 
 
 def unwarp_method2(ctx: FieldCtx, alpha: Fe, ell: int) -> Fe:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     BadDegreeDivisibility,
@@ -149,32 +149,6 @@ def _zech_table(p: int, n: int, modpoly: int) -> list[Fe]:
     return [log[v - v % p + (v + 1) % p] for v in antilog]
 
 
-class _Deferred:
-    """Stands in for a context's table until its first read, which builds the
-    table and rebinds the context's attribute to it.  From then on add and
-    coords index a plain list in an instance attribute.  No descriptor sits
-    on the class (as functools.cached_property would leave), so the
-    interpreter keeps specializing the attribute read in add."""
-
-    __slots__ = ("ctx", "name", "build")
-
-    def __init__(self, ctx: FieldCtx, name: str, build: Callable[[], list]):
-        self.ctx, self.name, self.build = ctx, name, build
-
-    def _table(self) -> list:
-        table = getattr(self.ctx, self.name)
-        if table is self:
-            table = self.build()
-            setattr(self.ctx, self.name, table)
-        return table
-
-    def __getitem__(self, i):
-        return self._table()[i]
-
-    def __iter__(self):
-        return iter(self._table())
-
-
 class FieldCtx:
     """Immutable context for F_{q^m} over F_q with twist sigma(a) = a^{q^s}."""
 
@@ -209,7 +183,12 @@ class FieldCtx:
         elif not _is_primitive(p, n, modpoly, list(_prime_factors(p**n - 1))):
             raise NonPrimitiveModpoly(f"modpoly {modpoly} is not primitive")
         self.modpoly = modpoly
-        self._zech = _Deferred(self, "_zech", lambda: _zech_table(p, n, modpoly))
+        # the Zech table and the Moore inverse are built by their one reader,
+        # add and coords, on its first call; both stay plain lists in instance
+        # attributes, as a descriptor on the class (functools.cached_property)
+        # stops the interpreter specializing the read in add
+        self._zech: list[Fe] = []
+        self._coords_inv: list[list[Fe]] | None = None
 
         N = self.order - 1
         # number of F_q*-cosets in F*, also the size of every nonzero
@@ -224,7 +203,6 @@ class FieldCtx:
         self._frob = tuple(pow(self.q, j * s % m, N) for j in range(m))
         self.twist = self._frob[1 % m]
         self._s_rep = (s - 1) % m + 1  # s in 1..m: the same sigma, bounded brackets
-        self._coords_inv = _Deferred(self, "_coords_inv", self._moore_inverse)
 
     # -- element arithmetic ----------------------------------------------------
 
@@ -234,7 +212,11 @@ class FieldCtx:
         if b == ZERO:
             return a
         N = self.order - 1
-        z = self._zech[(b - a) % N]
+        try:
+            z = self._zech[(b - a) % N]
+        except IndexError:  # the table has N entries, so only the unbuilt one misses
+            self._zech = _zech_table(self.p, self.n, self.modpoly)
+            z = self._zech[(b - a) % N]
         return ZERO if z == ZERO else (a + z) % N
 
     def neg(self, a: Fe) -> Fe:
@@ -299,6 +281,8 @@ class FieldCtx:
 
     def coords(self, a: Fe) -> list[Fe]:
         """F_q-coordinates of a with respect to self.basis."""
+        if self._coords_inv is None:
+            self._coords_inv = self._moore_inverse()
         return mat_vec(self, self._coords_inv, [self.frobenius(a, i) for i in range(self.m)])
 
     def uncoords(self, v: Iterable[Fe]) -> Fe:

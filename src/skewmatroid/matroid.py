@@ -84,10 +84,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ctx: FieldCtx, vectors: Iterable[Iterable[Fe]]) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        if not vecs:
-            return cls(ctx, ())
-        R, rk, _ = rref(ctx, vecs)
+        R, rk, _ = rref(ctx, [list(v) for v in vectors])
         return cls(ctx, tuple(tuple(r) for r in R[:rk]))
 
     @classmethod

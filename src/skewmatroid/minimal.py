@@ -103,8 +103,9 @@ def closure(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[Fe, ...]:
         lines = spans.setdefault(ell, set())
         if t not in lines:
             # t's line joins, and the line of x + c*t for each held x and c in F_q*
-            multiples = [ctx.mul(c, t) for c in ctx.subfield_elements[1:]]
-            lines |= {ctx.add(x, ct) % ctx.class_size for x in lines for ct in multiples}
+            if lines:
+                multiples = [ctx.mul(c, t) for c in ctx.subfield_elements[1:]]
+                lines |= {ctx.add(x, ct) % ctx.class_size for x in lines for ct in multiples}
             lines.add(t)
     for ell, lines in spans.items():
         out.update(ctx.mul(ell, warp(ctx, t)) for t in lines)

@@ -27,6 +27,11 @@ def f16():
 
 
 @pytest.fixture(scope="session")
+def f16m1():
+    return get_field(2, 4, 4, 1)
+
+
+@pytest.fixture(scope="session")
 def f27s2():
     return get_field(3, 3, 1, 2)
 

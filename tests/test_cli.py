@@ -438,19 +438,31 @@ def test_log_verbs_build_no_table(capsys, monkeypatch, verb):
     # exponentiation cannot invert warp here: gcd(class size, q^s - 1) = 15
     assert code == (1 if verb[0] == "unwarp" else 0), err
     ctx = field_from_spec("2,20,4,1")
-    assert isinstance(ctx._zech, field._Deferred)
-    assert isinstance(ctx._coords_inv, field._Deferred)
+    assert ctx._zech == []
+    assert ctx._coords_inv is None
+
+
+def _imported_modules(*verb) -> set[str]:
+    proc = _cli_child(*F16, *verb, python=("-X", "importtime", "-m", "skewmatroid"))
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
 
 
 @pytest.mark.parametrize("verb", LOG_VERBS, ids=lambda v: v[0])
 def test_log_verbs_import_only_what_they_read(verb):
-    proc = _cli_child(*F16, *verb, python=("-X", "importtime", "-m", "skewmatroid"))
-    assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    imported = _imported_modules(*verb)
     assert "skewmatroid.conjugacy" in imported
     unread = {f"skewmatroid.{m}" for m in ("matroid", "minimal", "netsim", "selftest", "skewpoly")}
     assert imported & unread == set()
+
+
+@pytest.mark.parametrize("verb", ["minpoly", "closure", "pindep", "pbasis", "rank"])
+def test_point_verbs_import_only_minimal(verb):
+    # the five point-set verbs share one handler, which imports minimal alone
+    imported = _imported_modules(verb, "1,g3,g7")
+    assert "skewmatroid.minimal" in imported
+    assert imported & {f"skewmatroid.{m}" for m in ("matroid", "netsim", "selftest")} == set()
 
 
 def test_package_import_loads_no_submodule():

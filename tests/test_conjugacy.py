@@ -24,6 +24,7 @@ from skewmatroid import (
     unwarp_method2,
     warp,
 )
+from skewmatroid.conjugacy import warp_kernel
 from skewmatroid.field import kernel
 
 
@@ -132,11 +133,25 @@ def test_unwarp_wrong_class(f16):
         unwarp(f16, ZERO, 0)
 
 
+def _least_log_on_kernel_line(ctx, alpha, ell):
+    # the definitional representative: the minimum over the F_q* multiples
+    # of the kernel line that method 1 solves for
+    (a0,) = warp_kernel(ctx, ell, lambda a: ctx.sub(a, alpha))
+    return min(ctx.mul(c, a0) for c in ctx.subfield_elements[1:])
+
+
 def test_unwarp_closed_form_matches_method1(f16, f9, f27s2, f32s2):
     for ctx in (f16, f9, f27s2, f32s2):
         for ell in range(ctx.q - 1):
             for alpha in class_elements(ctx, ell):
-                assert unwarp(ctx, alpha, ell) == unwarp_method1(ctx, alpha, ell)
+                want = _least_log_on_kernel_line(ctx, alpha, ell)
+                assert unwarp(ctx, alpha, ell) == unwarp_method1(ctx, alpha, ell) == want
+    # m = 1: each class is one point and F_q* is the whole unit group
+    ctx = get_field(2, 16, 16, 1)
+    for alpha in random.Random(1616).sample(range(ctx.order - 1), 8):
+        ell = class_of(ctx, alpha)
+        want = _least_log_on_kernel_line(ctx, alpha, ell)
+        assert unwarp(ctx, alpha, ell) == unwarp_method1(ctx, alpha, ell) == want
 
 
 def test_unwarp_picks_minimal_log(f16):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from skewmatroid import (
+    FieldCtx,
     MixedClasses,
     NotClosed,
     ONE,
@@ -167,7 +168,7 @@ def test_lift_rejects_mixed_classes(f16):
 # ------------------------------------------------------------------ closures
 
 
-@pytest.mark.parametrize("fixture", ["f16", "f9", "f64", "f32s2", "f27s2"])
+@pytest.mark.parametrize("fixture", ["f16", "f9", "f64", "f32s2", "f27s2", "f16m1"])
 def test_closure_matches_definitional(fixture, request):
     ctx = request.getfixturevalue(fixture)
     rng = random.Random(fixture)
@@ -262,6 +263,21 @@ def test_closure_warps_once_per_line(spec, monkeypatch):
         calls.clear()
         cl = closure(ctx, pts)
         assert len(calls) == len(cl) == (q**r - 1) // (q - 1)
+
+
+def test_closure_first_line_of_a_class_costs_no_multiples(monkeypatch):
+    # on m = 1 each class is one point, so every point opens its class's
+    # span: closure of k points from k classes multiplies once per point,
+    # placing it in its class, not q - 1 times more for an empty span
+    ctx = get_field(2, 16, 16, 1)
+    calls = []
+    mul = FieldCtx.mul
+    monkeypatch.setattr(FieldCtx, "mul", lambda self, a, b: calls.append(a) or mul(self, a, b))
+    for k in (1, 10, 100):
+        pts = tuple(random.Random(k).sample(range(ctx.order - 1), k))
+        calls.clear()
+        assert closure(ctx, pts) == canonical_points(pts)
+        assert len(calls) <= k
 
 
 def test_warp_root_correspondence_class0(f16):
