@@ -5,9 +5,10 @@ q = p^k (so F = F_{q^m}, m = n/k), and the automorphism sigma(a) = a^{q^s}.
 Nonzero elements are stored as the discrete log of a fixed generator g (a
 root of the modulus polynomial), so multiplication, inversion and powering
 are integer arithmetic mod p^n - 1; addition is one lookup in a precomputed
-table of logs of g^i + 1 (the Zech table, a list).  The context owns the
-twist: sigma multiplies logs by q^s mod p^n - 1, so q^s is never expanded;
-the exact bracket and dbracket read s only through its representative in 1..m.
+table of logs of g^i + 1 (the Zech table, an array of 4-byte logs, which
+the ring's loops also read directly).  The context owns the twist: sigma
+multiplies logs by q^s mod p^n - 1, so q^s is never expanded; the exact
+bracket and dbracket read s only through its representative in 1..m.
 
 The default modulus is the smallest monic primitive one.  Candidates are
 accepted by an order test on x (square-and-multiply on digit lists), so no
@@ -48,6 +49,7 @@ ZERO: Fe = -1
 ONE: Fe = 0
 
 MAX_ORDER = 1 << 20
+_ZECH_CHUNK = 1 << 14  # Zech entries converted per step of the build
 
 
 def _prime_factors(v: int) -> Iterator[int]:
@@ -122,7 +124,7 @@ def _default_modpoly(p: int, n: int) -> int:
     raise NonPrimitiveModpoly("no primitive polynomial found")  # pragma: no cover
 
 
-def _zech_table(p: int, n: int, modpoly: int) -> list[Fe]:
+def _zech_table(p: int, n: int, modpoly: int) -> array:
     """zech[i] = log(g^i + 1) in F_p[x]/(modpoly), g = x, for a primitive
     modpoly.  It reads an antilog array (x^i packed as base-p digits) and
     its inverse, the log array with log[0] = ZERO, both dropped on return."""
@@ -145,8 +147,13 @@ def _zech_table(p: int, n: int, modpoly: int) -> list[Fe]:
                 d = x // pj % p
                 x += ((d + lead * c) % p - d) * pj
     # adding 1 changes only the constant digit, and log[0] = ZERO covers
-    # g^i = -1; a list, as add reads it on every call
-    return [log[v - v % p + (v + 1) % p] for v in antilog]
+    # g^i = -1; the table is a 4-byte array (4 MiB at 2^20, where a list
+    # of ints held 40 MiB), filled a chunk at a time so that no full-length
+    # list of ints exists during the build
+    zech = array("i")
+    for lo in range(0, order - 1, _ZECH_CHUNK):
+        zech.extend([log[v - v % p + (v + 1) % p] for v in antilog[lo : lo + _ZECH_CHUNK]])
+    return zech
 
 
 class FieldCtx:
@@ -183,11 +190,12 @@ class FieldCtx:
         elif not _is_primitive(p, n, modpoly, list(_prime_factors(p**n - 1))):
             raise NonPrimitiveModpoly(f"modpoly {modpoly} is not primitive")
         self.modpoly = modpoly
-        # the Zech table and the Moore inverse are built by their one reader,
-        # add and coords, on its first call; both stay plain lists in instance
-        # attributes, as a descriptor on the class (functools.cached_property)
-        # stops the interpreter specializing the read in add
-        self._zech: list[Fe] = []
+        # the Zech table is built by zech() on its first call, the Moore
+        # inverse by coords; both stay in plain instance attributes, as a
+        # descriptor on the class (functools.cached_property) stops the
+        # interpreter specializing the read in add.  Until the build, _zech
+        # is an empty list; then an array of N 4-byte logs
+        self._zech: array | list = []
         self._coords_inv: list[list[Fe]] | None = None
 
         N = self.order - 1
@@ -202,9 +210,19 @@ class FieldCtx:
         # since q^m = 1 mod N; twist is the j = 1 entry, sigma's action on logs
         self._frob = tuple(pow(self.q, j * s % m, N) for j in range(m))
         self.twist = self._frob[1 % m]
+        self.minus_one: Fe = N // 2 if p != 2 else ONE  # -1 = g^(N/2) for odd p
         self._s_rep = (s - 1) % m + 1  # s in 1..m: the same sigma, bounded brackets
 
     # -- element arithmetic ----------------------------------------------------
+
+    def zech(self) -> array:
+        """The Zech table, zech[i] = log(g^i + 1), built on the first call.
+        add reads it here on a miss, the ring and matrix loops once per call
+        (not for inputs such as evaluation at zero, a zero vector or no rows,
+        which add nothing)."""
+        if not self._zech:
+            self._zech = _zech_table(self.p, self.n, self.modpoly)
+        return self._zech
 
     def add(self, a: Fe, b: Fe) -> Fe:
         if a == ZERO:
@@ -215,14 +233,13 @@ class FieldCtx:
         try:
             z = self._zech[(b - a) % N]
         except IndexError:  # the table has N entries, so only the unbuilt one misses
-            self._zech = _zech_table(self.p, self.n, self.modpoly)
-            z = self._zech[(b - a) % N]
+            z = self.zech()[(b - a) % N]
         return ZERO if z == ZERO else (a + z) % N
 
     def neg(self, a: Fe) -> Fe:
-        if a == ZERO or self.p == 2:
+        if a == ZERO:
             return a
-        return (a + (self.order - 1) // 2) % (self.order - 1)
+        return (a + self.minus_one) % (self.order - 1)
 
     def sub(self, a: Fe, b: Fe) -> Fe:
         return self.add(a, self.neg(b))
@@ -380,10 +397,14 @@ def field_from_spec(text: str) -> FieldCtx:
 # F_q.
 
 def rref(ctx: FieldCtx, rows: list[list[Fe]]) -> tuple[list[list[Fe]], int, list[int]]:
-    """Reduced row echelon form; returns (matrix, rank, pivot columns)."""
+    """Reduced row echelon form; returns (matrix, rank, pivot columns).
+    Entries are logs: the pivot row is scaled by adding a log, and each
+    elimination adds -f times its nonzero entries through the Zech table,
+    which is read at the first elimination."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
+    N, zech = ctx.order - 1, None
     pivots = []
     r = 0
     for c in range(ncols):
@@ -393,12 +414,22 @@ def rref(ctx: FieldCtx, rows: list[list[Fe]]) -> tuple[list[list[Fe]], int, list
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = ctx.inv(m[r][c])
-        m[r] = [ctx.mul(inv, x) for x in m[r]]
+        inv = -m[r][c]
+        m[r] = [ZERO if x == ZERO else (x + inv) % N for x in m[r]]
+        terms = [(j, x) for j, x in enumerate(m[r]) if x != ZERO]
         for i in range(nrows):
-            if i != r and m[i][c] != ZERO:
-                f = m[i][c]
-                m[i] = [ctx.sub(m[i][j], ctx.mul(f, m[r][j])) for j in range(ncols)]
+            row = m[i]
+            if i != r and row[c] != ZERO:
+                zech = zech or ctx.zech()
+                f = row[c] + ctx.minus_one  # the log of -f
+                for j, x in terms:
+                    t = (f + x) % N
+                    y = row[j]
+                    if y == ZERO:
+                        row[j] = t
+                    else:
+                        z = zech[(t - y) % N]
+                        row[j] = ZERO if z == ZERO else (y + z) % N
         pivots.append(c)
         r += 1
     return m, len(pivots), pivots
@@ -424,11 +455,22 @@ def kernel(ctx: FieldCtx, rows: list[list[Fe]]) -> list[list[Fe]]:
 
 
 def mat_vec(ctx: FieldCtx, rows: list[list[Fe]], v: list[Fe]) -> list[Fe]:
+    """M v, on logs; the Zech table is read only when v has two nonzero
+    entries, as only then can a row sum two terms."""
+    N = ctx.order - 1
+    terms = [(j, b) for j, b in enumerate(v) if b != ZERO]
+    zech = ctx.zech() if len(terms) > 1 else None
     out = []
     for row in rows:
         acc = ZERO
-        for a, b in zip(row, v):
-            acc = ctx.add(acc, ctx.mul(a, b))
+        for j, b in terms:
+            a = row[j]
+            if a != ZERO:
+                t = (a + b) % N
+                if acc == ZERO:
+                    acc = t
+                else:
+                    z = zech[(t - acc) % N]
+                    acc = ZERO if z == ZERO else (acc + z) % N
         out.append(acc)
     return out
-

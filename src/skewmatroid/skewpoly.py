@@ -95,19 +95,29 @@ class SkewPoly:
         return self + (-other)
 
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
-        # (a x^i)(b x^j) = a sigma^i(b) x^(i+j)
+        # (a x^i)(b x^j) = a sigma^i(b) x^(i+j): on logs, a + b q^(is) mod N
         self._check(other)
         ctx = self.ctx
         if self.is_zero() or other.is_zero():
             return SkewPoly(ctx)
+        N, frob, m = ctx.order - 1, ctx._frob, ctx.m
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b != ZERO]
+        # two terms of a coefficient meet only if each side has two
+        many = len(terms) > 1 and len(self.coeffs) - self.coeffs.count(ZERO) > 1
+        zech = ctx.zech() if many else None
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == ZERO:
                 continue
-            for j, b in enumerate(other.coeffs):
-                if b == ZERO:
-                    continue
-                out[i + j] = ctx.add(out[i + j], ctx.mul(a, ctx.frobenius(b, i)))
+            fi = frob[i % m]
+            for j, b in terms:
+                t = (a + b * fi) % N
+                y = out[i + j]
+                if y == ZERO:
+                    out[i + j] = t
+                else:
+                    z = zech[(t - y) % N]
+                    out[i + j] = ZERO if z == ZERO else (y + z) % N
         return SkewPoly(ctx, out)
 
     def scale_left(self, c: Fe) -> "SkewPoly":
@@ -121,7 +131,9 @@ class SkewPoly:
         return self.scale_left(self.ctx.inv(self.lead()))
 
     def right_divmod(self, g: "SkewPoly") -> tuple["SkewPoly", "SkewPoly"]:
-        """Unique (p, r) with self = p*g + r and r zero or deg r < deg g."""
+        """Unique (p, r) with self = p*g + r and r zero or deg r < deg g.
+        Each step's quotient term c cancels r_i against c sigma^shift(lead g);
+        sigma^shift of lead g and of every g_j multiply logs by one frob entry."""
         self._check(g)
         ctx = self.ctx
         if g.is_zero():
@@ -129,15 +141,27 @@ class SkewPoly:
         d = g.degree
         r = list(self.coeffs)
         quot = [ZERO] * max(len(r) - d, 0)
-        lead_g = g.lead()
+        N, frob, m = ctx.order - 1, ctx._frob, ctx.m
+        lead_g = g.coeffs[-1]
+        # the lead term is left out: it cancels r_i, which is not read again
+        terms = [(j, gj) for j, gj in enumerate(g.coeffs[:-1]) if gj != ZERO]
+        zech = ctx.zech() if terms and len(r) > d else None
         for i in range(len(r) - 1, d - 1, -1):
             if r[i] == ZERO:
                 continue
             shift = i - d
-            c = ctx.div(r[i], ctx.frobenius(lead_g, shift))
+            fs = frob[shift % m]
+            c = (r[i] - lead_g * fs) % N
             quot[shift] = c
-            for j, gj in enumerate(g.coeffs):
-                r[shift + j] = ctx.sub(r[shift + j], ctx.mul(c, ctx.frobenius(gj, shift)))
+            c += ctx.minus_one  # the term subtracted is -c sigma^shift(g_j)
+            for j, gj in terms:
+                t = (c + gj * fs) % N
+                y = r[shift + j]
+                if y == ZERO:
+                    r[shift + j] = t
+                else:
+                    z = zech[(t - y) % N]
+                    r[shift + j] = ZERO if z == ZERO else (y + z) % N
         return SkewPoly(ctx, quot), SkewPoly(ctx, r[:d])
 
     # -- evaluation ------------------------------------------------------------------
@@ -145,13 +169,19 @@ class SkewPoly:
     def evaluate(self, a: Fe) -> Fe:
         """Remainder of right division by (x - a), as sum c_i a^dbracket(i)."""
         ctx = self.ctx
-        if a == ZERO:  # 0^dbracket(i) is 1 at i = 0 only
+        # 0^dbracket(i) is 1 at i = 0 only, and a constant is its own value
+        if a == ZERO or len(self.coeffs) < 2:
             return self.coeff(0)
-        N, qs = ctx.order - 1, ctx.twist
+        N, qs, zech = ctx.order - 1, ctx.twist, ctx.zech()
         acc, e = ZERO, 0  # e = dbracket(i) mod N; dbracket(i+1) = dbracket(i) q^s + 1
         for c in self.coeffs:
             if c != ZERO:
-                acc = ctx.add(acc, ctx.mul(c, (a * e) % N))
+                t = (c + a * e) % N
+                if acc == ZERO:
+                    acc = t
+                else:
+                    z = zech[(t - acc) % N]
+                    acc = ZERO if z == ZERO else (acc + z) % N
             e = (e * qs + 1) % N
         return acc
 

@@ -1,13 +1,17 @@
 """Independent routes that the tests hold the library's fast paths against.
 
-Each one answers from a definition by scanning the whole field, so it shares
-no code path with the route it checks beyond rank and evaluation: the closure
+The scans answer from a definition over the whole field, so they share no
+code path with the route they check beyond rank and evaluation: the closure
 from rank, the flat metric from ranks of union and intersection, the zeros of
 a polynomial by evaluating it everywhere.  scan_zeros is the oracle for
 SkewPoly.zeros, which on m > 1 fields takes the kernel route instead.
+
+The *_by_terms loops are the ring and matrix loops written term by term
+through the context's add, sub, mul and frobenius, one call per operation;
+the library's loops work on logs with the Zech table bound to a local.
 """
 
-from skewmatroid import ZERO, canonical_points, rank_of
+from skewmatroid import ZERO, SkewPoly, canonical_points, rank_of
 
 
 def closure_definitional(ctx, points):
@@ -27,3 +31,77 @@ def dist_definitional(ctx, x, y):
 def scan_zeros(poly):
     """Every field element the polynomial evaluates to zero on, in canonical order."""
     return tuple(a for a in poly.ctx.elements() if poly.evaluate(a) == ZERO)
+
+
+def mul_by_terms(f, g):
+    """f * g from (a x^i)(b x^j) = a sigma^i(b) x^(i+j)."""
+    ctx = f.ctx
+    if f.is_zero() or g.is_zero():
+        return SkewPoly(ctx)
+    out = [ZERO] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = ctx.add(out[i + j], ctx.mul(a, ctx.frobenius(b, i)))
+    return SkewPoly(ctx, out)
+
+
+def right_divmod_by_terms(f, g):
+    """(p, r) with f = p*g + r, deg r < deg g, by long division on the right."""
+    ctx = f.ctx
+    d = g.degree
+    r = list(f.coeffs)
+    quot = [ZERO] * max(len(r) - d, 0)
+    for i in range(len(r) - 1, d - 1, -1):
+        if r[i] == ZERO:
+            continue
+        shift = i - d
+        c = ctx.div(r[i], ctx.frobenius(g.lead(), shift))
+        quot[shift] = c
+        for j, gj in enumerate(g.coeffs):
+            r[shift + j] = ctx.sub(r[shift + j], ctx.mul(c, ctx.frobenius(gj, shift)))
+    return SkewPoly(ctx, quot), SkewPoly(ctx, r[:d])
+
+
+def evaluate_by_terms(f, a):
+    """sum c_i a^dbracket(i), with dbracket taken exactly."""
+    ctx = f.ctx
+    acc = ZERO
+    for i, c in enumerate(f.coeffs):
+        acc = ctx.add(acc, ctx.mul(c, ctx.pow(a, ctx.dbracket(i))))
+    return acc
+
+
+def rref_by_terms(ctx, rows):
+    """Reduced row echelon form: (matrix, rank, pivot columns)."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c] != ZERO), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = ctx.inv(m[r][c])
+        m[r] = [ctx.mul(inv, x) for x in m[r]]
+        for i in range(nrows):
+            if i != r:
+                f = m[i][c]
+                m[i] = [ctx.sub(m[i][j], ctx.mul(f, m[r][j])) for j in range(ncols)]
+        pivots.append(c)
+        r += 1
+    return m, len(pivots), pivots
+
+
+def mat_vec_by_terms(ctx, rows, v):
+    """The product of a matrix and a column vector."""
+    out = []
+    for row in rows:
+        acc = ZERO
+        for a, b in zip(row, v):
+            acc = ctx.add(acc, ctx.mul(a, b))
+        out.append(acc)
+    return out

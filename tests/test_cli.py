@@ -420,7 +420,8 @@ def test_largest_odd_p_field_builds(capsys, monkeypatch):
     monkeypatch.setattr(field, "_FIELD_CACHE", {})
     code, out, err = run(capsys, "--field", "3,12,1,1", "closure", "1,g2")
     assert code == 0 and out.strip() and err == ""
-    assert type(field_from_spec("3,12,1,1")._zech) is list
+    ctx = field_from_spec("3,12,1,1")
+    assert len(ctx._zech) == ctx.order - 1
 
 
 # closed forms on the log: none adds two elements or reads a coordinate
@@ -431,8 +432,9 @@ LOG_VERBS = [
 
 @pytest.mark.parametrize("verb", LOG_VERBS, ids=lambda v: v[0])
 def test_log_verbs_build_no_table(capsys, monkeypatch, verb):
-    # a fresh 2^20 context: building its Zech table costs about a second and
-    # 40 MiB, which these verbs must not pay
+    # a fresh 2^20 context: building its Zech table costs about a second of
+    # CPU, 4 MiB held and 13 MiB at the peak of the build, which these verbs
+    # must not pay
     monkeypatch.setattr(field, "_FIELD_CACHE", {})
     code, out, err = run(capsys, "--field", "2,20,4,1", *verb)
     # exponentiation cannot invert warp here: gcd(class size, q^s - 1) = 15

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from skewmatroid import (
     NonPrimitiveModpoly,
     ONE,
     ParseError,
+    SkewPoly,
     ZERO,
     field_from_spec,
     get_field,
@@ -275,10 +277,32 @@ def test_tables_built_on_first_read(spec, first_read):
     if first_read == "coords":
         a = rng.randrange(ctx.order - 1)
         coords = ctx.coords(a)
-        assert type(ctx._coords_inv) is list and type(ctx._zech) is list
+        assert type(ctx._coords_inv) is list and len(ctx._zech) == ctx.order - 1
         assert ctx.uncoords(coords) == a
     _check_sampled_adds(ctx, rng, 200)
-    assert type(ctx._zech) is list
+    assert len(ctx._zech) == ctx.order - 1
+
+
+def test_zech_table_is_four_bytes_an_entry():
+    # 2^20 - 1 logs; a list of ints held 40 MiB
+    ctx = get_field(2, 20, 4, 1)
+    ctx.add(ONE, 5)
+    assert sys.getsizeof(ctx._zech) < 5 * 2**20
+
+
+def test_calls_that_add_nothing_build_no_table():
+    ctx = FieldCtx(2, 20, 4, 1)
+    assert rref(ctx, []) == ([], 0, [])
+    assert mat_vec(ctx, [[ONE, 7], [ZERO, 3]], [ZERO, ZERO]) == [ZERO, ZERO]
+    assert mat_vec(ctx, [[ONE, 7], [ZERO, 3]], [ZERO, 5]) == [12, 8]  # one term a row
+    f = SkewPoly.parse(ctx, "g3*x^2 + x + g9")
+    assert f.evaluate(ZERO) == 9
+    # a constant, or a side of a product with one term, meets no second term
+    assert SkewPoly.parse(ctx, "g7").evaluate(5) == 7
+    assert SkewPoly.parse(ctx, "g7") * f == f.scale_left(7)
+    assert (f * SkewPoly.parse(ctx, "x")).coeffs == (ZERO, 9, 0, 3)
+    assert f.right_divmod(SkewPoly.parse(ctx, "x^3 + g2*x")) == (SkewPoly(ctx), f)
+    assert ctx._zech == []
 
 
 def test_division_and_pow_edge_cases(f16):

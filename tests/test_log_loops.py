@@ -1,0 +1,94 @@
+"""The ring and matrix loops on logs against their term-by-term oracles.
+
+SkewPoly's product, right division and evaluation, and field.rref and
+field.mat_vec read the Zech table directly; tests/oracles.py holds the same
+operations written through the context's add, sub, mul and frobenius.
+"""
+
+import random
+
+import pytest
+
+from oracles import (
+    evaluate_by_terms,
+    mat_vec_by_terms,
+    mul_by_terms,
+    right_divmod_by_terms,
+    rref_by_terms,
+)
+from skewmatroid import ONE, ZERO, FieldCtx, SkewPoly, get_field
+from skewmatroid.field import mat_vec, rref
+
+SPECS = [
+    "2,1,1,1", "3,1,1,1", "2,2,1,1", "2,3,1,1", "2,4,2,1", "2,4,4,1", "2,5,1,2",
+    "2,6,1,5", "2,6,2,1", "2,8,2,3", "2,9,3,2", "2,10,5,1", "2,16,4,1", "3,2,1,1",
+    "3,3,1,2", "3,4,2,1", "3,10,2,1", "5,2,1,1", "5,3,1,1", "7,2,1,1", "11,2,2,1",
+    "101,1,1,1",
+]
+
+
+def _ctx(spec: str) -> FieldCtx:
+    return get_field(*(int(t) for t in spec.split(",")))
+
+
+def _element(ctx, rng, zero_share=0.4):
+    return ZERO if rng.random() < zero_share else rng.randrange(ctx.order - 1)
+
+
+def _poly(ctx, rng, degree):
+    """A polynomial of exactly this degree whose lower coefficients are
+    often zero."""
+    return SkewPoly(ctx, [_element(ctx, rng) for _ in range(degree)] + [rng.randrange(ctx.order - 1)])
+
+
+def _polys(ctx, rng):
+    fixed = [SkewPoly(ctx), SkewPoly(ctx, [ONE]), SkewPoly(ctx, [rng.randrange(ctx.order - 1)])]
+    return fixed + [_poly(ctx, rng, rng.randint(1, 3 * ctx.m + 3)) for _ in range(12)]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_ring_loops_match_the_term_oracles(spec):
+    ctx = _ctx(spec)
+    rng = random.Random(spec)
+    polys = _polys(ctx, rng)
+    points = [ZERO, ONE] + [rng.randrange(ctx.order - 1) for _ in range(4)]
+    for f in polys:
+        for a in points:
+            assert f.evaluate(a) == evaluate_by_terms(f, a)
+        for g in polys:
+            assert f * g == mul_by_terms(f, g)
+            if not g.is_zero():
+                assert f.right_divmod(g) == right_divmod_by_terms(f, g)
+    # a dividend of lower degree than the divisor is its own remainder
+    f, g = _poly(ctx, rng, 2), _poly(ctx, rng, 5)
+    assert f.right_divmod(g) == right_divmod_by_terms(f, g) == (SkewPoly(ctx), f)
+
+
+def _matrices(ctx, rng):
+    m = ctx.m
+    moore = [[ctx.frobenius(b, i) for b in ctx.basis] for i in range(m)]
+    augmented = [row + [ONE if r == c else ZERO for c in range(m)] for r, row in enumerate(moore)]
+    out = [[], [[ZERO] * 3], moore, augmented, [[ONE] * 4 for _ in range(3)]]
+    for _ in range(8):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[_element(ctx, rng) for _ in range(ncols)] for _ in range(nrows)]
+        rows[rng.randrange(nrows)] = [ZERO] * ncols  # an all-zero row
+        zero_col = rng.randrange(ncols)
+        for row in rows:
+            row[zero_col] = ZERO  # and an all-zero column
+        out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_matrix_loops_match_the_term_oracles(spec):
+    ctx = _ctx(spec)
+    rng = random.Random(spec)
+    for rows in _matrices(ctx, rng):
+        assert rref(ctx, rows) == rref_by_terms(ctx, rows)
+        ncols = len(rows[0]) if rows else 0
+        vectors = [[ZERO] * ncols, [ONE] * ncols] + [
+            [_element(ctx, rng) for _ in range(ncols)] for _ in range(4)
+        ]
+        for v in vectors:
+            assert mat_vec(ctx, rows, v) == mat_vec_by_terms(ctx, rows, v)
