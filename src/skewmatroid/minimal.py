@@ -5,7 +5,9 @@ degree that evaluates to zero on every point.  It is built one point at a
 time: a point the current polynomial already kills is skipped, otherwise the
 polynomial is extended by the linear factor whose root is the point
 conjugated by the current value.  Degree growth therefore counts exactly the
-"independent" points, which is what rank and bases below rest on.
+"independent" points, which is what bases below rest on.  Rank is summed
+per class instead: [0 in the set] plus, for each class, the degree of that
+class part's minimal polynomial, which is at most m.
 
 Closures take the other route the paper gives: the matroid is the direct sum
 of {0} and one submatroid per conjugacy class (Lam & Leroy, "Vandermonde and
@@ -22,7 +24,7 @@ from typing import Iterable
 
 from .conjugacy import class_of, conjugate, unwarp, warp
 from .errors import MixedClasses, NotClosed
-from .field import Fe, FieldCtx, ONE, ZERO
+from .field import Fe, FieldCtx, ZERO
 from .skewpoly import SkewPoly, grcd, llcm
 
 
@@ -45,7 +47,7 @@ def minimal_poly_and_basis(
         v = f.evaluate(b)
         if v == ZERO:
             continue
-        f = SkewPoly(ctx, (ctx.neg(conjugate(ctx, b, v)), ONE)) * f
+        f = f.times_linear(ctx.neg(conjugate(ctx, b, v)))
         basis.append(b)
         if len(basis) == rank:
             break
@@ -60,13 +62,23 @@ def minimal_poly(ctx: FieldCtx, points: Iterable[Fe]) -> SkewPoly:
 
 
 def rank_of(ctx: FieldCtx, points: Iterable[Fe]) -> int:
-    return minimal_poly(ctx, points).degree
+    """Rank in the direct sum of {0} and the class submatroids: 1 if zero is
+    in the set, plus each class part's minimal-polynomial degree.  A class
+    part has rank at most m, so its greedy stops at m points."""
+    parts: dict[int, list[Fe]] = {}
+    pts = canonical_points(points)
+    for b in pts:
+        if b != ZERO:
+            parts.setdefault(class_of(ctx, b), []).append(b)
+    return (ZERO in pts) + sum(
+        minimal_poly_and_basis(ctx, part, rank=ctx.m)[0].degree for part in parts.values()
+    )
 
 
 def is_p_independent(ctx: FieldCtx, points: Iterable[Fe]) -> bool:
-    """True when the minimal polynomial's degree equals the set size."""
+    """True when the rank equals the set size."""
     pts = canonical_points(points)
-    return minimal_poly(ctx, pts).degree == len(pts)
+    return rank_of(ctx, pts) == len(pts)
 
 
 def p_basis(ctx: FieldCtx, points: Iterable[Fe], *, rank: int | None = None) -> tuple[Fe, ...]:

@@ -370,11 +370,14 @@ def canonical_line_rep(ctx: FieldCtx, vector: Sequence[Fe]) -> tuple[Fe, ...]:
     """The scalar multiple whose field element has the least discrete log —
     the same representative unwarping chooses, which is what lets the vector
     simulator mirror the element simulator.  F_q* is {g^(j*class_size)}, so
-    that least log is a mod class_size."""
-    a = ctx.uncoords(list(vector))
+    that least log is a mod class_size, reached by scaling the vector by
+    g^-(a - a mod class_size): coords(c a) = c coords(a) for c in F_q."""
+    a = ctx.uncoords(vector)
     if a == ZERO:
         raise ZeroArgument("the zero vector spans no line")
-    return tuple(ctx.coords(a % ctx.class_size))
+    N = ctx.order - 1
+    k = -(a - a % ctx.class_size)
+    return tuple(c if c == ZERO else (c + k) % N for c in vector)
 
 
 def rlnc_oracle_trial(

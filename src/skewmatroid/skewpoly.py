@@ -77,22 +77,30 @@ class SkewPoly:
 
     # -- ring operations -----------------------------------------------------------
 
-    def __add__(self, other: "SkewPoly") -> "SkewPoly":
+    def _plus(self, other: "SkewPoly", k: Fe) -> "SkewPoly":
+        """self + g^k * other, one pass over other's logs."""
         self._check(other)
-        ctx = self.ctx
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = ctx.add(out[i], c)
-        return SkewPoly(ctx, out)
+        out = list(self.coeffs) + [ZERO] * (len(other.coeffs) - len(self.coeffs))
+        _add_into(self.ctx, out, other.coeffs, k)
+        return SkewPoly(self.ctx, out)
+
+    def __add__(self, other: "SkewPoly") -> "SkewPoly":
+        return self._plus(other, ONE)
 
     def __neg__(self) -> "SkewPoly":
         return SkewPoly(self.ctx, [self.ctx.neg(c) for c in self.coeffs])
 
     def __sub__(self, other: "SkewPoly") -> "SkewPoly":
-        return self + (-other)
+        return self._plus(other, self.ctx.minus_one)
+
+    def times_linear(self, c: Fe) -> "SkewPoly":
+        """(x + c) * self in one pass: coefficient j is sigma(f_(j-1)) + c f_j,
+        and sigma multiplies a log by the twist."""
+        N, qs = self.ctx.order - 1, self.ctx.twist
+        out = [ZERO] + [a if a == ZERO else a * qs % N for a in self.coeffs]
+        if c != ZERO:
+            _add_into(self.ctx, out, self.coeffs, c)
+        return SkewPoly(self.ctx, out)
 
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
         # (a x^i)(b x^j) = a sigma^i(b) x^(i+j): on logs, a + b q^(is) mod N
@@ -291,6 +299,24 @@ class AssocPoly:
 
     def __str__(self) -> str:
         return _format_terms(self.ctx, reversed(self.terms))
+
+
+def _add_into(ctx: FieldCtx, out: list[Fe], coeffs: tuple[Fe, ...], k: Fe) -> None:
+    """out[i] += g^k * coeffs[i] on logs, in place; the Zech table is read
+    only where two terms meet."""
+    N, zech = ctx.order - 1, None
+    for i, b in enumerate(coeffs):
+        if b == ZERO:
+            continue
+        t = (b + k) % N
+        y = out[i]
+        if y == ZERO:
+            out[i] = t
+        else:
+            if zech is None:
+                zech = ctx.zech()
+            z = zech[(t - y) % N]
+            out[i] = ZERO if z == ZERO else (y + z) % N
 
 
 def _format_terms(ctx: FieldCtx, terms: Iterable[tuple[int, Fe]]) -> str:

@@ -4,28 +4,51 @@ The scans answer from a definition over the whole field, so they share no
 code path with the route they check beyond rank and evaluation: the closure
 from rank, the flat metric from ranks of union and intersection, the zeros of
 a polynomial by evaluating it everywhere.  scan_zeros is the oracle for
-SkewPoly.zeros, which on m > 1 fields takes the kernel route instead.
+SkewPoly.zeros, which on m > 1 fields takes the kernel route instead.  Rank
+here is rank_by_minpoly, the degree of the whole set's minimal polynomial,
+not the library's per-class sum that closure shares.
 
 The *_by_terms loops are the ring and matrix loops written term by term
 through the context's add, sub, mul and frobenius, one call per operation;
 the library's loops work on logs with the Zech table bound to a local.
 """
 
-from skewmatroid import ZERO, SkewPoly, canonical_points, rank_of
+from skewmatroid import ONE, ZERO, SkewPoly, canonical_points, conjugate, minimal_poly
+
+
+def rank_by_minpoly(ctx, points):
+    """The degree of the whole set's minimal polynomial."""
+    return minimal_poly(ctx, points).degree
 
 
 def closure_definitional(ctx, points):
     """Rank-based closure {x : r(X + x) = r(X)}, in canonical order."""
     pts = canonical_points(points)
-    r = rank_of(ctx, pts)
-    return tuple(a for a in ctx.elements() if rank_of(ctx, pts + (a,)) == r)
+    r = rank_by_minpoly(ctx, pts)
+    return tuple(a for a in ctx.elements() if rank_by_minpoly(ctx, pts + (a,)) == r)
 
 
 def dist_definitional(ctx, x, y):
     """r(X u Y) - r(X & Y) for two flats."""
     union = set(x.points) | set(y.points)
     inter = set(x.points) & set(y.points)
-    return rank_of(ctx, union) - rank_of(ctx, inter)
+    return rank_by_minpoly(ctx, union) - rank_by_minpoly(ctx, inter)
+
+
+def minimal_poly_by_products(ctx, points, *, rank=None):
+    """minimal_poly_and_basis with each linear factor joined by a full
+    product, SkewPoly((-conjugate, 1)) * f."""
+    f = SkewPoly.one(ctx)
+    basis = []
+    for b in canonical_points(points) if rank is None else points:
+        v = f.evaluate(b)
+        if v == ZERO:
+            continue
+        f = SkewPoly(ctx, (ctx.neg(conjugate(ctx, b, v)), ONE)) * f
+        basis.append(b)
+        if len(basis) == rank:
+            break
+    return f, tuple(basis)
 
 
 def scan_zeros(poly):
