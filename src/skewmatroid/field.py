@@ -5,10 +5,12 @@ q = p^k (so F = F_{q^m}, m = n/k), and the automorphism sigma(a) = a^{q^s}.
 Nonzero elements are stored as the discrete log of a fixed generator g (a
 root of the modulus polynomial), so multiplication, inversion and powering
 are integer arithmetic mod p^n - 1; addition is one lookup in a precomputed
-table of logs of g^i + 1 (the Zech table, an array of 4-byte logs, which
-the ring's loops also read directly).  The context owns the twist: sigma
-multiplies logs by q^s mod p^n - 1, so q^s is never expanded; the exact
-bracket and dbracket read s only through its representative in 1..m.
+table of logs of g^i + 1 (the Zech table, an array of 4-byte logs).  The
+ring and matrix loops accumulate through one kernel, add_scaled, which
+reads the table like add, only where two terms meet.  The context owns the
+twist: sigma multiplies logs by q^s mod p^n - 1, so q^s is never expanded;
+the exact bracket and dbracket read s only through its representative in
+1..m.
 
 The default modulus is the smallest monic primitive one.  Candidates are
 accepted by an order test on x (square-and-multiply on digit lists), so no
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadDegreeDivisibility,
@@ -190,13 +192,13 @@ class FieldCtx:
         elif not _is_primitive(p, n, modpoly, list(_prime_factors(p**n - 1))):
             raise NonPrimitiveModpoly(f"modpoly {modpoly} is not primitive")
         self.modpoly = modpoly
-        # the Zech table is built by zech() on its first call, the Moore
-        # inverse by coords; both stay in plain instance attributes, as a
-        # descriptor on the class (functools.cached_property) stops the
-        # interpreter specializing the read in add.  Until the build, _zech
-        # is an empty list; then an array of N 4-byte logs
+        # the Zech table is built by zech() on its first call, the columns
+        # of the Moore inverse by coords; both stay in plain instance
+        # attributes, as a descriptor on the class (functools.cached_property)
+        # stops the interpreter specializing the read in add.  Until the
+        # build, _zech is an empty list; then an array of N 4-byte logs
         self._zech: array | list = []
-        self._coords_inv: list[list[Fe]] | None = None
+        self._coords_inv: list[tuple[Fe, ...]] | None = None
 
         N = self.order - 1
         # number of F_q*-cosets in F*, also the size of every nonzero
@@ -217,9 +219,8 @@ class FieldCtx:
 
     def zech(self) -> array:
         """The Zech table, zech[i] = log(g^i + 1), built on the first call.
-        add reads it here on a miss, the ring and matrix loops once per call
-        (not for inputs such as evaluation at zero, a zero vector or no rows,
-        which add nothing)."""
+        add and add_scaled call it on a miss, the first time two terms meet,
+        and SkewPoly.evaluate once per call at a nonzero point."""
         if not self._zech:
             self._zech = _zech_table(self.p, self.n, self.modpoly)
         return self._zech
@@ -288,19 +289,25 @@ class FieldCtx:
 
     # -- coordinates -----------------------------------------------------------
 
-    def _moore_inverse(self) -> list[list[Fe]]:
+    def _moore_inverse(self) -> list[tuple[Fe, ...]]:
         # the Moore matrix of the basis, rows sigma^i(b_0..b_(m-1)), is
-        # invertible as gcd(s, m) = 1; its inverse maps sigma^i(a) to coords
+        # invertible as gcd(s, m) = 1; its inverse maps sigma^i(a) to coords,
+        # and is kept as columns, column i being what sigma^i(a) scales
         m = self.m
         moore = [[self.frobenius(b, i) for b in self.basis] for i in range(m)]
         aug = [row + [ONE if r == c else ZERO for c in range(m)] for r, row in enumerate(moore)]
-        return [row[m:] for row in rref(self, aug)[0]]
+        return list(zip(*(row[m:] for row in rref(self, aug)[0])))
 
     def coords(self, a: Fe) -> list[Fe]:
-        """F_q-coordinates of a with respect to self.basis."""
+        """F_q-coordinates of a with respect to self.basis: the sum of
+        sigma^i(a) times column i of the Moore inverse."""
         if self._coords_inv is None:
             self._coords_inv = self._moore_inverse()
-        return mat_vec(self, self._coords_inv, [self.frobenius(a, i) for i in range(self.m)])
+        out = [ZERO] * self.m
+        if a != ZERO:
+            for i, col in enumerate(self._coords_inv):
+                add_scaled(self, out, col, self.frobenius(a, i))
+        return out
 
     def uncoords(self, v: Iterable[Fe]) -> Fe:
         acc = ZERO
@@ -396,15 +403,38 @@ def field_from_spec(text: str) -> FieldCtx:
 # except the Moore system of FieldCtx's coordinates, whose entries lie outside
 # F_q.
 
+def add_scaled(
+    ctx: FieldCtx, out: list[Fe], coeffs: Sequence[Fe], k: int, f: int = 1, off: int = 0
+) -> None:
+    """out[off + j] += g^k * sigma-power of coeffs[j] on logs, in place: a
+    nonzero b adds the log k + b*f, f a frob entry (1 for no twist), and a
+    ZERO entry adds nothing.  This is the accumulation step of every ring
+    and matrix loop, and the one place besides add that reads the Zech
+    table, only where two terms meet."""
+    N, zech = ctx.order - 1, ctx._zech
+    for j, b in enumerate(coeffs, off):
+        if b != ZERO:
+            t = (k + b * f) % N
+            y = out[j]
+            if y == ZERO:
+                out[j] = t
+            else:
+                try:
+                    z = zech[(t - y) % N]
+                except IndexError:  # as in add: only the unbuilt table misses
+                    zech = ctx.zech()
+                    z = zech[(t - y) % N]
+                out[j] = ZERO if z == ZERO else (y + z) % N
+
+
 def rref(ctx: FieldCtx, rows: list[list[Fe]]) -> tuple[list[list[Fe]], int, list[int]]:
     """Reduced row echelon form; returns (matrix, rank, pivot columns).
     Entries are logs: the pivot row is scaled by adding a log, and each
-    elimination adds -f times its nonzero entries through the Zech table,
-    which is read at the first elimination."""
+    elimination adds -f times the pivot row through add_scaled."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    N, zech = ctx.order - 1, None
+    N = ctx.order - 1
     pivots = []
     r = 0
     for c in range(ncols):
@@ -416,20 +446,9 @@ def rref(ctx: FieldCtx, rows: list[list[Fe]]) -> tuple[list[list[Fe]], int, list
         m[r], m[piv] = m[piv], m[r]
         inv = -m[r][c]
         m[r] = [ZERO if x == ZERO else (x + inv) % N for x in m[r]]
-        terms = [(j, x) for j, x in enumerate(m[r]) if x != ZERO]
         for i in range(nrows):
-            row = m[i]
-            if i != r and row[c] != ZERO:
-                zech = zech or ctx.zech()
-                f = row[c] + ctx.minus_one  # the log of -f
-                for j, x in terms:
-                    t = (f + x) % N
-                    y = row[j]
-                    if y == ZERO:
-                        row[j] = t
-                    else:
-                        z = zech[(t - y) % N]
-                        row[j] = ZERO if z == ZERO else (y + z) % N
+            if i != r and m[i][c] != ZERO:
+                add_scaled(ctx, m[i], m[r], m[i][c] + ctx.minus_one)  # the log of -f
         pivots.append(c)
         r += 1
     return m, len(pivots), pivots
@@ -452,25 +471,3 @@ def kernel(ctx: FieldCtx, rows: list[list[Fe]]) -> list[list[Fe]]:
             v[pc] = ctx.neg(R[i][fc])
         basis.append(v)
     return basis
-
-
-def mat_vec(ctx: FieldCtx, rows: list[list[Fe]], v: list[Fe]) -> list[Fe]:
-    """M v, on logs; the Zech table is read only when v has two nonzero
-    entries, as only then can a row sum two terms."""
-    N = ctx.order - 1
-    terms = [(j, b) for j, b in enumerate(v) if b != ZERO]
-    zech = ctx.zech() if len(terms) > 1 else None
-    out = []
-    for row in rows:
-        acc = ZERO
-        for j, b in terms:
-            a = row[j]
-            if a != ZERO:
-                t = (a + b) % N
-                if acc == ZERO:
-                    acc = t
-                else:
-                    z = zech[(t - acc) % N]
-                    acc = ZERO if z == ZERO else (acc + z) % N
-        out.append(acc)
-    return out

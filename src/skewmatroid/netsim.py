@@ -45,7 +45,7 @@ from .errors import (
     SpecInvalid,
     ZeroArgument,
 )
-from .field import Fe, FieldCtx, ZERO, field_from_spec
+from .field import Fe, FieldCtx, ZERO, add_scaled, field_from_spec
 from .matroid import Flat, Subspace, class_flat, dist, matroid_closure, subspace_dist
 from .minimal import lift, p_basis
 
@@ -231,11 +231,8 @@ def _draw_nonzero_combination(
         out = [ZERO] * len(vectors[0])
         for vec in vectors:
             c = ctx.subfield_elements[rng.randrange(q)]
-            if c == ZERO:
-                continue
-            for j, x in enumerate(vec):
-                if x != ZERO:
-                    out[j] = ctx.add(out[j], ctx.mul(c, x))
+            if c != ZERO:
+                add_scaled(ctx, out, vec, c)
         if any(x != ZERO for x in out):
             return out
 

@@ -8,6 +8,10 @@ computed directly as sum c_i * a^dbracket(i); on a class it is a
 sigma-linearized map, so roots come from one m x m kernel per class.  The
 greatest common right divisor is the bare right Euclidean remainder
 sequence; the least common left multiple also tracks its one cofactor.
+
+Sums, products, right division and times_linear accumulate on logs through
+the one kernel field.add_scaled; evaluation, a dot product with a running
+exponent rather than an accumulation of a scaled row, keeps its own loop.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Iterable
 
 from .conjugacy import conjugate, warp, warp_kernel
 from .errors import DivisionByZeroPoly, MixedContexts, ParseError, ZeroInput
-from .field import MAX_ORDER, Fe, FieldCtx, ONE, ZERO
+from .field import MAX_ORDER, Fe, FieldCtx, ONE, ZERO, add_scaled
 
 
 class SkewPoly:
@@ -81,7 +85,7 @@ class SkewPoly:
         """self + g^k * other, one pass over other's logs."""
         self._check(other)
         out = list(self.coeffs) + [ZERO] * (len(other.coeffs) - len(self.coeffs))
-        _add_into(self.ctx, out, other.coeffs, k)
+        add_scaled(self.ctx, out, other.coeffs, k)
         return SkewPoly(self.ctx, out)
 
     def __add__(self, other: "SkewPoly") -> "SkewPoly":
@@ -99,7 +103,7 @@ class SkewPoly:
         N, qs = self.ctx.order - 1, self.ctx.twist
         out = [ZERO] + [a if a == ZERO else a * qs % N for a in self.coeffs]
         if c != ZERO:
-            _add_into(self.ctx, out, self.coeffs, c)
+            add_scaled(self.ctx, out, self.coeffs, c)
         return SkewPoly(self.ctx, out)
 
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
@@ -108,24 +112,11 @@ class SkewPoly:
         ctx = self.ctx
         if self.is_zero() or other.is_zero():
             return SkewPoly(ctx)
-        N, frob, m = ctx.order - 1, ctx._frob, ctx.m
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b != ZERO]
-        # two terms of a coefficient meet only if each side has two
-        many = len(terms) > 1 and len(self.coeffs) - self.coeffs.count(ZERO) > 1
-        zech = ctx.zech() if many else None
+        frob, m = ctx._frob, ctx.m
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == ZERO:
-                continue
-            fi = frob[i % m]
-            for j, b in terms:
-                t = (a + b * fi) % N
-                y = out[i + j]
-                if y == ZERO:
-                    out[i + j] = t
-                else:
-                    z = zech[(t - y) % N]
-                    out[i + j] = ZERO if z == ZERO else (y + z) % N
+            if a != ZERO:
+                add_scaled(ctx, out, other.coeffs, a, frob[i % m], i)
         return SkewPoly(ctx, out)
 
     def scale_left(self, c: Fe) -> "SkewPoly":
@@ -150,10 +141,8 @@ class SkewPoly:
         r = list(self.coeffs)
         quot = [ZERO] * max(len(r) - d, 0)
         N, frob, m = ctx.order - 1, ctx._frob, ctx.m
-        lead_g = g.coeffs[-1]
         # the lead term is left out: it cancels r_i, which is not read again
-        terms = [(j, gj) for j, gj in enumerate(g.coeffs[:-1]) if gj != ZERO]
-        zech = ctx.zech() if terms and len(r) > d else None
+        *low, lead_g = g.coeffs
         for i in range(len(r) - 1, d - 1, -1):
             if r[i] == ZERO:
                 continue
@@ -161,15 +150,8 @@ class SkewPoly:
             fs = frob[shift % m]
             c = (r[i] - lead_g * fs) % N
             quot[shift] = c
-            c += ctx.minus_one  # the term subtracted is -c sigma^shift(g_j)
-            for j, gj in terms:
-                t = (c + gj * fs) % N
-                y = r[shift + j]
-                if y == ZERO:
-                    r[shift + j] = t
-                else:
-                    z = zech[(t - y) % N]
-                    r[shift + j] = ZERO if z == ZERO else (y + z) % N
+            # the term subtracted is -c sigma^shift(g_j)
+            add_scaled(ctx, r, low, c + ctx.minus_one, fs, shift)
         return SkewPoly(ctx, quot), SkewPoly(ctx, r[:d])
 
     # -- evaluation ------------------------------------------------------------------
@@ -299,24 +281,6 @@ class AssocPoly:
 
     def __str__(self) -> str:
         return _format_terms(self.ctx, reversed(self.terms))
-
-
-def _add_into(ctx: FieldCtx, out: list[Fe], coeffs: tuple[Fe, ...], k: Fe) -> None:
-    """out[i] += g^k * coeffs[i] on logs, in place; the Zech table is read
-    only where two terms meet."""
-    N, zech = ctx.order - 1, None
-    for i, b in enumerate(coeffs):
-        if b == ZERO:
-            continue
-        t = (b + k) % N
-        y = out[i]
-        if y == ZERO:
-            out[i] = t
-        else:
-            if zech is None:
-                zech = ctx.zech()
-            z = zech[(t - y) % N]
-            out[i] = ZERO if z == ZERO else (y + z) % N
 
 
 def _format_terms(ctx: FieldCtx, terms: Iterable[tuple[int, Fe]]) -> str:

@@ -8,9 +8,10 @@ SkewPoly.zeros, which on m > 1 fields takes the kernel route instead.  Rank
 here is rank_by_minpoly, the degree of the whole set's minimal polynomial,
 not the library's per-class sum that closure shares.
 
-The *_by_terms loops are the ring and matrix loops written term by term
-through the context's add, sub, mul and frobenius, one call per operation;
-the library's loops work on logs with the Zech table bound to a local.
+The *_by_terms loops are the ring and matrix loops, and the accumulation
+kernel they share, written term by term through the context's add, sub, mul
+and frobenius, one call per operation; the library's loops accumulate on
+logs through field.add_scaled, which reads the Zech table directly.
 """
 
 from skewmatroid import ONE, ZERO, SkewPoly, canonical_points, conjugate, minimal_poly
@@ -54,6 +55,14 @@ def minimal_poly_by_products(ctx, points, *, rank=None):
 def scan_zeros(poly):
     """Every field element the polynomial evaluates to zero on, in canonical order."""
     return tuple(a for a in poly.ctx.elements() if poly.evaluate(a) == ZERO)
+
+
+def add_scaled_by_terms(ctx, out, coeffs, k, j=0, off=0):
+    """A copy of out with g^k * sigma^j(coeffs[i]) added at off + i."""
+    out = list(out)
+    for i, b in enumerate(coeffs):
+        out[off + i] = ctx.add(out[off + i], ctx.mul(k, ctx.frobenius(b, j)))
+    return out
 
 
 def mul_by_terms(f, g):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from oracles import mat_vec_by_terms
 from skewmatroid import (
     BadDegreeDivisibility,
     DivisionByZero,
@@ -23,9 +24,9 @@ from skewmatroid import (
 from skewmatroid.field import (
     _default_modpoly,
     _is_prime,
+    add_scaled,
     kernel,
     mat_rank,
-    mat_vec,
     rref,
 )
 
@@ -293,8 +294,6 @@ def test_zech_table_is_four_bytes_an_entry():
 def test_calls_that_add_nothing_build_no_table():
     ctx = FieldCtx(2, 20, 4, 1)
     assert rref(ctx, []) == ([], 0, [])
-    assert mat_vec(ctx, [[ONE, 7], [ZERO, 3]], [ZERO, ZERO]) == [ZERO, ZERO]
-    assert mat_vec(ctx, [[ONE, 7], [ZERO, 3]], [ZERO, 5]) == [12, 8]  # one term a row
     f = SkewPoly.parse(ctx, "g3*x^2 + x + g9")
     assert f.evaluate(ZERO) == 9
     # a constant, or a side of a product with one term, meets no second term
@@ -302,6 +301,12 @@ def test_calls_that_add_nothing_build_no_table():
     assert SkewPoly.parse(ctx, "g7") * f == f.scale_left(7)
     assert (f * SkewPoly.parse(ctx, "x")).coeffs == (ZERO, 9, 0, 3)
     assert f.right_divmod(SkewPoly.parse(ctx, "x^3 + g2*x")) == (SkewPoly(ctx), f)
+    # the kernel reads the table only where two terms meet
+    assert (f + SkewPoly.parse(ctx, "g4*x^3 + g5*x^4")).coeffs == (9, ONE, 3, 4, 5)
+    assert f.times_linear(ZERO) == SkewPoly.parse(ctx, "x") * f
+    out = [ZERO] * 4
+    add_scaled(ctx, out, [7, ZERO, 3], 5, 2, off=1)
+    assert out == [ZERO, 19, ZERO, 11]
     assert ctx._zech == []
 
 
@@ -481,4 +486,4 @@ def test_rref_kernel_properties(spec):
         ker = kernel(ctx, mat)
         assert len(ker) == nc - rank
         for vec in ker:
-            assert mat_vec(ctx, mat, vec) == [ZERO] * nr
+            assert mat_vec_by_terms(ctx, mat, vec) == [ZERO] * nr

@@ -1,15 +1,21 @@
 """The ring and matrix loops on logs against their term-by-term oracles.
 
-SkewPoly's product, right division and evaluation, and field.rref and
-field.mat_vec read the Zech table directly; tests/oracles.py holds the same
-operations written through the context's add, sub, mul and frobenius.
+SkewPoly's sum, product, right division and times_linear, field.rref,
+FieldCtx.coords and the simulator's draw accumulate through one kernel,
+field.add_scaled, the one reader of the Zech table besides FieldCtx.add and
+SkewPoly.evaluate.  tests/oracles.py holds the kernel, the loops and the
+evaluation written through the context's add, sub, mul and frobenius.
 """
 
+import ast
+import pathlib
 import random
 
 import pytest
 
+import skewmatroid
 from oracles import (
+    add_scaled_by_terms,
     evaluate_by_terms,
     mat_vec_by_terms,
     mul_by_terms,
@@ -17,7 +23,7 @@ from oracles import (
     rref_by_terms,
 )
 from skewmatroid import ONE, ZERO, FieldCtx, SkewPoly, get_field
-from skewmatroid.field import mat_vec, rref
+from skewmatroid.field import add_scaled, rref
 
 SPECS = [
     "2,1,1,1", "3,1,1,1", "2,2,1,1", "2,3,1,1", "2,4,2,1", "2,4,4,1", "2,5,1,2",
@@ -81,14 +87,61 @@ def _matrices(ctx, rng):
 
 
 @pytest.mark.parametrize("spec", SPECS)
+def test_kernel_matches_the_term_oracle(spec):
+    ctx = _ctx(spec)
+    rng = random.Random(spec)
+    N = ctx.order - 1
+    # k as the loops pass it: a log, -1's log, and an unreduced sum of logs
+    ks = [ONE, ctx.minus_one, rng.randrange(N), rng.randrange(N) + ctx.minus_one]
+    for _ in range(30):
+        coeffs = [_element(ctx, rng) for _ in range(rng.randint(0, 6))]
+        off = rng.randint(0, 3)
+        out = [_element(ctx, rng) for _ in range(off + len(coeffs) + rng.randint(0, 3))]
+        for k in ks:
+            for j in range(ctx.m):  # f = 1 at j = 0, a twist otherwise
+                got = list(out)
+                assert add_scaled(ctx, got, coeffs, k, ctx._frob[j], off) is None
+                assert got == add_scaled_by_terms(ctx, out, coeffs, k, j, off)
+
+
+@pytest.mark.parametrize("spec", SPECS)
 def test_matrix_loops_match_the_term_oracles(spec):
     ctx = _ctx(spec)
     rng = random.Random(spec)
     for rows in _matrices(ctx, rng):
         assert rref(ctx, rows) == rref_by_terms(ctx, rows)
-        ncols = len(rows[0]) if rows else 0
-        vectors = [[ZERO] * ncols, [ONE] * ncols] + [
-            [_element(ctx, rng) for _ in range(ncols)] for _ in range(4)
-        ]
-        for v in vectors:
-            assert mat_vec(ctx, rows, v) == mat_vec_by_terms(ctx, rows, v)
+    # coords is sigma^i(a) through the Moore inverse, summed column by column
+    m = ctx.m
+    moore = [[ctx.frobenius(b, i) for b in ctx.basis] for i in range(m)]
+    augmented = [row + [ONE if r == c else ZERO for c in range(m)] for r, row in enumerate(moore)]
+    inverse = [row[m:] for row in rref_by_terms(ctx, augmented)[0]]
+    if ctx.order <= 1024:
+        points = list(ctx.elements())
+    else:
+        points = [ZERO, ONE] + rng.sample(range(ctx.order - 1), 64)
+    for a in points:
+        coords = ctx.coords(a)
+        assert coords == mat_vec_by_terms(ctx, inverse, [ctx.frobenius(a, i) for i in range(m)])
+        assert ctx.uncoords(coords) == a
+
+
+def _zech_readers(node, scope=()):
+    """The scope, as a dotted name, of each .zech or ._zech under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _zech_readers(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Attribute) and child.attr in ("zech", "_zech"):
+            yield ".".join(scope)
+        yield from _zech_readers(child, scope)
+
+
+def test_only_the_kernel_and_evaluate_read_the_zech_table():
+    # the table is read in field (add, add_scaled and its build) and by
+    # SkewPoly.evaluate; any other loop accumulates through add_scaled
+    readers = {
+        (path.name, name)
+        for path in pathlib.Path(skewmatroid.__file__).parent.glob("*.py")
+        for name in _zech_readers(ast.parse(path.read_text()))
+    }
+    assert {r for r in readers if r[0] != "field.py"} <= {("skewpoly.py", "SkewPoly.evaluate")}

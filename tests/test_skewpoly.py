@@ -278,13 +278,14 @@ def test_zeros_on_m1_is_no_slower_than_the_scan():
     # on m = 1 every class is one point, so zeros evaluates every element
     ctx = get_field(2, 16, 16, 1)
     f = SkewPoly.parse(ctx, "x^3+g5*x^2+x+g7")
+    ctx.zech()  # built before the clock starts, so no round pays for it
 
     def timed(run):
         start = time.process_time()
         return run(f), time.process_time() - start
 
-    # best of 3, the two routes taking turns so that both see the same load
-    rounds = [(timed(SkewPoly.zeros), timed(scan_zeros)) for _ in range(3)]
+    # best of 7, the two routes taking turns so that both see the same load
+    rounds = [(timed(SkewPoly.zeros), timed(scan_zeros)) for _ in range(7)]
     assert all(roots == scanned for (roots, _), (scanned, _) in rounds)
     assert min(z for (_, z), _ in rounds) <= 1.25 * min(s for _, (_, s) in rounds)
 
