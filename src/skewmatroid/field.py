@@ -407,7 +407,7 @@ def add_scaled(
     ctx: FieldCtx, out: list[Fe], coeffs: Sequence[Fe], k: int, f: int = 1, off: int = 0
 ) -> None:
     """out[off + j] += g^k * sigma-power of coeffs[j] on logs, in place: a
-    nonzero b adds the log k + b*f, f a frob entry (1 for no twist), and a
+    nonzero b adds the log k + b*f, f a frob entry or an exponent, and a
     ZERO entry adds nothing.  This is the accumulation step of every ring
     and matrix loop, and the one place besides add that reads the Zech
     table, only where two terms meet."""

@@ -119,7 +119,9 @@ def subspace_dist(v: Subspace, w: Subspace) -> int:
 
 
 def dist(x: Flat, y: Flat) -> int:
-    """Flat metric via the common right divisor of the minimal polynomials."""
+    """Flat metric via the grcd of the minimal polynomials; 0 for equal flats."""
+    if x == y:
+        return 0
     g = grcd(x.minpoly, y.minpoly)
     return x.rank + y.rank - 2 * g.degree
 

@@ -38,9 +38,10 @@ def minimal_poly_and_basis(
 ) -> tuple[SkewPoly, tuple[Fe, ...]]:
     """The minimal polynomial and the points that raised its degree, taken
     greedily in canonical order.  With rank, the points are walked in the
-    order given, which must be canonical, and the greedy stops once it holds
-    rank of them: when they span a flat of that rank, every later point is a
-    zero of the polynomial by then, so the result is the same."""
+    order given and the greedy stops once it holds rank of them: when they
+    span a flat of that rank, every later point is a zero of the polynomial
+    by then, so the polynomial is the same, and the basis is the canonical
+    one only when the order given is canonical."""
     f = SkewPoly.one(ctx)
     basis = []
     for b in canonical_points(points) if rank is None else points:

@@ -2,14 +2,17 @@
 
 A source encodes its message as a flat of one conjugacy class and is treated
 as a relay preloaded with message.basis, the flat's greedy P-basis in
-canonical order.  NetSpec.plan is the spec check, so no walk reads an
-unchecked spec.  Every node forwards, per outgoing edge, one element drawn
-uniformly from the closure of the packets it holds: unwarp the packets, draw
-a uniform nonzero F_q-linear combination of the unwarped field elements, warp
-the result back into the class.  A flat is known by its monic minimal
-polynomial: forwarded packets are checked to be its zeros, sinks decode to
-the flat of what they received, and success is exact flat recovery; partial
-recovery is reported through the flat metric.
+canonical order.  The message is drawn as its minimal polynomial, fed the
+class points of random base-field vectors until r are P-independent, which
+inside a class is F_q-independence of their preimages: no row is reduced.
+NetSpec.plan is the spec check, so no walk reads an unchecked spec.  Every
+node forwards, per outgoing edge, one element drawn uniformly from the
+closure of the packets it holds: unwarp the packets, draw a uniform nonzero
+F_q-linear combination of the unwarped field elements, warp the result back
+into the class.  A flat is known by its monic minimal polynomial: forwarded
+packets are checked to be its zeros, sinks decode to the flat of what they
+received, and success is exact flat recovery; partial recovery is reported
+through the flat metric.
 
 That basis costs what its rank r needs: the greedy stops at r points and
 reads whichever canonical-order stream has the smaller closed-form count, the
@@ -47,7 +50,7 @@ from .errors import (
 )
 from .field import Fe, FieldCtx, ZERO, add_scaled, field_from_spec
 from .matroid import Flat, Subspace, class_flat, dist, matroid_closure, subspace_dist
-from .minimal import lift, p_basis
+from .minimal import closure, lift, minimal_poly_and_basis, p_basis
 
 Edge = tuple[str, str]
 
@@ -226,14 +229,14 @@ def _draw_nonzero_combination(
     per vector, reject when the combination vanishes.  Exactly one randrange
     call per vector per attempt, so an identically seeded stream replays.
     The vectors share one length; field elements pass as one-entry vectors."""
-    q = ctx.q
+    q, elements, randrange = ctx.q, ctx.subfield_elements, rng.randrange
     while True:
         out = [ZERO] * len(vectors[0])
         for vec in vectors:
-            c = ctx.subfield_elements[rng.randrange(q)]
+            c = elements[randrange(q)]
             if c != ZERO:
                 add_scaled(ctx, out, vec, c)
-        if any(x != ZERO for x in out):
+        if out.count(ZERO) != len(out):
             return out
 
 
@@ -247,11 +250,12 @@ def relay_forward(ctx: FieldCtx, in_packets: Sequence[Fe], rng: random.Random) -
     pkts = list(in_packets)
     if not pkts:
         raise EmptyInput("a relay needs at least one incoming packet")
-    classes = {class_of(ctx, p) for p in pkts}
-    if len(classes) > 1:
-        names = ", ".join(sorted("0" if c is None else f"C(g^{c})" for c in classes))
-        raise MixedClasses(f"packets span several classes: {names}")
-    ell = classes.pop()
+    ell = class_of(ctx, pkts[0])
+    for p in pkts[1:]:
+        if class_of(ctx, p) != ell:
+            classes = {class_of(ctx, p) for p in pkts}
+            names = ", ".join(sorted("0" if c is None else f"C(g^{c})" for c in classes))
+            raise MixedClasses(f"packets span several classes: {names}")
     if ell is None:
         return ZERO
     (combo,) = _draw_nonzero_combination(ctx, [(unwarp(ctx, p, ell),) for p in pkts], rng)
@@ -259,26 +263,25 @@ def relay_forward(ctx: FieldCtx, in_packets: Sequence[Fe], rng: random.Random) -
 
 
 def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
-    """Uniformly random rank-r flat of class ell: draw base-field vectors until
-    they span r dimensions and push the subspace through the class map.  Its
-    basis, which the source sends, is the greedy P-basis of its points in
-    canonical order, stopped at r points and read from the flat's lines
-    (one warp for each of its (q^r - 1)/(q - 1) lines) or from a scan of
-    class ell for zeros of its minimal polynomial (about r^2 q^(m-r) field
-    operations), whichever count is smaller."""
+    """Uniformly random rank-r flat of class ell: nonzero base-field vector
+    draws, as class points g^ell * warp, feed the greedy minimal polynomial
+    until it holds r of them.  Its basis, which the source sends, is the
+    greedy P-basis of its points in canonical order, stopped at r points and
+    read from the flat's lines or from a scan of class ell for zeros of its
+    minimal polynomial, whichever count (see the module docstring) is smaller."""
     if not 1 <= r <= ctx.m:
         raise RankOutOfRange(f"rank {r} outside 1..{ctx.m}")
-    v = Subspace(ctx, ())
-    while v.dim < r:
-        vec = tuple(ctx.subfield_elements[rng.randrange(ctx.q)] for _ in range(ctx.m))
-        v = Subspace.from_vectors(ctx, v.rows + (vec,))
-    flat = class_flat(ctx, v, ell)
-    if (ctx.q**r - 1) // (ctx.q - 1) <= r * r * ctx.q ** (ctx.m - r):
-        points = flat.points
+    ell %= ctx.q - 1
+    q, m, elements, randrange = ctx.q, ctx.m, ctx.subfield_elements, rng.randrange
+    draws = map(ctx.uncoords, iter(lambda: [elements[randrange(q)] for _ in range(m)], None))
+    drawn = (ctx.mul(ell, warp(ctx, a)) for a in draws if a != ZERO)
+    minpoly, picks = minimal_poly_and_basis(ctx, drawn, rank=r)
+    if (q**r - 1) // (q - 1) <= r * r * q ** (m - r):
+        points = closure(ctx, picks)
     else:
-        scan = range(ell % (ctx.q - 1), ctx.order - 1, ctx.q - 1)
-        points = (b for b in scan if flat.minpoly.evaluate(b) == ZERO)
-    return Flat(ctx, flat.minpoly, p_basis(ctx, points, rank=r))
+        scan = range(ell, ctx.order - 1, q - 1)
+        points = (b for b in scan if minpoly.evaluate(b) == ZERO)
+    return Flat(ctx, minpoly, p_basis(ctx, points, rank=r))
 
 
 @dataclass(frozen=True)

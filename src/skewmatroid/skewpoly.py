@@ -24,6 +24,8 @@ from .conjugacy import conjugate, warp, warp_kernel
 from .errors import DivisionByZeroPoly, MixedContexts, ParseError, ZeroInput
 from .field import MAX_ORDER, Fe, FieldCtx, ONE, ZERO, add_scaled
 
+_ZEROS_CHUNK = 1 << 14  # elements evaluated per pass of zeros on m = 1
+
 
 class SkewPoly:
     """Coefficient list (degree ascending), highest entry nonzero; () is zero."""
@@ -181,7 +183,8 @@ class SkewPoly:
         field, so each exponent i >= 1 is first folded to (i - 1) mod M + 1.
         Zero is a root when the constant term is; class l adds the closure of
         g^l warp(t) over warp_kernel's basis t.  On m = 1, where each class is
-        one point, every element is evaluated instead."""
+        one point, each chunk of nonzero elements b is evaluated instead by
+        one add_scaled pass per nonzero term c_i, adding c_i b^dbracket(i)."""
         from .minimal import closure
         ctx = self.ctx
         M = ctx.m * (ctx.q - 1)
@@ -190,9 +193,20 @@ class SkewPoly:
             j = (i - 1) % M + 1
             folded[j] = ctx.add(folded[j], self.coeffs[i])
         f = SkewPoly(ctx, folded)
-        if ctx.m == 1:
-            return tuple(a for a in ctx.elements() if f.evaluate(a) == ZERO)
         pts = [ZERO] if f.coeff(0) == ZERO else []
+        if ctx.m == 1:
+            N, terms, e = ctx.order - 1, [], 0  # e = dbracket(i) mod N, as in evaluate
+            for c in f.coeffs:
+                if c != ZERO:
+                    terms.append((c, e))
+                e = (e * ctx.twist + 1) % N
+            for lo in range(0, N, _ZEROS_CHUNK):
+                chunk = range(lo, min(lo + _ZEROS_CHUNK, N))
+                out = [ZERO] * len(chunk)
+                for c, ei in terms:
+                    add_scaled(ctx, out, chunk, c, ei)
+                pts += [b for b, v in zip(chunk, out) if v == ZERO]
+            return tuple(pts)
         for ell in range(ctx.q - 1):
             pts += [ctx.mul(ell, warp(ctx, t)) for t in warp_kernel(ctx, ell, f.evaluate)]
         return closure(ctx, pts)

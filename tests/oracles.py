@@ -12,9 +12,16 @@ The *_by_terms loops are the ring and matrix loops, and the accumulation
 kernel they share, written term by term through the context's add, sub, mul
 and frobenius, one call per operation; the library's loops accumulate on
 logs through field.add_scaled, which reads the Zech table directly.
+
+encode_by_subspace draws a message by row reduction: it grows an
+F_q-subspace until it reaches the rank and pushes it through the class map,
+where the library feeds the draws' class points to the greedy minimal
+polynomial instead.
 """
 
 from skewmatroid import ONE, ZERO, SkewPoly, canonical_points, conjugate, minimal_poly
+from skewmatroid.matroid import Flat, Subspace, class_flat
+from skewmatroid.minimal import p_basis
 
 
 def rank_by_minpoly(ctx, points):
@@ -137,3 +144,20 @@ def mat_vec_by_terms(ctx, rows, v):
             acc = ctx.add(acc, ctx.mul(a, b))
         out.append(acc)
     return out
+
+
+def encode_by_subspace(ctx, ell, r, rng):
+    """A rank-r class-ell message flat: draw base-field vectors until their
+    row-reduced span has dimension r, take that subspace's class flat, and
+    its canonical P-basis from the same stream encode_message reads."""
+    v = Subspace(ctx, ())
+    while v.dim < r:
+        vec = tuple(ctx.subfield_elements[rng.randrange(ctx.q)] for _ in range(ctx.m))
+        v = Subspace.from_vectors(ctx, v.rows + (vec,))
+    flat = class_flat(ctx, v, ell)
+    if (ctx.q**r - 1) // (ctx.q - 1) <= r * r * ctx.q ** (ctx.m - r):
+        points = flat.points
+    else:
+        scan = range(ell % (ctx.q - 1), ctx.order - 1, ctx.q - 1)
+        points = (b for b in scan if flat.minpoly.evaluate(b) == ZERO)
+    return Flat(ctx, flat.minpoly, p_basis(ctx, points, rank=r))

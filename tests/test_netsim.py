@@ -32,6 +32,7 @@ from skewmatroid import (
     warp,
 )
 from skewmatroid import matroid, minimal, netsim
+from skewmatroid import field as field_module
 from skewmatroid.minimal import p_basis
 from skewmatroid.netsim import (
     build_message,
@@ -40,6 +41,7 @@ from skewmatroid.netsim import (
 )
 
 from conftest import random_layered_spec
+from oracles import encode_by_subspace
 
 
 def _spec(**overrides) -> NetSpec:
@@ -433,6 +435,60 @@ def test_encode_message_work_follows_the_cheaper_stream(r, monkeypatch):
     assert message.rank == r
     q, m = ctx.q, ctx.m
     assert sum(calls.values()) <= 2 * min(q**r, r * r * q ** (m - r))
+
+
+_ENCODE_FIELDS = [
+    "2,4,2,1", "2,4,2,3", "2,5,1,2", "2,6,2,1", "2,6,3,1", "2,6,1,5", "2,8,2,3",
+    "3,2,1,1", "3,3,1,2", "3,4,1,3", "3,4,2,1", "5,2,1,1", "5,3,1,2", "7,2,1,1",
+    "2,4,4,1", "3,3,3,1",
+]
+
+
+@pytest.mark.parametrize("field", _ENCODE_FIELDS)
+def test_encode_message_matches_the_subspace_route(field):
+    # odd p, s != 1 and m = 1 among the fields; every rank, several classes,
+    # and the stream left where the row-reduction route leaves it
+    ctx = get_field(*[int(t) for t in field.split(",")])
+    for r in range(1, ctx.m + 1):
+        for ell in sorted({0, 1 % (ctx.q - 1), ctx.q - 2}):
+            for i in range(3):
+                seed = f"{field}:{r}:{ell}:{i}"
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                got = encode_message(ctx, ell, r, got_rng)
+                want = encode_by_subspace(ctx, ell, r, want_rng)
+                assert got.minpoly == want.minpoly
+                assert got.basis == want.basis
+                assert got_rng.random() == want_rng.random()
+
+
+def test_simulate_without_the_oracle_reduces_no_rows(monkeypatch):
+    # the message is drawn as its minimal polynomial, and equal flats are at
+    # distance 0 without a common right divisor
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.update([name]) or fn(*a, **k))
+
+    from_vectors = Subspace.from_vectors.__func__
+    monkeypatch.setattr(
+        Subspace, "from_vectors",
+        classmethod(lambda cls, *a: calls.update(["from_vectors"]) or from_vectors(cls, *a)),
+    )
+    for module, name in ((field_module, "rref"), (matroid, "rref"), (matroid, "class_flat"),
+                         (netsim, "class_flat"), (matroid, "grcd")):
+        count(module, name)
+    report = simulate(_spec(trials=30))
+    assert report["success_rate"] > 0
+    assert calls.keys() <= {"grcd"}  # sinks that decode another flat
+    ctx = get_field(2, 4, 2, 1)
+    x = build_message(ctx, _spec(), random.Random(0))
+    y = matroid_closure(ctx, x.basis[:1])
+    calls.clear()
+    assert matroid.dist(x, x) == 0
+    assert calls == Counter()
+    assert matroid.dist(x, y) > 0
+    assert calls == Counter(["grcd"])
 
 
 def test_build_message_variants(f16):

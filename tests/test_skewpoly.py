@@ -290,6 +290,39 @@ def test_zeros_on_m1_is_no_slower_than_the_scan():
     assert min(z for (_, z), _ in rounds) <= 1.25 * min(s for _, (_, s) in rounds)
 
 
+@pytest.mark.parametrize("spec", ["2,10,10,1", "5,4,4,1"])
+def test_zeros_on_m1_of_sparse_polynomials_match_the_scan(spec):
+    # a few terms at degrees up to three times the field order, so the fold
+    # merges some; a right factor x - a makes half the samples vanish somewhere
+    ctx = get_field(*[int(t) for t in spec.split(",")])
+    rng = random.Random(spec)
+    N = ctx.order - 1
+    for i in range(12):
+        coeffs = [ZERO] * rng.randrange(1, 3 * N)
+        for _ in range(rng.randint(1, 5)):
+            coeffs[rng.randrange(len(coeffs))] = rng.randrange(N)
+        f = SkewPoly(ctx, coeffs)
+        if i % 2:
+            f = f * SkewPoly(ctx, (ctx.neg(rng.choice(list(ctx.elements()))), ONE))
+        assert f.zeros() == scan_zeros(f)
+
+
+def test_zeros_on_m1_of_a_sparse_polynomial_of_high_degree():
+    # three terms cost three passes over the field, where evaluating all
+    # 65,536 coefficients at each element takes 2^32 steps.  a^65535 = 1 on
+    # nonzero a, so the one root is the square root of 1 + g
+    ctx = get_field(2, 16, 16, 1)
+    ctx.zech()
+    f = SkewPoly.parse(ctx, "x^65535+x^2+g1")
+    start = time.process_time()
+    roots = f.zeros()
+    assert time.process_time() - start < 2.0
+    root = ctx.add(ONE, 1) * (ctx.order // 2) % (ctx.order - 1)  # halve the log of 1 + g
+    assert ctx.mul(root, root) == ctx.add(ONE, 1)
+    assert roots == (root,)
+    assert f.evaluate(root) == ZERO
+
+
 @pytest.mark.parametrize("spec", ["2,4,2,1", "3,2,1,1"])
 def test_product_rule(spec):
     ctx = get_field(*[int(t) for t in spec.split(",")])
