@@ -21,15 +21,14 @@ _EXPORTS = {
         unwarp unwarp_method1 unwarp_method2 warp""",
     "errors": """BadDegreeDivisibility DivisionByZero DivisionByZeroPoly DomainError
         EmptyInput FieldTooLarge GcdViolation InapplicableField MixedClasses
-        MixedContexts NonPrimeP NonPrimitiveModpoly NotC1Flat NotClosed ParseError
+        MixedContexts NonPrimeP NonPrimitiveModpoly NotC1Flat ParseError
         RankOutOfRange SpecInvalid TooLargeToEnumerate WrongClass ZeroArgument
         ZeroConjugator ZeroInput""",
     "field": "Fe FieldCtx ONE ZERO field_from_spec get_field",
-    "matroid": """Flat RepMatrix Subspace all_subspaces class_flat columns_independent
-        dist flats matroid_closure phi phi_inverse representation subspace_dist
-        subspace_sum verify_isometry""",
-    "minimal": """canonical_points closure decompose_check is_p_independent lift
-        minimal_poly p_basis rank_of""",
+    "matroid": """Flat RepMatrix Subspace all_subspaces class_flat dist flats
+        matroid_closure phi phi_inverse representation subspace_dist subspace_sum
+        verify_isometry""",
+    "minimal": "canonical_points closure is_p_independent lift minimal_poly p_basis rank_of",
     "netsim": """NetSpec TrialReport encode_message relay_forward rlnc_oracle_trial
         run_trial simulate""",
     "skewpoly": "AssocPoly SkewPoly eval_product grcd llcm",

@@ -17,6 +17,7 @@ one exponentiation when the class size is coprime to q^s - 1.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from .errors import InapplicableField, WrongClass, ZeroArgument, ZeroConjugator
 from .field import Fe, FieldCtx, ZERO, kernel
@@ -124,3 +125,9 @@ def class_label(ctx: FieldCtx, cid: ClassId) -> str:
     if cid is None:
         return "C(0)"
     return f"C({ctx.format_element(cid % (ctx.q - 1))})"
+
+
+def class_labels(ctx: FieldCtx, cids: Iterable[ClassId]) -> str:
+    """The labels of a set of classes, comma-separated: C(0) first, then by index."""
+    ordered = sorted(set(cids), key=lambda cid: (cid is not None, cid))
+    return ", ".join(class_label(ctx, cid) for cid in ordered)

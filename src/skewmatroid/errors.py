@@ -30,7 +30,6 @@ class InapplicableField(DomainError): pass
 
 # minimal polynomials / closures
 class MixedClasses(DomainError): pass
-class NotClosed(DomainError): pass
 
 
 # matroid

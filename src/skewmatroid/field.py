@@ -344,9 +344,6 @@ class FieldCtx:
             return "1"
         return f"g{a}"
 
-    def spec_string(self) -> str:
-        return f"{self.p},{self.n},{self.k},{self.s},{self.modpoly}"
-
     def modpoly_string(self) -> str:
         """The modulus as a polynomial in x over F_p."""
         terms = []

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .conjugacy import class_elements, class_of, warp
 from .errors import InapplicableField, NotC1Flat, TooLargeToEnumerate
-from .field import Fe, FieldCtx, ONE, ZERO, mat_rank, rref
+from .field import Fe, FieldCtx, ONE, ZERO, rref
 from .minimal import closure, lift, minimal_poly_and_basis, p_basis
 from .skewpoly import SkewPoly, grcd
 
@@ -246,15 +246,6 @@ def representation(ctx: FieldCtx) -> RepMatrix:
     return RepMatrix(
         ctx, a_rows, tuple(tuple(row) for row in script), tuple(labels)
     )
-
-
-def columns_independent(rep: RepMatrix, elements: Iterable[Fe]) -> bool:
-    """Whether the representation columns labeled by the given ground-set
-    elements are F_q-linearly independent."""
-    idx = {a: i for i, a in enumerate(rep.column_labels)}
-    picked = [idx[a] for a in set(elements)]
-    rows = [[rep.script_rows[r][c] for c in picked] for r in range(len(rep.script_rows))]
-    return mat_rank(rep.ctx, rows) == len(picked)
 
 
 def phi(ctx: FieldCtx, v: Subspace) -> Flat:

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .conjugacy import class_of, conjugate, unwarp, warp
-from .errors import MixedClasses, NotClosed
+from .conjugacy import class_labels, class_of, conjugate, unwarp, warp
+from .errors import MixedClasses
 from .field import Fe, FieldCtx, ZERO
-from .skewpoly import SkewPoly, grcd, llcm
+from .skewpoly import SkewPoly
 
 
 def canonical_points(points: Iterable[Fe]) -> tuple[Fe, ...]:
@@ -94,7 +94,7 @@ def lift(ctx: FieldCtx, points: Iterable[Fe]) -> list[list[Fe]]:
     pts = canonical_points(points)
     classes = {class_of(ctx, b) for b in pts}
     if len(classes) > 1 or None in classes:
-        raise MixedClasses(f"points span classes {sorted(classes, key=repr)}")
+        raise MixedClasses(f"points span classes {class_labels(ctx, classes)}")
     return [ctx.coords(unwarp(ctx, b, class_of(ctx, b))) for b in pts]
 
 
@@ -124,23 +124,3 @@ def closure(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[Fe, ...]:
         out.update(ctx.mul(ell, warp(ctx, t)) for t in lines)
     return canonical_points(out)
 
-
-def decompose_check(ctx: FieldCtx, points1: Iterable[Fe], points2: Iterable[Fe]):
-    """For closed sets: check that llcm/grcd of the minimal polynomials are
-    the minimal polynomials of union/intersection and that the degrees add
-    up; returns (llcm, grcd)."""
-    p1, p2 = canonical_points(points1), canonical_points(points2)
-    if closure(ctx, p1) != p1:
-        raise NotClosed("first set is not closed")
-    if closure(ctx, p2) != p2:
-        raise NotClosed("second set is not closed")
-    f1, f2 = minimal_poly(ctx, p1), minimal_poly(ctx, p2)
-    lc = llcm(f1, f2)
-    gc = grcd(f1, f2)
-    if lc != minimal_poly(ctx, set(p1) | set(p2)):
-        raise AssertionError("llcm does not match the union's minimal polynomial")
-    if gc != minimal_poly(ctx, set(p1) & set(p2)):
-        raise AssertionError("grcd does not match the intersection's minimal polynomial")
-    if lc.degree != f1.degree + f2.degree - gc.degree:
-        raise AssertionError("degree identity violated")
-    return lc, gc

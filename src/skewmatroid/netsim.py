@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .conjugacy import class_of, unwarp, warp
+from .conjugacy import class_labels, class_of, unwarp, warp
 from .errors import (
     EmptyInput,
     MixedClasses,
@@ -147,18 +147,6 @@ class NetSpec:
             seed=doc["seed"],
         )
 
-    def to_json(self) -> str:
-        doc = {
-            "field": self.field,
-            "nodes": [{"id": nid, "role": role} for nid, role in self.nodes],
-            "edges": [list(e) for e in self.edges],
-            "class": self.class_index,
-            "rank": self.rank,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-        return json.dumps(doc, indent=2)
-
     def ctx(self) -> FieldCtx:
         return field_from_spec(self.field)
 
@@ -197,16 +185,15 @@ class NetSpec:
             _require(nid in reachable, f"sink {nid!r} is unreachable from the source")
         return WalkPlan(sources[0], tuple(order), succ, sinks)
 
-    def _check_trials(self, trials: int) -> None:
-        """The trial-count rule, for the spec's count and for an override."""
+    def validate(self, ctx: FieldCtx | None = None, *, trials: int | None = None) -> None:
+        """The spec check: the count of trials that run (trials when given,
+        else the spec's), the walk plan and, with ctx, the class and rank."""
+        trials = self.trials if trials is None else trials
         _require(trials >= 0, "trials must be nonnegative")
         _require(
             trials * max(1, len(self.edges)) <= _MAX_EDGE_TRIALS,
             f"trials x max(1, edges) is capped at {_MAX_EDGE_TRIALS:,}; got {trials} trials",
         )
-
-    def validate(self, ctx: FieldCtx | None = None) -> None:
-        self._check_trials(self.trials)
         self.plan  # the structural checks
         if ctx is not None:
             if self.class_index is not None:
@@ -253,8 +240,7 @@ def relay_forward(ctx: FieldCtx, in_packets: Sequence[Fe], rng: random.Random) -
     ell = class_of(ctx, pkts[0])
     for p in pkts[1:]:
         if class_of(ctx, p) != ell:
-            classes = {class_of(ctx, p) for p in pkts}
-            names = ", ".join(sorted("0" if c is None else f"C(g^{c})" for c in classes))
+            names = class_labels(ctx, (class_of(ctx, p) for p in pkts))
             raise MixedClasses(f"packets span several classes: {names}")
     if ell is None:
         return ZERO
@@ -437,9 +423,8 @@ def simulate(
     oracle="rlnc" every trial is replayed on the vector simulator under the
     same seed and the decoded flats are compared through the class map."""
     ctx = spec.ctx()
-    spec.validate(ctx)
     n_trials = spec.trials if trials is None else trials
-    spec._check_trials(n_trials)
+    spec.validate(ctx, trials=n_trials)
     master = spec.seed if seed is None else seed
     if oracle not in (None, "rlnc"):
         raise SpecInvalid(f"unknown oracle {oracle!r}; supported: rlnc")

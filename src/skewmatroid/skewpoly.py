@@ -4,10 +4,11 @@ Polynomials live in F_{q^m}[x; sigma] where coefficients sit on the left and
 x moves past a coefficient by twisting it: x * a = sigma(a) * x.  Division
 happens on the right (f = p*g + r), which keeps remainders unique, and
 evaluation at a point is the remainder of right division by (x - a),
-computed directly as sum c_i * a^dbracket(i); on a class it is a
-sigma-linearized map, so roots come from one m x m kernel per class.  The
-greatest common right divisor is the bare right Euclidean remainder
-sequence; the least common left multiple also tracks its one cofactor.
+computed directly as sum c_i * a^dbracket(i), the value at a of the
+regular associate; on a class it is a sigma-linearized map, so roots come
+from one m x m kernel per class.  The greatest common right divisor is the
+bare right Euclidean remainder sequence; the least common left multiple
+also tracks its one cofactor.
 
 Sums, products, right division and times_linear accumulate on logs through
 the one kernel field.add_scaled; evaluation, a dot product with a running
@@ -220,14 +221,6 @@ class SkewPoly:
             tuple((ctx.dbracket(i), c) for i, c in enumerate(self.coeffs) if c != ZERO),
         )
 
-    def linearized_associate(self) -> "AssocPoly":
-        """Additive polynomial with x^i replaced by x^bracket(i)."""
-        ctx = self.ctx
-        return AssocPoly(
-            ctx,
-            tuple((ctx.bracket(i), c) for i, c in enumerate(self.coeffs) if c != ZERO),
-        )
-
     # -- text form --------------------------------------------------------------------
 
     _XPART = re.compile(r"^x(?:\^0*([0-9]+))?$")  # ASCII digits: \d admits others
@@ -277,14 +270,10 @@ class SkewPoly:
 @dataclass(frozen=True)
 class AssocPoly:
     """Sparse ordinary polynomial: (exponent, coefficient) terms, exponents
-    strictly increasing.  Produced by the associate maps of SkewPoly."""
+    strictly increasing.  Produced by SkewPoly.regular_associate."""
 
     ctx: FieldCtx
     terms: tuple[tuple[int, Fe], ...]
-
-    @property
-    def degree(self) -> int:
-        return self.terms[-1][0] if self.terms else -1
 
     def evaluate(self, a: Fe) -> Fe:
         ctx = self.ctx

@@ -17,11 +17,34 @@ encode_by_subspace draws a message by row reduction: it grows an
 F_q-subspace until it reaches the rank and pushes it through the class map,
 where the library feeds the draws' class points to the greedy minimal
 polynomial instead.
+
+decompose_check holds llcm and grcd against the minimal polynomials of the
+union and the intersection of two closed sets, columns_independent holds
+P-independence against the rank of representation columns, and
+linearized_associate (x^i replaced by x^bracket(i)) carries the paper's link
+between skew evaluation on warp images and an additive polynomial.
 """
 
-from skewmatroid import ONE, ZERO, SkewPoly, canonical_points, conjugate, minimal_poly
+from skewmatroid import (
+    ONE,
+    ZERO,
+    AssocPoly,
+    DomainError,
+    SkewPoly,
+    canonical_points,
+    closure,
+    conjugate,
+    grcd,
+    llcm,
+    minimal_poly,
+)
+from skewmatroid.field import mat_rank
 from skewmatroid.matroid import Flat, Subspace, class_flat
 from skewmatroid.minimal import p_basis
+
+
+class NotClosed(DomainError):
+    """decompose_check was given a set that is not its own closure."""
 
 
 def rank_by_minpoly(ctx, points):
@@ -161,3 +184,43 @@ def encode_by_subspace(ctx, ell, r, rng):
         scan = range(ell % (ctx.q - 1), ctx.order - 1, ctx.q - 1)
         points = (b for b in scan if flat.minpoly.evaluate(b) == ZERO)
     return Flat(ctx, flat.minpoly, p_basis(ctx, points, rank=r))
+
+
+def decompose_check(ctx, points1, points2):
+    """For closed sets: check that llcm/grcd of the minimal polynomials are
+    the minimal polynomials of union/intersection and that the degrees add
+    up; returns (llcm, grcd)."""
+    p1, p2 = canonical_points(points1), canonical_points(points2)
+    if closure(ctx, p1) != p1:
+        raise NotClosed("first set is not closed")
+    if closure(ctx, p2) != p2:
+        raise NotClosed("second set is not closed")
+    f1, f2 = minimal_poly(ctx, p1), minimal_poly(ctx, p2)
+    lc = llcm(f1, f2)
+    gc = grcd(f1, f2)
+    if lc != minimal_poly(ctx, set(p1) | set(p2)):
+        raise AssertionError("llcm does not match the union's minimal polynomial")
+    if gc != minimal_poly(ctx, set(p1) & set(p2)):
+        raise AssertionError("grcd does not match the intersection's minimal polynomial")
+    if lc.degree != f1.degree + f2.degree - gc.degree:
+        raise AssertionError("degree identity violated")
+    return lc, gc
+
+
+def columns_independent(rep, elements):
+    """Whether the representation columns labeled by the given ground-set
+    elements are F_q-linearly independent."""
+    idx = {a: i for i, a in enumerate(rep.column_labels)}
+    picked = [idx[a] for a in set(elements)]
+    rows = [[rep.script_rows[r][c] for c in picked] for r in range(len(rep.script_rows))]
+    return mat_rank(rep.ctx, rows) == len(picked)
+
+
+def linearized_associate(f):
+    """Additive polynomial with x^i replaced by x^bracket(i).  Its exponents
+    are exact, q^(i*s') for degree i, so it serves small fields only."""
+    ctx = f.ctx
+    return AssocPoly(
+        ctx,
+        tuple((ctx.bracket(i), c) for i, c in enumerate(f.coeffs) if c != ZERO),
+    )

@@ -12,8 +12,6 @@ from skewmatroid import (
     ZERO,
     class_elements,
     class_flat,
-    columns_independent,
-    decompose_check,
     dist,
     flats,
     is_p_independent,
@@ -32,6 +30,7 @@ from skewmatroid.netsim import build_message, mirrored_source_vectors
 from skewmatroid.selftest import run_all
 
 from conftest import random_layered_spec
+from oracles import columns_independent, decompose_check
 from test_matroid import _check_independence_axioms, _check_rank_axioms
 
 

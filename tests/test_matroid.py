@@ -15,7 +15,6 @@ from skewmatroid import (
     canonical_points,
     class_elements,
     class_flat,
-    columns_independent,
     dist,
     flats,
     get_field,
@@ -33,7 +32,7 @@ from skewmatroid import (
 from skewmatroid.field import mat_rank
 from skewmatroid.matroid import subspace_count
 
-from oracles import closure_definitional, dist_definitional
+from oracles import closure_definitional, columns_independent, dist_definitional
 
 
 # ------------------------------------------------------- generic axiom checks

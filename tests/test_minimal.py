@@ -7,7 +7,6 @@ import pytest
 from skewmatroid import (
     FieldCtx,
     MixedClasses,
-    NotClosed,
     ONE,
     SkewPoly,
     ZERO,
@@ -15,7 +14,6 @@ from skewmatroid import (
     class_elements,
     class_of,
     closure,
-    decompose_check,
     get_field,
     is_p_independent,
     lift,
@@ -27,7 +25,13 @@ from skewmatroid import (
 )
 from skewmatroid.field import mat_rank
 
-from oracles import closure_definitional, scan_zeros
+from oracles import (
+    NotClosed,
+    closure_definitional,
+    decompose_check,
+    linearized_associate,
+    scan_zeros,
+)
 
 
 def _dbracket(ctx, i: int) -> int:
@@ -163,6 +167,9 @@ def test_lift_rejects_mixed_classes(f16):
         lift(f16, (a, b))
     with pytest.raises(MixedClasses):
         lift(f16, (a, ZERO))
+    # classes are named as classof prints them, the class of zero first
+    with pytest.raises(MixedClasses, match=r"span classes C\(0\), C\(1\), C\(g1\)$"):
+        lift(f16, (b, ZERO, a))
 
 
 # ------------------------------------------------------------------ closures
@@ -287,7 +294,7 @@ def test_warp_root_correspondence_class0(f16):
     members = class_elements(f16, 0)
     for _ in range(20):
         pts = tuple(rng.sample(members, rng.randint(1, 3)))
-        lin = minimal_poly(f16, pts).linearized_associate()
+        lin = linearized_associate(minimal_poly(f16, pts))
         warped = {warp(f16, r) for r in scan_zeros(lin) if r != ZERO}
         assert canonical_points(warped) == closure(f16, pts)
 
