@@ -3,8 +3,8 @@
 A source encodes its message as a flat of one conjugacy class and is treated
 as a relay preloaded with message.basis, the flat's greedy P-basis in
 canonical order.  The message is drawn as its minimal polynomial, fed the
-class points of random base-field vectors until r are P-independent, which
-inside a class is F_q-independence of their preimages: no row is reduced.
+class points of the relays' draw until r are P-independent, which inside a
+class is F_q-independence of their preimages: no row is reduced.
 NetSpec.plan is the spec check, so no walk reads an unchecked spec.  Every
 node forwards, per outgoing edge, one element drawn uniformly from the
 closure of the packets it holds: unwarp the packets, draw a uniform nonzero
@@ -185,9 +185,9 @@ class NetSpec:
             _require(nid in reachable, f"sink {nid!r} is unreachable from the source")
         return WalkPlan(sources[0], tuple(order), succ, sinks)
 
-    def validate(self, ctx: FieldCtx | None = None, *, trials: int | None = None) -> None:
+    def validate(self, ctx: FieldCtx, *, trials: int | None = None) -> None:
         """The spec check: the count of trials that run (trials when given,
-        else the spec's), the walk plan and, with ctx, the class and rank."""
+        else the spec's), the walk plan, and the class and rank on ctx."""
         trials = self.trials if trials is None else trials
         _require(trials >= 0, "trials must be nonnegative")
         _require(
@@ -195,18 +195,17 @@ class NetSpec:
             f"trials x max(1, edges) is capped at {_MAX_EDGE_TRIALS:,}; got {trials} trials",
         )
         self.plan  # the structural checks
-        if ctx is not None:
-            if self.class_index is not None:
-                _require(
-                    0 <= self.class_index <= ctx.q - 2,
-                    f"class index {self.class_index} outside 0..{ctx.q - 2}",
-                )
-                if not 0 <= self.rank <= ctx.m:
-                    raise RankOutOfRange(f"rank {self.rank} outside 0..{ctx.m}")
-            elif self.rank > 1:
-                raise RankOutOfRange("a zero-class message has rank at most 1")
-            elif self.rank < 0:
-                raise RankOutOfRange(f"rank {self.rank} is negative")
+        if self.class_index is not None:
+            _require(
+                0 <= self.class_index <= ctx.q - 2,
+                f"class index {self.class_index} outside 0..{ctx.q - 2}",
+            )
+            if not 0 <= self.rank <= ctx.m:
+                raise RankOutOfRange(f"rank {self.rank} outside 0..{ctx.m}")
+        elif self.rank > 1:
+            raise RankOutOfRange("a zero-class message has rank at most 1")
+        elif self.rank < 0:
+            raise RankOutOfRange(f"rank {self.rank} is negative")
 
 
 def _draw_nonzero_combination(
@@ -249,18 +248,18 @@ def relay_forward(ctx: FieldCtx, in_packets: Sequence[Fe], rng: random.Random) -
 
 
 def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
-    """Uniformly random rank-r flat of class ell: nonzero base-field vector
-    draws, as class points g^ell * warp, feed the greedy minimal polynomial
-    until it holds r of them.  Its basis, which the source sends, is the
+    """Uniformly random rank-r flat of class ell: the relays' draw over the
+    field's basis feeds its class points g^ell * warp to the greedy minimal
+    polynomial until it holds r.  Its basis, which the source sends, is the
     greedy P-basis of its points in canonical order, stopped at r points and
     read from the flat's lines or from a scan of class ell for zeros of its
     minimal polynomial, whichever count (see the module docstring) is smaller."""
     if not 1 <= r <= ctx.m:
         raise RankOutOfRange(f"rank {r} outside 1..{ctx.m}")
     ell %= ctx.q - 1
-    q, m, elements, randrange = ctx.q, ctx.m, ctx.subfield_elements, rng.randrange
-    draws = map(ctx.uncoords, iter(lambda: [elements[randrange(q)] for _ in range(m)], None))
-    drawn = (ctx.mul(ell, warp(ctx, a)) for a in draws if a != ZERO)
+    q, m, units = ctx.q, ctx.m, [(b,) for b in ctx.basis]
+    draws = iter(lambda: _draw_nonzero_combination(ctx, units, rng)[0], None)
+    drawn = (ctx.mul(ell, warp(ctx, a)) for a in draws)
     minpoly, picks = minimal_poly_and_basis(ctx, drawn, rank=r)
     if (q**r - 1) // (q - 1) <= r * r * q ** (m - r):
         points = closure(ctx, picks)

@@ -183,9 +183,9 @@ class SkewPoly:
         canonical order.  x^(M+1) - x, M = m(q - 1), vanishes on the whole
         field, so each exponent i >= 1 is first folded to (i - 1) mod M + 1.
         Zero is a root when the constant term is; class l adds the closure of
-        g^l warp(t) over warp_kernel's basis t.  On m = 1, where each class is
-        one point, each chunk of nonzero elements b is evaluated instead by
-        one add_scaled pass per nonzero term c_i, adding c_i b^dbracket(i)."""
+        g^l warp(t) over warp_kernel's basis t.  On m = 1, where sigma is the
+        identity and each class one point, each chunk of nonzero elements b is
+        evaluated by one add_scaled pass per nonzero term c_i, adding c_i b^i."""
         from .minimal import closure
         ctx = self.ctx
         M = ctx.m * (ctx.q - 1)
@@ -196,11 +196,8 @@ class SkewPoly:
         f = SkewPoly(ctx, folded)
         pts = [ZERO] if f.coeff(0) == ZERO else []
         if ctx.m == 1:
-            N, terms, e = ctx.order - 1, [], 0  # e = dbracket(i) mod N, as in evaluate
-            for c in f.coeffs:
-                if c != ZERO:
-                    terms.append((c, e))
-                e = (e * ctx.twist + 1) % N
+            N = ctx.order - 1
+            terms = [(c, i) for i, c in enumerate(f.coeffs) if c != ZERO]  # b^dbracket(i) = b^i
             for lo in range(0, N, _ZEROS_CHUNK):
                 chunk = range(lo, min(lo + _ZEROS_CHUNK, N))
                 out = [ZERO] * len(chunk)

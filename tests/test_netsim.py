@@ -182,7 +182,7 @@ def test_from_json_rejects_what_json_cannot_build(text):
         NetSpec.from_json(text)
 
 
-def test_validate_rejects_bad_topologies():
+def test_validate_rejects_bad_topologies(f16):
     bad = [
         # duplicate node id
         dict(nodes=[{"id": "s", "role": "source"}, {"id": "s", "role": "sink"}], edges=[]),
@@ -214,7 +214,7 @@ def test_validate_rejects_bad_topologies():
     ]
     for changes in bad:
         with pytest.raises(SpecInvalid):
-            _spec(**changes).validate()
+            _spec(**changes).validate(f16)
 
 
 def test_unchecked_spec_fails_before_the_walk(f16):
@@ -232,14 +232,14 @@ def test_unchecked_spec_fails_before_the_walk(f16):
             rlnc_oracle_trial(f16, _spec(**changes), vecs, seed=1)
 
 
-def test_trial_cap_is_trials_times_edges():
+def test_trial_cap_is_trials_times_edges(f16):
     limit = netsim._MAX_EDGE_TRIALS
-    _spec(trials=limit // 4).validate()  # the diamond has four edges
+    _spec(trials=limit // 4).validate(f16)  # the diamond has four edges
     lone = dict(nodes=[{"id": "s", "role": "source"}], edges=[])
-    _spec(trials=limit, **lone).validate()  # no edges counts as one
+    _spec(trials=limit, **lone).validate(f16)  # no edges counts as one
     for bad in (_spec(trials=limit // 4 + 1), _spec(trials=limit + 1, **lone)):
         with pytest.raises(SpecInvalid, match="capped"):
-            bad.validate()
+            bad.validate(f16)
     with pytest.raises(SpecInvalid, match="capped"):
         simulate(_spec(), trials=limit // 4 + 1)  # an override obeys the same rule
 
@@ -309,7 +309,7 @@ def test_large_layered_dag_walk_order():
     )
     spec = _spec(nodes=nodes, edges=edges)
     assert len(spec.nodes) == 1000
-    spec.validate()
+    spec.validate(spec.ctx())
     assert spec.plan.order == _naive_topo_order(spec)
     succ = spec.plan.successors
     assert list(succ) == [nid for nid, _ in spec.nodes]
@@ -476,6 +476,25 @@ def test_encode_message_matches_the_subspace_route(field):
                 assert got.minpoly == want.minpoly
                 assert got.basis == want.basis
                 assert got_rng.random() == want_rng.random()
+
+
+def _randrange_readers(node, scope=()):
+    """The scope, as a dotted name, of each load of randrange under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _randrange_readers(child, scope + (child.name,))
+            continue
+        name = getattr(child, "id", None) or getattr(child, "attr", None)
+        if name == "randrange" and isinstance(getattr(child, "ctx", None), ast.Load):
+            yield ".".join(scope)
+        yield from _randrange_readers(child, scope)
+
+
+def test_only_the_shared_draw_reads_randrange():
+    # the message's points, the relays' packets and the oracle's vectors all
+    # come from one draw, so an identically seeded stream has one consumer
+    tree = ast.parse(Path(netsim.__file__).read_text(encoding="utf-8"))
+    assert set(_randrange_readers(tree)) == {"_draw_nonzero_combination"}
 
 
 def test_simulate_without_the_oracle_reduces_no_rows(monkeypatch):

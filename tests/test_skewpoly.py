@@ -290,7 +290,7 @@ def test_zeros_on_m1_is_no_slower_than_the_scan():
     assert min(z for (_, z), _ in rounds) <= 1.25 * min(s for _, (_, s) in rounds)
 
 
-@pytest.mark.parametrize("spec", ["2,10,10,1", "5,4,4,1"])
+@pytest.mark.parametrize("spec", ["2,10,10,1", "5,4,4,1", "3,4,4,3", "2,1,1,1"])
 def test_zeros_on_m1_of_sparse_polynomials_match_the_scan(spec):
     # a few terms at degrees up to three times the field order, so the fold
     # merges some; a right factor x - a makes half the samples vanish somewhere
