@@ -8,7 +8,9 @@ Frobenius is used as the twist.  Elements are discrete logs, so both the
 class index and the canonical warp inverse are integer arithmetic mod
 q^m - 1: the class of g^a is a mod (q - 1), and warp multiplies logs by
 q^s - 1.  Every use of q^s here reads the context's twist, q^s mod q^m - 1,
-so q^s is never expanded.  By the paper's link, f(g^l warp(b)) b =
+so q^s is never expanded, and the canonical unwarp multiplies by the
+context's unwarp_factor, the inverse of [s]_q modulo the class size, which
+the context computes once.  By the paper's link, f(g^l warp(b)) b =
 sum f_i g^(l dbracket(i)) sigma^i(b) is F_q-linear in b: warp_kernel's kernel
 serves roots and the first unwarp route, its degree-1 case; the second is
 one exponentiation when the class size is coprime to q^s - 1.
@@ -106,18 +108,27 @@ def unwarp_method2(ctx: FieldCtx, alpha: Fe, ell: int) -> Fe:
     return ctx.pow(ctx.div(alpha, ell), t)
 
 
+def unwarp_all(ctx: FieldCtx, alphas: Iterable[Fe], ell: int) -> list[Fe]:
+    """unwarp of each element of alphas, all in class ell: one pass checks
+    each element's class and solves for its preimage, so a caller holding a
+    pool of one class (a relay) pays one class check per element."""
+    q1, cs, factor = ctx.q - 1, ctx.class_size, ctx.unwarp_factor
+    ell %= q1
+    out = []
+    for alpha in alphas:
+        if alpha == ZERO or alpha % q1 != ell:
+            raise WrongClass(f"element is not in class {ell}")
+        out.append((alpha - ell) // q1 * factor % cs)
+    return out
+
+
 def unwarp(ctx: FieldCtx, alpha: Fe, ell: int) -> Fe:
     """The least-log warp preimage within a class, as unwarp_method1 returns.
     For alpha = g^(l + j(q-1)) its log t solves t [s]_q = j mod class size,
     [s]_q = (q^s - 1)/(q - 1), which gcd(s, m) = 1 makes invertible; the
-    fiber is t plus multiples of the class size.  Modulo the class size
-    [s]_q = [s mod m]_q, read from the twist, which is q^(s mod m) for m > 1
-    (for m = 1 the class size is 1)."""
-    ell = ell % (ctx.q - 1)
-    if class_of(ctx, alpha) != ell:
-        raise WrongClass(f"element is not in class {ell}")
-    s_bracket = (ctx.twist - 1) // (ctx.q - 1)
-    return (alpha - ell) // (ctx.q - 1) * pow(s_bracket, -1, ctx.class_size) % ctx.class_size
+    fiber is t plus multiples of the class size.  The inverse of [s]_q is the
+    context's unwarp_factor, a constant of the context (see FieldCtx)."""
+    return unwarp_all(ctx, (alpha,), ell)[0]
 
 
 def class_label(ctx: FieldCtx, cid: ClassId) -> str:

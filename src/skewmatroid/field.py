@@ -212,6 +212,11 @@ class FieldCtx:
         # since q^m = 1 mod N; twist is the j = 1 entry, sigma's action on logs
         self._frob = tuple(pow(self.q, j * s % m, N) for j in range(m))
         self.twist = self._frob[1 % m]
+        # unwarp_factor inverts [s]_q = (q^s - 1)/(q - 1) mod class_size, as
+        # gcd(s, m) = 1 allows: the canonical unwarp multiplies by it.  Modulo
+        # the class size [s]_q = [s mod m]_q, read from the twist, which is
+        # q^(s mod m) for m > 1; for m = 1 the class size is 1, the factor 0
+        self.unwarp_factor = pow((self.twist - 1) // (self.q - 1), -1, self.class_size)
         self.minus_one: Fe = N // 2 if p != 2 else ONE  # -1 = g^(N/2) for odd p
         self._s_rep = (s - 1) % m + 1  # s in 1..m: the same sigma, bounded brackets
 
@@ -310,9 +315,12 @@ class FieldCtx:
         return out
 
     def uncoords(self, v: Iterable[Fe]) -> Fe:
+        """sum c_j g^j: basis element j is g^j, so each term's log is c_j + j."""
+        N = self.order - 1
         acc = ZERO
         for j, c in enumerate(v):
-            acc = self.add(acc, self.mul(c, self.basis[j]))
+            if c != ZERO:
+                acc = self.add(acc, (c + j) % N)
         return acc
 
     # -- iteration, parsing, printing -------------------------------------------

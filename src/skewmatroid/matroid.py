@@ -114,7 +114,10 @@ def subspace_sum(v: Subspace, w: Subspace) -> Subspace:
 
 
 def subspace_dist(v: Subspace, w: Subspace) -> int:
-    """dim(V+W) - dim(V&W) = 2 dim(V+W) - dim V - dim W."""
+    """dim(V+W) - dim(V&W) = 2 dim(V+W) - dim V - dim W; 0 for equal row
+    spaces, with no reduction."""
+    if v == w:
+        return 0
     return 2 * subspace_sum(v, w).dim - v.dim - w.dim
 
 

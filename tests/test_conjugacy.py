@@ -1,7 +1,11 @@
+import ast
 import math
+import pathlib
 import random
 
 import pytest
+
+import skewmatroid
 
 from skewmatroid import (
     InapplicableField,
@@ -24,8 +28,10 @@ from skewmatroid import (
     unwarp_method2,
     warp,
 )
-from skewmatroid.conjugacy import warp_kernel
+from skewmatroid.conjugacy import unwarp_all, warp_kernel
 from skewmatroid.field import kernel
+
+from test_log_loops import SPECS, _ctx
 
 
 # ---------------------------------------------------------------- partition
@@ -152,6 +158,55 @@ def test_unwarp_closed_form_matches_method1(f16, f9, f27s2, f32s2):
         ell = class_of(ctx, alpha)
         want = _least_log_on_kernel_line(ctx, alpha, ell)
         assert unwarp(ctx, alpha, ell) == unwarp_method1(ctx, alpha, ell) == want
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_unwarp_factor_matches_method1_on_every_spec(spec):
+    # the context's unwarp factor against the kernel route, on m = 1 (class
+    # size 1, factor 0), N = 1, odd p and s != 1; a sample above order 1024
+    ctx = _ctx(spec)
+    s_bracket = (ctx.twist - 1) // (ctx.q - 1)
+    assert ctx.unwarp_factor * s_bracket % ctx.class_size == 1 % ctx.class_size
+    alphas = list(ctx.nonzero_elements())
+    if ctx.order > 1024:
+        alphas = random.Random(spec).sample(alphas, 256)
+    for alpha in alphas:
+        ell = class_of(ctx, alpha)
+        assert unwarp(ctx, alpha, ell) == unwarp_method1(ctx, alpha, ell)
+    # the pooled pass is unwarp element by element, and refuses what it refuses
+    ell = class_of(ctx, alphas[-1])
+    members = [a for a in alphas if class_of(ctx, a) == ell]
+    assert unwarp_all(ctx, members, ell) == [unwarp(ctx, a, ell) for a in members]
+    with pytest.raises(WrongClass, match=f"^element is not in class {ell}$"):
+        unwarp_all(ctx, members + [ZERO], ell)
+
+
+def _modular_inverse_sites(node, scope=()):
+    """The scope, as a dotted name, of each pow(x, -1, n) under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _modular_inverse_sites(child, scope + (child.name,))
+            continue
+        if (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Name)
+            and child.func.id == "pow"
+            and len(child.args) == 3
+            and ast.unparse(child.args[1]) == "-1"
+        ):
+            yield ".".join(scope)
+        yield from _modular_inverse_sites(child, scope)
+
+
+def test_only_the_context_and_method2_take_a_modular_inverse():
+    # the canonical unwarp's factor is a constant of the context, so no
+    # per-element path inverts [s]_q again
+    sites = {
+        (path.name, name)
+        for path in pathlib.Path(skewmatroid.__file__).parent.glob("*.py")
+        for name in _modular_inverse_sites(ast.parse(path.read_text()))
+    }
+    assert sites == {("field.py", "FieldCtx.__init__"), ("conjugacy.py", "unwarp_method2")}
 
 
 def test_unwarp_picks_minimal_log(f16):

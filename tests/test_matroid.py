@@ -29,6 +29,7 @@ from skewmatroid import (
     subspace_sum,
     verify_isometry,
 )
+from skewmatroid import matroid
 from skewmatroid.field import mat_rank
 from skewmatroid.matroid import subspace_count
 
@@ -272,6 +273,25 @@ def test_subspace_sum_and_dist(f8):
         assert (subspace_dist(v, w) == 0) == (v == w)
     for u, v, w in itertools.product(subs, repeat=3):
         assert subspace_dist(u, w) <= subspace_dist(u, v) + subspace_dist(v, w)
+
+
+def test_equal_row_spaces_are_at_distance_zero_without_a_reduction(f16, monkeypatch):
+    # every oracle sink that recovers the message compares equal row spaces
+    reductions = []
+    rref = matroid.rref
+    monkeypatch.setattr(matroid, "rref", lambda *a: reductions.append(a) or rref(*a))
+    rng = random.Random(3)
+    for _ in range(20):
+        els = rng.sample(range(f16.order - 1), rng.randint(1, 2))
+        v = Subspace.from_elements(f16, els)
+        w = Subspace.from_elements(f16, els[::-1])  # equal, built apart
+        reductions.clear()
+        assert subspace_dist(v, v) == subspace_dist(v, w) == 0
+        assert reductions == []
+    other = Subspace.from_elements(f16, [ONE])
+    assert other != v
+    assert subspace_dist(v, other) > 0
+    assert reductions  # unequal spaces are still reduced
 
 
 # ------------------------------------------------------------ representation

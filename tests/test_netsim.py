@@ -338,6 +338,20 @@ def test_relay_single_packet_is_fixed(f16):
             assert relay_forward(f16, [a], rng) == a
 
 
+def test_a_one_packet_relay_still_draws(f16, monkeypatch):
+    # the lone packet comes back, as warp kills F_q*, but through the shared
+    # draw, so the seeded stream advances as the oracle's does
+    draws = []
+    draw = netsim._draw_nonzero_combination
+    monkeypatch.setattr(
+        netsim, "_draw_nonzero_combination", lambda *a: draws.append(a[1]) or draw(*a)
+    )
+    rng = CountingRandom(0)
+    for a in (ONE, class_elements(f16, 2)[3]):
+        assert relay_forward(f16, [a], rng) == a
+    assert [len(vectors) for vectors in draws] == [1, 1] and rng.calls >= 2
+
+
 def test_relay_zero_and_errors(f16):
     rng = random.Random(0)
     assert relay_forward(f16, [ZERO], rng) == ZERO
@@ -738,6 +752,59 @@ def test_simulate_with_rlnc_oracle():
         "success_rate",
         "per_trial_match",
     ]
+
+
+def test_the_oracle_catches_a_relay_that_skips_its_draw(monkeypatch):
+    # forwarding a lone packet as is gives the right element but shifts the
+    # seeded stream, so the vector replay draws other combinations; this spec
+    # has such a relay, and the oracle must see the fault
+    spec = random_layered_spec(random.Random("skip:2"), trials=10, seed=2)
+    assert simulate(spec, oracle="rlnc")["oracle"]["per_trial_match"] is True
+    real = netsim.relay_forward
+
+    def lazy_relay(ctx, in_packets, rng):
+        return in_packets[0] if len(in_packets) == 1 else real(ctx, in_packets, rng)
+
+    monkeypatch.setattr(netsim, "relay_forward", lazy_relay)
+    assert simulate(spec, oracle="rlnc")["oracle"]["per_trial_match"] is False
+
+
+def test_the_oracle_maps_each_decoded_row_space_once_per_trial(monkeypatch):
+    # sinks t and v hear a and b, u hears a alone: t and v always decode the
+    # same row space, which is mapped through class_flat once in its trial
+    spec = _spec(
+        nodes=[{"id": "s", "role": "source"}, {"id": "a", "role": "relay"},
+               {"id": "b", "role": "relay"}, {"id": "t", "role": "sink"},
+               {"id": "u", "role": "sink"}, {"id": "v", "role": "sink"}],
+        edges=[["s", "a"], ["s", "b"], ["a", "t"], ["b", "t"], ["a", "u"],
+               ["a", "v"], ["b", "v"]],
+        trials=40,
+    )
+    mapped, decoded = [], []
+    trial, oracle_trial, image = netsim.run_trial, netsim.rlnc_oracle_trial, netsim.class_flat
+
+    def run_trial(*a):
+        mapped.append([])
+        return trial(*a)
+
+    def rlnc(*a):
+        report = oracle_trial(*a)
+        decoded.append({s.decoded for s in report.sinks})
+        return report
+
+    def class_flat(ctx, v, ell):
+        mapped[-1].append(v)
+        return image(ctx, v, ell)
+
+    monkeypatch.setattr(netsim, "run_trial", run_trial)
+    monkeypatch.setattr(netsim, "rlnc_oracle_trial", rlnc)
+    monkeypatch.setattr(netsim, "class_flat", class_flat)
+    assert simulate(spec, oracle="rlnc")["oracle"]["per_trial_match"] is True
+    assert len(mapped) == len(decoded) == 40
+    for spaces, distinct in zip(mapped, decoded):
+        assert spaces and len(spaces) == len(set(spaces))
+        assert set(spaces) == distinct
+    assert any(len(spaces) == 2 for spaces in mapped)  # u's space differed
 
 
 def test_simulate_oracle_errors():
