@@ -38,10 +38,10 @@ _MAX_REP_ENTRIES = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class Flat:
-    """A flat, held as its monic minimal polynomial (the flat is its zero
-    set) and a P-basis: an independent subset with the same closure.  The
-    basis depends on the route that built the flat (matroid_closure: greedy
-    over the points it is given; class_flat: over its rows' images)."""
+    """A flat: its monic minimal polynomial, whose zero set it is, and a
+    P-basis (an independent subset with the same closure) that its route
+    picks: matroid_closure's greedy over the points given, class_flat's over
+    its rows' images, or encode_message's canonical greedy stopped at the rank."""
 
     ctx: FieldCtx
     minpoly: SkewPoly

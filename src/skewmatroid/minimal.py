@@ -5,24 +5,24 @@ degree that evaluates to zero on every point.  It is built one point at a
 time: a point the current polynomial already kills is skipped, otherwise the
 polynomial is extended by the linear factor whose root is the point
 conjugated by the current value.  Degree growth therefore counts exactly the
-"independent" points, which is what bases below rest on.  Rank is summed
-per class instead: [0 in the set] plus, for each class, the degree of that
-class part's minimal polynomial, which is at most m.
+"independent" points, which is what bases below rest on.
 
-Closures take the other route the paper gives: the matroid is the direct sum
-of {0} and one submatroid per conjugacy class (Lam & Leroy, "Vandermonde and
-Wronskian matrices over division rings", J. Algebra 1988), and warping
-carries each class's flats one-to-one onto the F_q-subspaces of the field.
-Warp kills F_q*, so each class's flats are projective geometries: a closure
-is computed class by class as the warp image of the lines of the span of the
-unwarped points, one point per line, with no scan of the field.
+The matroid is the direct sum of {0} and one submatroid per conjugacy class
+(Lam & Leroy, "Vandermonde and Wronskian matrices over division rings",
+J. Algebra 1988), and warping carries each class's flats one-to-one onto the
+F_q-subspaces of the field.  Rank, closure and lift read one split of a
+point set into those summands, _class_parts.  Rank adds [0 in the set] to
+each class part's minimal-polynomial degree, at most m.  Warp kills F_q*, so
+each class's flats are projective geometries: a closure is the warp image of
+the lines of the span of each part's unwarped points, one point per line,
+with no scan of the field.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .conjugacy import class_labels, class_of, conjugate, unwarp, warp
+from .conjugacy import ClassId, class_labels, class_of, conjugate, unwarp, unwarp_all, warp
 from .errors import MixedClasses
 from .field import Fe, FieldCtx, ZERO
 from .skewpoly import SkewPoly
@@ -43,6 +43,8 @@ def minimal_poly_and_basis(
     by then, so the polynomial is the same, and the basis is the canonical
     one only when the order given is canonical."""
     f = SkewPoly.one(ctx)
+    if rank == 0:
+        return f, ()
     basis = []
     for b in canonical_points(points) if rank is None else points:
         v = f.evaluate(b)
@@ -62,23 +64,26 @@ def minimal_poly(ctx: FieldCtx, points: Iterable[Fe]) -> SkewPoly:
     return minimal_poly_and_basis(ctx, points)[0]
 
 
+def _class_parts(ctx: FieldCtx, points: Iterable[Fe]) -> dict[ClassId, list[Fe]]:
+    """The points by class, each part in the order given, zero under None."""
+    parts: dict[ClassId, list[Fe]] = {}
+    for b in points:
+        parts.setdefault(class_of(ctx, b), []).append(b)
+    return parts
+
+
 def rank_of(ctx: FieldCtx, points: Iterable[Fe]) -> int:
-    """Rank in the direct sum of {0} and the class submatroids: 1 if zero is
-    in the set, plus each class part's minimal-polynomial degree.  A class
-    part has rank at most m, so its greedy stops at m points."""
-    parts: dict[int, list[Fe]] = {}
-    pts = canonical_points(points)
-    for b in pts:
-        if b != ZERO:
-            parts.setdefault(class_of(ctx, b), []).append(b)
-    return (ZERO in pts) + sum(
+    """Rank in the direct sum, over _class_parts: 1 for zero, plus each class
+    part's minimal-polynomial degree, at most m, where its greedy stops."""
+    parts = _class_parts(ctx, points)
+    return (parts.pop(None, None) is not None) + sum(
         minimal_poly_and_basis(ctx, part, rank=ctx.m)[0].degree for part in parts.values()
     )
 
 
 def is_p_independent(ctx: FieldCtx, points: Iterable[Fe]) -> bool:
     """True when the rank equals the set size."""
-    pts = canonical_points(points)
+    pts = set(points)
     return rank_of(ctx, pts) == len(pts)
 
 
@@ -89,38 +94,31 @@ def p_basis(ctx: FieldCtx, points: Iterable[Fe], *, rank: int | None = None) -> 
 
 
 def lift(ctx: FieldCtx, points: Iterable[Fe]) -> list[list[Fe]]:
-    """Coordinates of canonical warp preimages of a single-class set; the
-    set is P-independent exactly when these vectors are F_q-independent."""
-    pts = canonical_points(points)
-    classes = {class_of(ctx, b) for b in pts}
-    if len(classes) > 1 or None in classes:
-        raise MixedClasses(f"points span classes {class_labels(ctx, classes)}")
-    return [ctx.coords(unwarp(ctx, b, class_of(ctx, b))) for b in pts]
+    """Coordinates of canonical warp preimages of a set of one class part;
+    it is P-independent exactly when these vectors are F_q-independent."""
+    parts = _class_parts(ctx, canonical_points(points))
+    if len(parts) > 1 or None in parts:
+        raise MixedClasses(f"points span classes {class_labels(ctx, parts)}")
+    return [ctx.coords(unwarp(ctx, b, ell)) for ell, part in parts.items() for b in part]
 
 
 def closure(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[Fe, ...]:
     """All zeros of the minimal polynomial, the warp image of the lines of
-    the span: zero if the set holds it, and for each class l present, one
-    point g^l * warp(t) per line of the F_q-span of that class's unwarped
-    points.  A line is held as its least-log element t; F_q* is the logs
-    j * class_size, so t is x mod class_size for any x on the line, and
-    warp is constant on it."""
-    spans: dict[int, set[Fe]] = {}
-    out = set()
-    for b in points:
-        ell = class_of(ctx, b)
-        if ell is None:
-            out.add(ZERO)
-            continue
-        t = unwarp(ctx, b, ell)
-        lines = spans.setdefault(ell, set())
-        if t not in lines:
-            # t's line joins, and the line of x + c*t for each held x and c in F_q*
-            if lines:
-                multiples = [ctx.mul(c, t) for c in ctx.subfield_elements[1:]]
-                lines |= {ctx.add(x, ct) % ctx.class_size for x in lines for ct in multiples}
-            lines.add(t)
-    for ell, lines in spans.items():
+    the span, per part of _class_parts: zero if the set holds it, and for
+    each class l present, one point g^l * warp(t) per line of the F_q-span
+    of the part's unwarped points, unwarped in one pass.  A line is held as
+    its least-log element t; F_q* is the logs j * class_size, so t is x mod
+    class_size for any x on the line, and warp is constant on it."""
+    parts = _class_parts(ctx, points)
+    out = set(parts.pop(None, ()))
+    for ell, part in parts.items():
+        lines: set[Fe] = set()
+        for t in unwarp_all(ctx, part, ell):
+            if t not in lines:
+                # t's line joins, and the line of x + c*t for each held x and c in F_q*
+                if lines:
+                    multiples = [ctx.mul(c, t) for c in ctx.subfield_elements[1:]]
+                    lines |= {ctx.add(x, ct) % ctx.class_size for x in lines for ct in multiples}
+                lines.add(t)
         out.update(ctx.mul(ell, warp(ctx, t)) for t in lines)
     return canonical_points(out)
-

@@ -70,6 +70,8 @@ def minimal_poly_by_products(ctx, points, *, rank=None):
     """minimal_poly_and_basis with each linear factor joined by a full
     product, SkewPoly((-conjugate, 1)) * f."""
     f = SkewPoly.one(ctx)
+    if rank == 0:
+        return f, ()
     basis = []
     for b in canonical_points(points) if rank is None else points:
         v = f.evaluate(b)

@@ -1,6 +1,8 @@
+import ast
 import functools
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,12 +26,14 @@ from skewmatroid import (
     warp,
 )
 from skewmatroid.field import mat_rank
+from skewmatroid.minimal import minimal_poly_and_basis
 
 from oracles import (
     NotClosed,
     closure_definitional,
     decompose_check,
     linearized_associate,
+    minimal_poly_by_products,
     scan_zeros,
 )
 
@@ -170,6 +174,61 @@ def test_lift_rejects_mixed_classes(f16):
     # classes are named as classof prints them, the class of zero first
     with pytest.raises(MixedClasses, match=r"span classes C\(0\), C\(1\), C\(g1\)$"):
         lift(f16, (b, ZERO, a))
+
+
+# ------------------------------------------------------ the direct-sum split
+
+
+def test_closure_and_lift_check_each_class_once(monkeypatch):
+    # the split reads each point's class once; closure then unwarps each
+    # class part in one pooled pass, and lift checks no class a second time
+    import skewmatroid.conjugacy
+    import skewmatroid.minimal
+
+    ctx = get_field(3, 4, 2, 1)
+    class_calls, pooled = [], []
+
+    def counting_class_of(ctx, a):
+        class_calls.append(a)
+        return class_of(ctx, a)
+
+    unwarp_all = skewmatroid.conjugacy.unwarp_all
+
+    def counting_unwarp_all(ctx, alphas, ell):
+        pooled.append(ell)
+        return unwarp_all(ctx, alphas, ell)
+
+    monkeypatch.setattr(skewmatroid.minimal, "class_of", counting_class_of)
+    # both bindings: closure's pooled call, and the one unwarp makes per point
+    monkeypatch.setattr(skewmatroid.minimal, "unwarp_all", counting_unwarp_all, raising=False)
+    monkeypatch.setattr(skewmatroid.conjugacy, "unwarp_all", counting_unwarp_all)
+    c0, c1 = class_elements(ctx, 0), class_elements(ctx, 1)
+    pts = (c1[7], ZERO, c0[3], c1[2], c0[3], ZERO, c1[7], c0[9], c1[0])
+    assert closure(ctx, pts) == closure_definitional(ctx, pts)
+    assert len(class_calls) == len(pts)
+    assert sorted(pooled) == [0, 1]
+    part = (c1[7], c1[2], c1[7], c1[0])
+    class_calls.clear()
+    assert lift(ctx, part) == [ctx.coords(unwarp(ctx, b, 1)) for b in sorted(set(part))]
+    assert len(class_calls) == len(set(part))
+
+
+def test_only_the_split_reads_class_of():
+    # minimal reads a point's class in one place, the direct-sum split
+    import skewmatroid.minimal
+
+    def readers(node, scope=()):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield from readers(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                if child.id == "class_of":
+                    yield ".".join(scope)
+            yield from readers(child, scope)
+
+    tree = ast.parse(Path(skewmatroid.minimal.__file__).read_text(encoding="utf-8"))
+    assert set(readers(tree)) == {"_class_parts"}
 
 
 # ------------------------------------------------------------------ closures
@@ -375,3 +434,15 @@ def test_p_basis_stopped_at_the_rank(f16, f64):
             basis = p_basis(ctx, stream, rank=rank_of(ctx, flat))
             assert basis == p_basis(ctx, flat)
             assert tuple(stream) == flat[flat.index(basis[-1]) + 1 :]
+
+
+def test_rank_zero_reads_no_point(f16):
+    # a greedy stopped at rank 0 holds no point, so it reads none: the
+    # polynomial is 1 and the stream is left whole
+    for route in (minimal_poly_and_basis, minimal_poly_by_products):
+        stream = iter((0, 3, 1))
+        assert route(f16, stream, rank=0) == (SkewPoly.one(f16), ())
+        assert tuple(stream) == (0, 3, 1)
+    stream = iter((0, 3, 1))
+    assert p_basis(f16, stream, rank=0) == ()
+    assert next(stream) == 0

@@ -8,28 +8,35 @@ minimal_poly_by_products forms as a full product.
 """
 
 import random
+import re
 
 import pytest
 
-from oracles import minimal_poly_by_products, mul_by_terms, rank_by_minpoly
+from oracles import closure_definitional, minimal_poly_by_products, mul_by_terms, rank_by_minpoly
 from skewmatroid import (
     ONE,
     ZERO,
+    MixedClasses,
     SkewPoly,
     canonical_points,
     class_elements,
     class_of,
+    closure,
     get_field,
     is_p_independent,
+    lift,
     rank_of,
+    unwarp_method1,
 )
+from skewmatroid.conjugacy import class_labels
 from skewmatroid.minimal import minimal_poly_and_basis
 from test_log_loops import SPECS, _ctx, _element, _polys
 
 
 def _point_sets(ctx, rng):
     """Single-class and many-class sets, some holding zero, some with
-    duplicates."""
+    duplicates, and one in descending order with zero last, the reverse of
+    canonical order."""
     nonzero = ctx.order - 1
     out = [[], [ZERO], [ZERO, ZERO]]
     for _ in range(4):
@@ -42,6 +49,7 @@ def _point_sets(ctx, rng):
         if rng.random() < 0.5:
             pts.append(ZERO)
         out.append(pts + rng.choices(pts, k=rng.randint(0, 3)))
+    out.append(sorted(out[-1] + out[-1][:2], reverse=True) + [ZERO, ZERO])
     return out
 
 
@@ -53,6 +61,31 @@ def test_rank_and_independence_match_the_whole_set_rank(spec):
         r = rank_by_minpoly(ctx, pts)
         assert rank_of(ctx, pts) == r
         assert is_p_independent(ctx, pts) == (r == len(canonical_points(pts)))
+
+
+# the fields closure_definitional scans whole: order p^N at most 1,024
+SMALL_SPECS = [s for s in SPECS if int(s.split(",")[0]) ** int(s.split(",")[1]) <= 1024]
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_closure_and_lift_match_the_oracles_in_any_order(spec):
+    # the class split keeps each part in the order given: closure and lift
+    # answer as on the canonical set, whatever order the points arrive in
+    ctx = _ctx(spec)
+    rng = random.Random(spec)
+    for pts in _point_sets(ctx, rng):
+        assert closure(ctx, pts) == closure_definitional(ctx, pts)
+        parts = {}
+        for b in pts:
+            parts.setdefault(class_of(ctx, b), []).append(b)
+        if len(parts) > 1 or None in parts:
+            names = re.escape(f"span classes {class_labels(ctx, parts)}")
+            with pytest.raises(MixedClasses, match=names + "$"):
+                lift(ctx, pts)
+        for ell, part in parts.items():
+            if ell is not None:
+                want = [ctx.coords(unwarp_method1(ctx, b, ell)) for b in canonical_points(part)]
+                assert lift(ctx, part[::-1]) == want
 
 
 @pytest.mark.parametrize("spec", SPECS)
