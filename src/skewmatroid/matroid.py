@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 from .conjugacy import class_elements, class_of, warp
 from .errors import InapplicableField, NotC1Flat, TooLargeToEnumerate
 from .field import Fe, FieldCtx, ONE, ZERO, rref
-from .minimal import closure, lift, minimal_poly_and_basis, p_basis
+from .minimal import closure, lift, minimal_poly_and_basis
 from .skewpoly import SkewPoly, grcd
 
 # Exhaustive enumeration is offered only while what it builds, counted in
@@ -38,10 +38,8 @@ _MAX_REP_ENTRIES = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class Flat:
-    """A flat: its monic minimal polynomial, whose zero set it is, and a
-    P-basis (an independent subset with the same closure) that its route
-    picks: matroid_closure's greedy over the points given, class_flat's over
-    its rows' images, or encode_message's canonical greedy stopped at the rank."""
+    """A flat: its monic minimal polynomial, whose zero set it is and by
+    which it is compared, and a P-basis that its route picked."""
 
     ctx: FieldCtx
     minpoly: SkewPoly
@@ -193,12 +191,9 @@ def flats(
     # n >= 2, so an exponent past the cap's bit length is past the cap
     combos = 2 * n ** min(ctx.q - 1, _MAX_FLAT_COMBINATIONS.bit_length())
     _guard_enumeration("combinations of per-class flats", combos, _MAX_FLAT_COMBINATIONS)
-    # the matroid is a direct sum over the classes, so the greedy P-basis of
-    # a combination is the union of its per-class greedy bases
-    per_class = [
-        [p_basis(ctx, f.points, rank=f.rank) for f in flats(ctx, ell)]
-        for ell in range(ctx.q - 1)
-    ]
+    # the matroid is a direct sum over the classes, so the union of a
+    # combination's per-class P-bases is a P-basis of it
+    per_class = [[f.basis for f in flats(ctx, ell)] for ell in range(ctx.q - 1)]
     for zero_part in ((), (ZERO,)):
         for bases in itertools.product(*per_class):
             rk = sum(map(len, bases)) + len(zero_part)

@@ -37,16 +37,15 @@ def minimal_poly_and_basis(
     ctx: FieldCtx, points: Iterable[Fe], *, rank: int | None = None
 ) -> tuple[SkewPoly, tuple[Fe, ...]]:
     """The minimal polynomial and the points that raised its degree, taken
-    greedily in canonical order.  With rank, the points are walked in the
-    order given and the greedy stops once it holds rank of them: when they
-    span a flat of that rank, every later point is a zero of the polynomial
-    by then, so the polynomial is the same, and the basis is the canonical
-    one only when the order given is canonical."""
+    greedily in the order given: the polynomial does not depend on that
+    order, the basis does.  With rank, the greedy stops once it holds rank
+    of them: when they span a flat of that rank, every later point is a zero
+    of the polynomial by then, so the polynomial is the same."""
     f = SkewPoly.one(ctx)
     if rank == 0:
         return f, ()
     basis = []
-    for b in canonical_points(points) if rank is None else points:
+    for b in points:
         v = f.evaluate(b)
         if v == ZERO:
             continue
@@ -59,8 +58,8 @@ def minimal_poly_and_basis(
 
 def minimal_poly(ctx: FieldCtx, points: Iterable[Fe]) -> SkewPoly:
     """Monic least-degree skew polynomial vanishing on the set (1 for the
-    empty set).  Insertion happens in canonical order; the result does not
-    depend on that order."""
+    empty set), grown over the points in the order given; the result does
+    not depend on that order."""
     return minimal_poly_and_basis(ctx, points)[0]
 
 
@@ -88,9 +87,12 @@ def is_p_independent(ctx: FieldCtx, points: Iterable[Fe]) -> bool:
 
 
 def p_basis(ctx: FieldCtx, points: Iterable[Fe], *, rank: int | None = None) -> tuple[Fe, ...]:
-    """Greedy independent subset (canonical order) with the same closure;
-    rank stops it early, as in minimal_poly_and_basis."""
-    return minimal_poly_and_basis(ctx, points, rank=rank)[1]
+    """The canonical P-basis: the greedy independent subset, with the same
+    closure, over the points in canonical order.  With rank, the points are
+    walked as given, so they must arrive in canonical order, and the greedy
+    stops once it holds rank of them, as in minimal_poly_and_basis."""
+    walk = canonical_points(points) if rank is None else points
+    return minimal_poly_and_basis(ctx, walk, rank=rank)[1]
 
 
 def lift(ctx: FieldCtx, points: Iterable[Fe]) -> list[list[Fe]]:

@@ -16,7 +16,8 @@ logs through field.add_scaled, which reads the Zech table directly.
 encode_by_subspace draws a message by row reduction: it grows an
 F_q-subspace until it reaches the rank and pushes it through the class map,
 where the library feeds the draws' class points to the greedy minimal
-polynomial instead.
+polynomial instead; its basis is the unstopped canonical greedy over every
+point of the flat, where the library stops at the rank on the cheaper stream.
 
 decompose_check holds llcm and grcd against the minimal polynomials of the
 union and the intersection of two closed sets, columns_independent holds
@@ -73,7 +74,7 @@ def minimal_poly_by_products(ctx, points, *, rank=None):
     if rank == 0:
         return f, ()
     basis = []
-    for b in canonical_points(points) if rank is None else points:
+    for b in points:
         v = f.evaluate(b)
         if v == ZERO:
             continue
@@ -174,18 +175,13 @@ def mat_vec_by_terms(ctx, rows, v):
 def encode_by_subspace(ctx, ell, r, rng):
     """A rank-r class-ell message flat: draw base-field vectors until their
     row-reduced span has dimension r, take that subspace's class flat, and
-    its canonical P-basis from the same stream encode_message reads."""
+    the unstopped canonical greedy over all of its points as its basis."""
     v = Subspace(ctx, ())
     while v.dim < r:
         vec = tuple(ctx.subfield_elements[rng.randrange(ctx.q)] for _ in range(ctx.m))
         v = Subspace.from_vectors(ctx, v.rows + (vec,))
     flat = class_flat(ctx, v, ell)
-    if (ctx.q**r - 1) // (ctx.q - 1) <= r * r * ctx.q ** (ctx.m - r):
-        points = flat.points
-    else:
-        scan = range(ell % (ctx.q - 1), ctx.order - 1, ctx.q - 1)
-        points = (b for b in scan if flat.minpoly.evaluate(b) == ZERO)
-    return Flat(ctx, flat.minpoly, p_basis(ctx, points, rank=r))
+    return Flat(ctx, flat.minpoly, p_basis(ctx, flat.points))
 
 
 def decompose_check(ctx, points1, points2):

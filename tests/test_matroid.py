@@ -15,12 +15,12 @@ from skewmatroid import (
     canonical_points,
     class_elements,
     class_flat,
+    closure,
     dist,
     flats,
     get_field,
     is_p_independent,
     matroid_closure,
-    p_basis,
     phi,
     phi_inverse,
     rank_of,
@@ -171,7 +171,7 @@ def test_flat_identity_is_its_point_set(f4, f8, f16):
 def test_whole_matroid_flats_are_closed_direct_sums(spec):
     # flats(ctx) spans each combination from its parts' bases; its points
     # must be the union of the parts' points (plus zero), closure-fixed by
-    # the rank-based scan, and its basis the greedy one over those points
+    # the rank-based scan, and its basis a P-basis of the flat
     ctx = get_field(*map(int, spec.split(",")))
     per_class = [list(flats(ctx, ell)) for ell in range(ctx.q - 1)]
     unions = [
@@ -184,7 +184,24 @@ def test_whole_matroid_flats_are_closed_direct_sums(spec):
     for flat, points in zip(whole, unions):
         assert flat.points == points
         assert flat.points == closure_definitional(ctx, flat.points)
-        assert flat.basis == p_basis(ctx, flat.points)
+        assert len(flat.basis) == rank_of(ctx, flat.basis) == flat.rank
+        assert closure(ctx, flat.basis) == flat.points
+
+
+@pytest.mark.parametrize("spec", ["2,4,2,1", "3,3,1,1"])
+def test_whole_matroid_flats_read_no_class_flat_points(spec, monkeypatch):
+    # each combination is spanned by its parts' own bases, so no class
+    # flat's points are enumerated: Flat.points is the one reader of closure
+    ctx = get_field(*map(int, spec.split(",")))
+    calls = []
+
+    def counted(ctx, points):
+        calls.append(points)
+        return closure(ctx, points)
+
+    monkeypatch.setattr(matroid, "closure", counted)
+    assert list(flats(ctx))
+    assert calls == []
 
 
 def test_class_flats_are_definitional_fixed_points(f8, f16):

@@ -213,8 +213,8 @@ def test_closure_and_lift_check_each_class_once(monkeypatch):
     assert len(class_calls) == len(set(part))
 
 
-def test_only_the_split_reads_class_of():
-    # minimal reads a point's class in one place, the direct-sum split
+def _minimal_readers(name):
+    """The scope, as a dotted name, of each load of name in minimal."""
     import skewmatroid.minimal
 
     def readers(node, scope=()):
@@ -223,12 +223,23 @@ def test_only_the_split_reads_class_of():
                 yield from readers(child, scope + (child.name,))
                 continue
             if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                if child.id == "class_of":
+                if child.id == name:
                     yield ".".join(scope)
             yield from readers(child, scope)
 
     tree = ast.parse(Path(skewmatroid.minimal.__file__).read_text(encoding="utf-8"))
-    assert set(readers(tree)) == {"_class_parts"}
+    return set(readers(tree))
+
+
+def test_only_the_split_reads_class_of():
+    # minimal reads a point's class in one place, the direct-sum split
+    assert _minimal_readers("class_of") == {"_class_parts"}
+
+
+def test_only_p_basis_closure_and_lift_sort():
+    # the greedy core walks its points as given; canonical order is taken
+    # only for the canonical basis and for the orders closure and lift promise
+    assert _minimal_readers("canonical_points") == {"p_basis", "closure", "lift"}
 
 
 # ------------------------------------------------------------------ closures

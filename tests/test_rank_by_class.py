@@ -120,6 +120,14 @@ def test_minimal_poly_and_basis_matches_the_product_loop(spec):
         want = minimal_poly_by_products(ctx, pts)
         assert minimal_poly_and_basis(ctx, pts) == want
         canon = canonical_points(pts)
+        # the greedy walks the order given: a shuffled copy with repeats has
+        # the same polynomial, and its basis spans the same flat
+        shuffled = pts + rng.choices(pts, k=min(len(pts), 3))
+        rng.shuffle(shuffled)
+        poly, basis = minimal_poly_and_basis(ctx, canon)
+        got_poly, got_basis = minimal_poly_and_basis(ctx, shuffled)
+        assert got_poly == poly
+        assert closure(ctx, got_basis) == closure(ctx, basis)
         for r in {len(want[1]), rng.randint(1, max(len(want[1]), 1))}:
             got = minimal_poly_and_basis(ctx, canon, rank=r)
             assert got == minimal_poly_by_products(ctx, canon, rank=r)
