@@ -29,6 +29,13 @@ seeded stream, so under a shared seed its decoded row space corresponds to
 the decoded flat through the warping correspondence, packet for packet.
 Both simulators share the DAG walk and that draw, _draw_nonzero_combination;
 their element arithmetic, decoding and metrics are separate code.
+
+Messages and receptions repeat from trial to trial, so simulate keeps tables
+for the length of one call: each sink decodes through the walk's table, keyed
+by (message, received packets), and the oracle's mirrored source vectors and
+class images are kept per message and per decoded row space.  A table holds
+at most _MAX_TABLE_ENTRIES entries and is cleared when full; nothing is kept
+across calls, and a trial run on its own starts from an empty table.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ Edge = tuple[str, str]
 _ROLES = frozenset({"source", "relay", "sink"})
 _SPEC_KEYS = frozenset({"field", "nodes", "edges", "class", "rank", "trials", "seed"})
 _MAX_EDGE_TRIALS = 250_000  # trials x max(1, edges): 62,500 trials on the diamond
+_MAX_TABLE_ENTRIES = 1_024  # per table that simulate keeps for one call; see _memo
 
 
 def _require(cond: bool, message: str) -> None:
@@ -209,6 +217,18 @@ class NetSpec:
             raise RankOutOfRange(f"rank {self.rank} is negative")
 
 
+def _memo(table: dict, key, compute: Callable, *args):
+    """table[key], stored as compute(*args) on a miss; a table that holds
+    _MAX_TABLE_ENTRIES entries is cleared before it takes another, so it
+    never holds more.  Stored values are never None."""
+    value = table.get(key)
+    if value is None:
+        if len(table) >= _MAX_TABLE_ENTRIES:
+            table.clear()
+        value = table[key] = compute(*args)
+    return value
+
+
 def _draw_nonzero_combination(
     ctx: FieldCtx, vectors: Sequence[Sequence[Fe]], rng: random.Random
 ) -> list[Fe]:
@@ -300,12 +320,15 @@ def _walk(
     forward: Callable,
     decode: Callable,
     seed: int | str,
+    decoded: dict | None,
 ) -> TrialReport:
     """One generation on the DAG, shared by both simulators.  The source
     starts out holding the preload.  In topological order, each node that
     holds packets sends forward(pool, rng, u, v) on each out-edge.  Each sink
-    then maps its received packets through decode to (decoded, distance), and
-    succeeds when decoded == message."""
+    then maps its received packets through decode to (span, distance), and
+    succeeds when span == message.  The pair is kept in the table decoded,
+    keyed by (message, received packets), so decode runs only on a miss;
+    None stands for a fresh table."""
     rng = random.Random(seed)
     plan = spec.plan
     held: dict[str, list] = {nid: [] for nid, _ in spec.nodes}
@@ -319,11 +342,13 @@ def _walk(
             value = forward(pool, rng, u, v)
             held[v].append(value)
             edge_log.append((u, v, value))
+    if decoded is None:
+        decoded = {}
     sinks = []
     for nid in plan.sinks:
         got = tuple(held[nid])
-        decoded, distance = decode(got)
-        sinks.append(SinkResult(nid, got, decoded, decoded == message, distance))
+        span, distance = _memo(decoded, (message, got), decode, got)
+        sinks.append(SinkResult(nid, got, span, span == message, distance))
     return TrialReport(
         message=message,
         sinks=tuple(sinks),
@@ -334,12 +359,17 @@ def _walk(
 
 
 def run_trial(
-    ctx: FieldCtx, spec: NetSpec, message: Flat, seed: int | str
+    ctx: FieldCtx,
+    spec: NetSpec,
+    message: Flat,
+    seed: int | str,
+    *,
+    decoded: dict | None = None,
 ) -> TrialReport:
     """One generation of the element simulator: relays forward with
     relay_forward, each packet checked on the spot to be a zero of the
     message's minimal polynomial, and sinks decode the flat of what they
-    received."""
+    received, through the table decoded (see _walk)."""
 
     def forward(pool: list[Fe], rng: random.Random, u: str, v: str) -> Fe:
         value = relay_forward(ctx, pool, rng)
@@ -351,10 +381,10 @@ def run_trial(
         return value
 
     def decode(got: tuple[Fe, ...]) -> tuple[Flat, int]:
-        decoded = matroid_closure(ctx, got)
-        return decoded, dist(message, decoded)
+        span = matroid_closure(ctx, got)
+        return span, dist(message, span)
 
-    return _walk(spec, message, list(message.basis), forward, decode, seed)
+    return _walk(spec, message, list(message.basis), forward, decode, seed, decoded)
 
 
 def canonical_line_rep(ctx: FieldCtx, vector: Sequence[Fe]) -> tuple[Fe, ...]:
@@ -376,22 +406,29 @@ def rlnc_oracle_trial(
     spec: NetSpec,
     source_vectors: Sequence[Sequence[Fe]],
     seed: int | str,
+    *,
+    decoded: dict | None = None,
 ) -> TrialReport:
     """Classical vector network coding on the same DAG: relays forward random
     nonzero combinations, sinks decode the row space.  Every vector is
     canonicalized per line when sent, so a shared seed replays the element
-    simulator's draws one for one."""
-    message = Subspace.from_vectors(ctx, source_vectors)
+    simulator's draws one for one.  Decodes go through the table decoded (see
+    _walk), which also holds the message's row space keyed by the tuple of
+    source vectors."""
+    if decoded is None:
+        decoded = {}
+    vectors = tuple(tuple(v) for v in source_vectors)
+    message = _memo(decoded, vectors, Subspace.from_vectors, ctx, vectors)
 
     def forward(pool, rng: random.Random, u: str, v: str) -> tuple[Fe, ...]:
         return canonical_line_rep(ctx, _draw_nonzero_combination(ctx, pool, rng))
 
     def decode(got) -> tuple[Subspace, int]:
-        decoded = Subspace.from_vectors(ctx, got)
-        return decoded, subspace_dist(decoded, message)
+        span = Subspace.from_vectors(ctx, got)
+        return span, subspace_dist(span, message)
 
-    preload = [canonical_line_rep(ctx, v) for v in source_vectors]
-    return _walk(spec, message, preload, forward, decode, seed)
+    preload = [canonical_line_rep(ctx, v) for v in vectors]
+    return _walk(spec, message, preload, forward, decode, seed, decoded)
 
 
 def mirrored_source_vectors(ctx: FieldCtx, message: Flat) -> list[tuple[Fe, ...]]:
@@ -426,8 +463,14 @@ def simulate(
     """Run the configured number of trials with per-trial seeds derived from
     the master seed; returns a JSON-ready report with fixed key order.  With
     oracle="rlnc" every trial is replayed on the vector simulator under the
-    same seed and the decoded flats are compared through the class map, which
-    maps each distinct decoded row space once per trial."""
+    same seed and the decoded flats are compared through the class map.
+
+    Messages and receptions repeat from trial to trial, so the call keeps
+    four tables, each capped by _memo at _MAX_TABLE_ENTRIES: the element and
+    the oracle decodes of each distinct (message, reception) pair, the source
+    vectors mirrored from each distinct message and the class image of each
+    distinct decoded row space.  Each is computed once per call while its
+    table is not cleared; the report is the same as without the tables."""
     ctx = spec.ctx()
     n_trials = spec.trials if trials is None else trials
     spec.validate(ctx, trials=n_trials)
@@ -441,24 +484,25 @@ def simulate(
     sink_successes = [0] * len(sink_ids)
     sink_dists = [0] * len(sink_ids)
     oracle_matches = True
+    decoded: dict = {}
+    oracle_decoded: dict = {}
+    mirrored: dict = {}
+    images: dict = {}
     for i in range(n_trials):
         message = build_message(ctx, spec, random.Random(f"{master}:msg:{i}"))
         trial_seed = f"{master}:trial:{i}"
-        report = run_trial(ctx, spec, message, trial_seed)
+        report = run_trial(ctx, spec, message, trial_seed, decoded=decoded)
         successes += report.success
         packets += report.packets_forwarded
         for j, s in enumerate(report.sinks):
             sink_successes[j] += s.success
             sink_dists[j] += s.distance
         if oracle is not None:
-            vecs = mirrored_source_vectors(ctx, message)
-            oreport = rlnc_oracle_trial(ctx, spec, vecs, trial_seed)
+            vecs = _memo(mirrored, message, mirrored_source_vectors, ctx, message)
+            oreport = rlnc_oracle_trial(ctx, spec, vecs, trial_seed, decoded=oracle_decoded)
             oracle_successes += oreport.success
-            images: dict[Subspace, Flat] = {}  # each decoded row space mapped once
             for s, os in zip(report.sinks, oreport.sinks):
-                image = images.get(os.decoded)
-                if image is None:
-                    image = images[os.decoded] = class_flat(ctx, os.decoded, spec.class_index)
+                image = _memo(images, os.decoded, class_flat, ctx, os.decoded, spec.class_index)
                 if image != s.decoded:
                     oracle_matches = False
     return {

@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import functools
 import json
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -769,42 +771,174 @@ def test_the_oracle_catches_a_relay_that_skips_its_draw(monkeypatch):
     assert simulate(spec, oracle="rlnc")["oracle"]["per_trial_match"] is False
 
 
-def test_the_oracle_maps_each_decoded_row_space_once_per_trial(monkeypatch):
-    # sinks t and v hear a and b, u hears a alone: t and v always decode the
-    # same row space, which is mapped through class_flat once in its trial
-    spec = _spec(
+def _three_sink_spec(**overrides) -> NetSpec:
+    # sinks t and v hear relays a and b, u hears a alone; each relay holds
+    # one packet, so t and v always decode the same span
+    return _spec(
         nodes=[{"id": "s", "role": "source"}, {"id": "a", "role": "relay"},
                {"id": "b", "role": "relay"}, {"id": "t", "role": "sink"},
                {"id": "u", "role": "sink"}, {"id": "v", "role": "sink"}],
         edges=[["s", "a"], ["s", "b"], ["a", "t"], ["b", "t"], ["a", "u"],
                ["a", "v"], ["b", "v"]],
-        trials=40,
+        **overrides,
     )
-    mapped, decoded = [], []
+
+
+def test_the_oracle_maps_each_decoded_row_space_once_per_call(monkeypatch):
+    # t and v decode the same row space in a trial, and row spaces repeat
+    # across trials; each distinct one is mapped through class_flat once
+    spec = _three_sink_spec(trials=40)
+    trials, per_trial, mapped = [], [], []
     trial, oracle_trial, image = netsim.run_trial, netsim.rlnc_oracle_trial, netsim.class_flat
 
-    def run_trial(*a):
-        mapped.append([])
-        return trial(*a)
+    def run_trial(*a, **k):
+        trials.append(a)
+        return trial(*a, **k)
 
-    def rlnc(*a):
-        report = oracle_trial(*a)
-        decoded.append({s.decoded for s in report.sinks})
+    def rlnc(*a, **k):
+        report = oracle_trial(*a, **k)
+        per_trial.append({s.decoded for s in report.sinks})
         return report
 
     def class_flat(ctx, v, ell):
-        mapped[-1].append(v)
+        mapped.append(v)
         return image(ctx, v, ell)
 
     monkeypatch.setattr(netsim, "run_trial", run_trial)
     monkeypatch.setattr(netsim, "rlnc_oracle_trial", rlnc)
     monkeypatch.setattr(netsim, "class_flat", class_flat)
     assert simulate(spec, oracle="rlnc")["oracle"]["per_trial_match"] is True
-    assert len(mapped) == len(decoded) == 40
-    for spaces, distinct in zip(mapped, decoded):
-        assert spaces and len(spaces) == len(set(spaces))
-        assert set(spaces) == distinct
-    assert any(len(spaces) == 2 for spaces in mapped)  # u's space differed
+    assert len(trials) == len(per_trial) == 40
+    assert len(mapped) == len(set(mapped))
+    assert set(mapped) == set().union(*per_trial)
+    assert any(len(spaces) == 2 for spaces in per_trial)  # u's space differed
+    assert len(mapped) < sum(map(len, per_trial))  # and spaces recur across trials
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_each_distinct_reception_is_decoded_once_per_call(rank, monkeypatch):
+    # element decodes are matroid_closure calls and oracle decodes are
+    # subspace_dist calls, one per distinct (message, reception) pair; each
+    # distinct message is mirrored once and each distinct row space mapped once
+    spec = _three_sink_spec(rank=rank, trials=60, **{"class": 1})
+    calls = Counter()
+    reports = {"run_trial": [], "rlnc_oracle_trial": []}
+    for name in ("matroid_closure", "subspace_dist", "mirrored_source_vectors", "class_flat"):
+        fn = getattr(netsim, name)
+        monkeypatch.setattr(
+            netsim, name, lambda *a, _name=name, _fn=fn: calls.update([_name]) or _fn(*a)
+        )
+    for name, made in reports.items():
+        fn = getattr(netsim, name)
+        monkeypatch.setattr(
+            netsim, name, lambda *a, _made=made, _fn=fn, **k: _made.append(_fn(*a, **k)) or _made[-1]
+        )
+    assert simulate(spec, oracle="rlnc")["oracle"]["per_trial_match"] is True
+
+    def pairs(name):
+        return [(r.message, s.received) for r in reports[name] for s in r.sinks]
+
+    element, vector = pairs("run_trial"), pairs("rlnc_oracle_trial")
+    messages = [r.message for r in reports["run_trial"]]
+    spaces = [s.decoded for r in reports["rlnc_oracle_trial"] for s in r.sinks]
+    assert len(element) == len(vector) == 3 * 60
+    assert calls["matroid_closure"] == len(set(element)) < len(element)
+    assert calls["subspace_dist"] == len(set(vector)) < len(vector)
+    assert calls["mirrored_source_vectors"] == len(set(messages)) < len(messages)
+    assert calls["class_flat"] == len(set(spaces)) < len(spaces)
+
+
+_TABLED_FIELDS = ["2,4,2,1", "2,4,4,1", "3,2,1,1", "3,4,2,1", "2,6,3,1", "2,8,2,3",
+                  "5,2,1,1", "2,5,1,2", "2,1,1,1", "7,2,1,1"]
+
+
+@pytest.mark.parametrize("field", _TABLED_FIELDS)
+def test_tabled_trials_match_standalone_trials(field, monkeypatch):
+    # a trial that reads and fills simulate's tables reports what a trial
+    # with a fresh table reports; m = 1, odd p, s != 1 and rank 0, where
+    # both simulators receive (), are among the inputs
+    ctx = get_field(*map(int, field.split(",")))
+    rng = random.Random(f"tabled:{field}")
+    specs = [
+        random_layered_spec(rng, field, ctx.q - 1, ctx.m, trials=12, seed=f"{field}:{i}")
+        for i in range(2)
+    ]
+    specs.append(dataclasses.replace(specs[0], rank=0))
+    made = []
+    for name in ("run_trial", "rlnc_oracle_trial"):
+        fn = getattr(netsim, name)
+        monkeypatch.setattr(
+            netsim, name,
+            lambda *a, _fn=fn, **k: made.append((_fn, a, k, _fn(*a, **k))) or made[-1][3],
+        )
+    for spec in specs:
+        simulate(spec, oracle="rlnc")
+    assert len(made) == 2 * 12 * len(specs)
+    assert any(r.sinks[0].received == () for *_, r in made)
+    for fn, a, k, report in made:
+        assert k["decoded"] is not None
+        assert fn(*a) == report
+
+
+def test_each_table_holds_at_most_its_cap(monkeypatch):
+    # at a cap of 2 all four tables of a call are cleared, none holds more
+    # than 2 entries, and the report is byte-identical
+    spec = _three_sink_spec(rank=1, trials=40, **{"class": 1})
+    expected = json.dumps(simulate(spec, oracle="rlnc"))
+    memo, cleared = netsim._memo, set()
+
+    def checked(table, *a):
+        before = len(table)
+        value = memo(table, *a)
+        assert len(table) <= netsim._MAX_TABLE_ENTRIES
+        if len(table) < before:
+            cleared.add(id(table))
+        return value
+
+    monkeypatch.setattr(netsim, "_MAX_TABLE_ENTRIES", 2)
+    monkeypatch.setattr(netsim, "_memo", checked)
+    assert json.dumps(simulate(spec, oracle="rlnc")) == expected
+    assert len(cleared) == 4
+
+
+def test_a_run_without_repeats_keeps_its_tables_small():
+    # eight sinks each hear two packets of a rank-2 message on 2,16,4,1:
+    # 2,400 receptions that do not repeat fill the decode table to its cap of
+    # 1,024 entries, about 0.6 MiB, twice; uncapped it would reach 1.4 MiB
+    nodes = [{"id": "s", "role": "source"}] + [{"id": f"t{j}", "role": "sink"} for j in range(8)]
+    spec = _spec(
+        field="2,16,4,1", nodes=nodes, edges=[["s", f"t{j}"] for j in range(8)] * 2,
+        rank=2, trials=300, seed="no repeats", **{"class": 1},
+    )
+    assert netsim._MAX_TABLE_ENTRIES == 1_024  # the cap that README states
+    simulate(spec, trials=1)  # the field and its caches are built outside the count
+    tracemalloc.start()
+    try:
+        simulate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_netsim_keeps_no_table_outside_a_call():
+    # every table lives in one simulate call's frame: netsim binds no
+    # module-level dict, list or set and uses no functools cache
+    tree = ast.parse(Path(netsim.__file__).read_text(encoding="utf-8"))
+    displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    builders = {"dict", "list", "set", "defaultdict", "Counter", "OrderedDict", "deque"}
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and value is not None:
+            assert not isinstance(value, displays), ast.unparse(node)
+            func = value.func if isinstance(value, ast.Call) else None
+            assert getattr(func, "id", getattr(func, "attr", None)) not in builders, ast.unparse(node)
+    names = set()
+    for node in ast.walk(tree):
+        names.update(getattr(node, key) for key in ("id", "attr") if hasattr(node, key))
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {"cache", "lru_cache"}
 
 
 def test_simulate_oracle_errors():
