@@ -30,12 +30,12 @@ the decoded flat through the warping correspondence, packet for packet.
 Both simulators share the DAG walk and that draw, _draw_nonzero_combination;
 their element arithmetic, decoding and metrics are separate code.
 
-Messages and receptions repeat from trial to trial, so simulate keeps tables
-for the length of one call: each sink decodes through the walk's table, keyed
-by (message, received packets), and the oracle's mirrored source vectors and
-class images are kept per message and per decoded row space.  A table holds
-at most _MAX_TABLE_ENTRIES entries and is cleared when full; nothing is kept
-across calls, and a trial run on its own starts from an empty table.
+Messages and receptions repeat from trial to trial, so simulate keeps one
+table for a call: a sink decodes the closure of the set of packets it
+received, so each decode is keyed by (message, set of received packets), and
+the oracle's row spaces, mirrored vectors and class images share the table.
+It holds at most _MAX_TABLE_ENTRIES entries and is cleared when full; nothing
+is kept across calls, and a trial run on its own starts from an empty table.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ Edge = tuple[str, str]
 _ROLES = frozenset({"source", "relay", "sink"})
 _SPEC_KEYS = frozenset({"field", "nodes", "edges", "class", "rank", "trials", "seed"})
 _MAX_EDGE_TRIALS = 250_000  # trials x max(1, edges): 62,500 trials on the diamond
-_MAX_TABLE_ENTRIES = 1_024  # per table that simulate keeps for one call; see _memo
+_MAX_TABLE_ENTRIES = 1_024  # in the one table simulate keeps for a call; see _memo
 
 
 def _require(cond: bool, message: str) -> None:
@@ -325,10 +325,10 @@ def _walk(
     """One generation on the DAG, shared by both simulators.  The source
     starts out holding the preload.  In topological order, each node that
     holds packets sends forward(pool, rng, u, v) on each out-edge.  Each sink
-    then maps its received packets through decode to (span, distance), and
-    succeeds when span == message.  The pair is kept in the table decoded,
-    keyed by (message, received packets), so decode runs only on a miss;
-    None stands for a fresh table."""
+    then maps its received packets through decode to (span, distance), which
+    depend only on their set, and succeeds when span == message.  The pair is
+    kept in the table decoded, keyed by (message, set of packets), so decode
+    runs only on a miss; None stands for a fresh table."""
     rng = random.Random(seed)
     plan = spec.plan
     held: dict[str, list] = {nid: [] for nid, _ in spec.nodes}
@@ -347,7 +347,7 @@ def _walk(
     sinks = []
     for nid in plan.sinks:
         got = tuple(held[nid])
-        span, distance = _memo(decoded, (message, got), decode, got)
+        span, distance = _memo(decoded, (message, frozenset(got)), decode, got)
         sinks.append(SinkResult(nid, got, span, span == message, distance))
     return TrialReport(
         message=message,
@@ -465,12 +465,12 @@ def simulate(
     oracle="rlnc" every trial is replayed on the vector simulator under the
     same seed and the decoded flats are compared through the class map.
 
-    Messages and receptions repeat from trial to trial, so the call keeps
-    four tables, each capped by _memo at _MAX_TABLE_ENTRIES: the element and
-    the oracle decodes of each distinct (message, reception) pair, the source
-    vectors mirrored from each distinct message and the class image of each
-    distinct decoded row space.  Each is computed once per call while its
-    table is not cleared; the report is the same as without the tables."""
+    Messages and receptions repeat from trial to trial, so the call keeps one
+    table, capped by _memo at _MAX_TABLE_ENTRIES: the element and the oracle
+    decode of each distinct (message, set of received packets), the oracle's
+    row space and source vectors of each distinct message and the class image
+    of each decoded row space.  No two keys are equal, as Flat and Subspace
+    equal only their own type; the report is the same as without the table."""
     ctx = spec.ctx()
     n_trials = spec.trials if trials is None else trials
     spec.validate(ctx, trials=n_trials)
@@ -484,25 +484,22 @@ def simulate(
     sink_successes = [0] * len(sink_ids)
     sink_dists = [0] * len(sink_ids)
     oracle_matches = True
-    decoded: dict = {}
-    oracle_decoded: dict = {}
-    mirrored: dict = {}
-    images: dict = {}
+    table: dict = {}
     for i in range(n_trials):
         message = build_message(ctx, spec, random.Random(f"{master}:msg:{i}"))
         trial_seed = f"{master}:trial:{i}"
-        report = run_trial(ctx, spec, message, trial_seed, decoded=decoded)
+        report = run_trial(ctx, spec, message, trial_seed, decoded=table)
         successes += report.success
         packets += report.packets_forwarded
         for j, s in enumerate(report.sinks):
             sink_successes[j] += s.success
             sink_dists[j] += s.distance
         if oracle is not None:
-            vecs = _memo(mirrored, message, mirrored_source_vectors, ctx, message)
-            oreport = rlnc_oracle_trial(ctx, spec, vecs, trial_seed, decoded=oracle_decoded)
+            vecs = _memo(table, message, mirrored_source_vectors, ctx, message)
+            oreport = rlnc_oracle_trial(ctx, spec, vecs, trial_seed, decoded=table)
             oracle_successes += oreport.success
             for s, os in zip(report.sinks, oreport.sinks):
-                image = _memo(images, os.decoded, class_flat, ctx, os.decoded, spec.class_index)
+                image = _memo(table, os.decoded, class_flat, ctx, os.decoded, spec.class_index)
                 if image != s.decoded:
                     oracle_matches = False
     return {

@@ -815,12 +815,27 @@ def test_the_oracle_maps_each_decoded_row_space_once_per_call(monkeypatch):
     assert len(mapped) < sum(map(len, per_trial))  # and spaces recur across trials
 
 
-@pytest.mark.parametrize("rank", [1, 2])
-def test_each_distinct_reception_is_decoded_once_per_call(rank, monkeypatch):
+def _parallel_spec(**overrides) -> NetSpec:
+    # t hears the source on three parallel edges: at rank 2 its packets come
+    # in any order and with repeats, so one set of packets arrives as many tuples
+    return _spec(
+        nodes=[{"id": "s", "role": "source"}, {"id": "t", "role": "sink"}],
+        edges=[["s", "t"]] * 3,
+        **overrides,
+    )
+
+
+@pytest.mark.parametrize("make, rank", [
+    pytest.param(_three_sink_spec, 1, id="1"),
+    pytest.param(_three_sink_spec, 2, id="2"),
+    pytest.param(_parallel_spec, 2, id="parallel-2"),
+])
+def test_each_distinct_reception_is_decoded_once_per_call(make, rank, monkeypatch):
     # element decodes are matroid_closure calls and oracle decodes are
-    # subspace_dist calls, one per distinct (message, reception) pair; each
-    # distinct message is mirrored once and each distinct row space mapped once
-    spec = _three_sink_spec(rank=rank, trials=60, **{"class": 1})
+    # subspace_dist calls, one per distinct (message, set of received
+    # packets); each distinct message is mirrored once and each distinct row
+    # space mapped once
+    spec = make(rank=rank, trials=60, **{"class": 1})
     calls = Counter()
     reports = {"run_trial": [], "rlnc_oracle_trial": []}
     for name in ("matroid_closure", "subspace_dist", "mirrored_source_vectors", "class_flat"):
@@ -836,16 +851,18 @@ def test_each_distinct_reception_is_decoded_once_per_call(rank, monkeypatch):
     assert simulate(spec, oracle="rlnc")["oracle"]["per_trial_match"] is True
 
     def pairs(name):
-        return [(r.message, s.received) for r in reports[name] for s in r.sinks]
+        return [(r.message, frozenset(s.received)) for r in reports[name] for s in r.sinks]
 
     element, vector = pairs("run_trial"), pairs("rlnc_oracle_trial")
     messages = [r.message for r in reports["run_trial"]]
     spaces = [s.decoded for r in reports["rlnc_oracle_trial"] for s in r.sinks]
-    assert len(element) == len(vector) == 3 * 60
+    assert len(element) == len(vector) == len(spec.plan.sinks) * 60
     assert calls["matroid_closure"] == len(set(element)) < len(element)
     assert calls["subspace_dist"] == len(set(vector)) < len(vector)
     assert calls["mirrored_source_vectors"] == len(set(messages)) < len(messages)
     assert calls["class_flat"] == len(set(spaces)) < len(spaces)
+    tuples = {(r.message, s.received) for r in reports["run_trial"] for s in r.sinks}
+    assert len(set(element)) < len(tuples)  # fewer sets than tuples, so fewer decodes
 
 
 _TABLED_FIELDS = ["2,4,2,1", "2,4,4,1", "3,2,1,1", "3,4,2,1", "2,6,3,1", "2,8,2,3",
@@ -881,16 +898,17 @@ def test_tabled_trials_match_standalone_trials(field, monkeypatch):
 
 
 def test_each_table_holds_at_most_its_cap(monkeypatch):
-    # at a cap of 2 all four tables of a call are cleared, none holds more
-    # than 2 entries, and the report is byte-identical
+    # at a cap of 2 the call's one table is cleared, never holds more than 2
+    # entries, and the report is byte-identical
     spec = _three_sink_spec(rank=1, trials=40, **{"class": 1})
     expected = json.dumps(simulate(spec, oracle="rlnc"))
-    memo, cleared = netsim._memo, set()
+    memo, tables, cleared = netsim._memo, set(), set()
 
     def checked(table, *a):
         before = len(table)
         value = memo(table, *a)
         assert len(table) <= netsim._MAX_TABLE_ENTRIES
+        tables.add(id(table))
         if len(table) < before:
             cleared.add(id(table))
         return value
@@ -898,7 +916,7 @@ def test_each_table_holds_at_most_its_cap(monkeypatch):
     monkeypatch.setattr(netsim, "_MAX_TABLE_ENTRIES", 2)
     monkeypatch.setattr(netsim, "_memo", checked)
     assert json.dumps(simulate(spec, oracle="rlnc")) == expected
-    assert len(cleared) == 4
+    assert len(tables) == 1 and cleared == tables
 
 
 def test_a_run_without_repeats_keeps_its_tables_small():
@@ -919,6 +937,26 @@ def test_a_run_without_repeats_keeps_its_tables_small():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_a_sink_with_many_in_edges_keeps_the_table_small():
+    # one sink hears the source on 244 parallel edges at rank 2 on 2,12,1,1:
+    # each reception is 244 packets but a set of at most 3 points (or their
+    # vectors), so 25 trials with the oracle peak near 0.25 MiB; a table
+    # keyed by the received tuples held about 1.2 MiB
+    nodes = [{"id": "s", "role": "source"}, {"id": "t", "role": "sink"}]
+    spec = _spec(
+        field="2,12,1,1", nodes=nodes, edges=[["s", "t"]] * 244,
+        rank=2, trials=25, seed="in-degree", **{"class": 0},
+    )
+    simulate(spec, oracle="rlnc")  # the field and its caches are built outside the count
+    tracemalloc.start()
+    try:
+        assert simulate(spec, oracle="rlnc")["oracle"]["per_trial_match"] is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
 
 
 def test_netsim_keeps_no_table_outside_a_call():
