@@ -27,13 +27,16 @@ vector it sends to the minimum-discrete-log representative of its line (the
 same representative unwarping picks) and draws combinations from the same
 seeded stream, so under a shared seed its decoded row space corresponds to
 the decoded flat through the warping correspondence, packet for packet.
-Both simulators share the DAG walk and that draw, _draw_nonzero_combination;
+Both simulators share the DAG walk and that draw, _draw_nonzero_combination,
+which combines field elements as scalars and coordinate vectors entrywise;
 their element arithmetic, decoding and metrics are separate code.
 
-Messages and receptions repeat from trial to trial, so simulate keeps one
-table for a call: a sink decodes the closure of the set of packets it
-received, so each decode is keyed by (message, set of received packets), and
-the oracle's row spaces, mirrored vectors and class images share the table.
+Messages and receptions repeat from trial to trial.  A spec of rank 0, rank
+m or the zero class leaves one flat to draw, so simulate builds that message
+once per call.  It keeps one table for a call: a sink decodes the closure of
+the set of packets it received, so each decode is keyed by (message, the
+distinct received packets in sorted order), and the oracle's row spaces,
+mirrored vectors and class images share the table.
 It holds at most _MAX_TABLE_ENTRIES entries and is cleared when full; nothing
 is kept across calls, and a trial run on its own starts from an empty table.
 """
@@ -230,16 +233,27 @@ def _memo(table: dict, key, compute: Callable, *args):
 
 
 def _draw_nonzero_combination(
-    ctx: FieldCtx, vectors: Sequence[Sequence[Fe]], rng: random.Random
-) -> list[Fe]:
+    ctx: FieldCtx, items: Sequence, rng: random.Random
+) -> Fe | list[Fe]:
     """Uniform nonzero element of the span: draw one base-field coefficient
-    per vector, reject when the combination vanishes.  Exactly one randrange
-    call per vector per attempt, so an identically seeded stream replays.
-    The vectors share one length; field elements pass as one-entry vectors."""
+    per item, reject when the combination vanishes.  Exactly one randrange
+    call per item per attempt, so an identically seeded stream replays.
+    Nonzero field elements combine through ctx.add into an element; vectors,
+    which share one length, accumulate through add_scaled into a list."""
     q, elements, randrange = ctx.q, ctx.subfield_elements, rng.randrange
+    if isinstance(items[0], int):
+        N, add = ctx.order - 1, ctx.add
+        while True:
+            out = ZERO
+            for b in items:
+                c = elements[randrange(q)]
+                if c != ZERO:
+                    out = add(out, (b + c) % N)
+            if out != ZERO:
+                return out
     while True:
-        out = [ZERO] * len(vectors[0])
-        for vec in vectors:
+        out = [ZERO] * len(items[0])
+        for vec in items:
             c = elements[randrange(q)]
             if c != ZERO:
                 add_scaled(ctx, out, vec, c)
@@ -254,22 +268,20 @@ def relay_forward(ctx: FieldCtx, in_packets: Sequence[Fe], rng: random.Random) -
     must share a class and the draw combines their unwarped preimages, which
     warping carries onto the closure.
     """
-    pkts = list(in_packets)
-    if not pkts:
+    if not in_packets:
         raise EmptyInput("a relay needs at least one incoming packet")
-    ell = class_of(ctx, pkts[0])
+    ell = class_of(ctx, in_packets[0])
     if ell is None:
-        if pkts.count(ZERO) == len(pkts):
+        if in_packets.count(ZERO) == len(in_packets):
             return ZERO
     else:
         try:  # one pass checks each packet's class and unwarps it
-            units = [(t,) for t in unwarp_all(ctx, pkts, ell)]
+            units = unwarp_all(ctx, in_packets, ell)
         except WrongClass:
             pass
         else:
-            (combo,) = _draw_nonzero_combination(ctx, units, rng)
-            return ctx.mul(ell, warp(ctx, combo))
-    names = class_labels(ctx, (class_of(ctx, p) for p in pkts))
+            return ctx.mul(ell, warp(ctx, _draw_nonzero_combination(ctx, units, rng)))
+    names = class_labels(ctx, (class_of(ctx, p) for p in in_packets))
     raise MixedClasses(f"packets span several classes: {names}")
 
 
@@ -283,8 +295,8 @@ def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
     if not 1 <= r <= ctx.m:
         raise RankOutOfRange(f"rank {r} outside 1..{ctx.m}")
     ell %= ctx.q - 1
-    q, m, units = ctx.q, ctx.m, [(b,) for b in ctx.basis]
-    draws = iter(lambda: _draw_nonzero_combination(ctx, units, rng)[0], None)
+    q, m = ctx.q, ctx.m
+    draws = iter(lambda: _draw_nonzero_combination(ctx, ctx.basis, rng), None)
     drawn = (ctx.mul(ell, warp(ctx, a)) for a in draws)
     minpoly, picks = minimal_poly_and_basis(ctx, drawn, rank=r)
     if (q**r - 1) // (q - 1) <= r * r * q ** (m - r):
@@ -327,8 +339,8 @@ def _walk(
     holds packets sends forward(pool, rng, u, v) on each out-edge.  Each sink
     then maps its received packets through decode to (span, distance), which
     depend only on their set, and succeeds when span == message.  The pair is
-    kept in the table decoded, keyed by (message, set of packets), so decode
-    runs only on a miss; None stands for a fresh table."""
+    kept in the table decoded, keyed by (message, distinct packets sorted),
+    so decode runs only on a miss; None stands for a fresh table."""
     rng = random.Random(seed)
     plan = spec.plan
     held: dict[str, list] = {nid: [] for nid, _ in spec.nodes}
@@ -347,7 +359,7 @@ def _walk(
     sinks = []
     for nid in plan.sinks:
         got = tuple(held[nid])
-        span, distance = _memo(decoded, (message, frozenset(got)), decode, got)
+        span, distance = _memo(decoded, (message, tuple(sorted(set(got)))), decode, got)
         sinks.append(SinkResult(nid, got, span, span == message, distance))
     return TrialReport(
         message=message,
@@ -465,6 +477,8 @@ def simulate(
     oracle="rlnc" every trial is replayed on the vector simulator under the
     same seed and the decoded flats are compared through the class map.
 
+    At rank 0, rank m and in the zero class the spec leaves one flat, so the
+    message is built once, from trial 0's seed, and every trial sends it.
     Messages and receptions repeat from trial to trial, so the call keeps one
     table, capped by _memo at _MAX_TABLE_ENTRIES: the element and the oracle
     decode of each distinct (message, set of received packets), the oracle's
@@ -485,8 +499,11 @@ def simulate(
     sink_dists = [0] * len(sink_ids)
     oracle_matches = True
     table: dict = {}
+    one_choice = spec.rank in (0, ctx.m) or spec.class_index is None
+    message = None
     for i in range(n_trials):
-        message = build_message(ctx, spec, random.Random(f"{master}:msg:{i}"))
+        if message is None or not one_choice:
+            message = build_message(ctx, spec, random.Random(f"{master}:msg:{i}"))
         trial_seed = f"{master}:trial:{i}"
         report = run_trial(ctx, spec, message, trial_seed, decoded=table)
         successes += report.success

@@ -3,8 +3,10 @@
 The sample: for each of 11 fields, 20 random layered specs whose ranks run
 through 0 to m, each simulated without and with oracle="rlnc", and 5
 zero-class specs (ranks 0 and 1, no oracle); 495 reports in all.  Two
-commits whose seeded reports agree print the same line, so a change meant to
-keep every report byte-identical can be checked by running this on both:
+commits whose seeded reports agree print the same line.  EXPECTED pins the
+digest of the reports as they stand, so a change meant to keep every report
+byte-identical is checked by one command, which exits 1 and prints both
+digests when they differ:
 
     python3 tests/report_digest.py
 
@@ -30,6 +32,7 @@ FIELDS = ["2,4,2,1", "2,4,4,1", "3,2,1,1", "3,4,2,1", "2,6,3,1", "2,8,2,3",
 SPECS_PER_FIELD = 20
 ZERO_CLASS_PER_FIELD = 5
 TRIALS = 16
+EXPECTED = "e5867f9db7a600daba098b3e005ab30ff907aa0cf3c7f2bbab83e9a8c65a2b17"
 
 
 def reports():
@@ -54,7 +57,11 @@ def main() -> None:
     for text in reports():
         digest.update(text.encode() + b"\n")
         count += 1
-    print(f"{count} reports sha256 {digest.hexdigest()}")
+    got = digest.hexdigest()
+    print(f"{count} reports sha256 {got}")
+    if got != EXPECTED:
+        print(f"expected sha256 {EXPECTED}")
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -354,6 +354,26 @@ def test_a_one_packet_relay_still_draws(f16, monkeypatch):
     assert [len(vectors) for vectors in draws] == [1, 1] and rng.calls >= 2
 
 
+_DRAW_FIELDS = ["2,4,2,1", "2,1,1,1", "3,2,1,1", "3,4,2,1", "2,8,2,3", "2,5,1,2"]
+
+
+@pytest.mark.parametrize("field", _DRAW_FIELDS)
+def test_the_scalar_draw_matches_the_one_entry_vector_draw(field):
+    # m = 1, N = 1, odd p and s != 1 among the fields; pools of 1-5 nonzero
+    # elements with repeats: the element the scalar loop returns, and the
+    # stream it leaves, are the vector loop's
+    ctx = get_field(*[int(t) for t in field.split(",")])
+    pick = random.Random(field)
+    nonzero = list(ctx.nonzero_elements())
+    for i in range(60):
+        pool = [pick.choice(nonzero) for _ in range(1 + i % 5)]
+        got_rng, want_rng = random.Random(f"{field}:{i}"), random.Random(f"{field}:{i}")
+        got = netsim._draw_nonzero_combination(ctx, pool, got_rng)
+        want = netsim._draw_nonzero_combination(ctx, [(b,) for b in pool], want_rng)
+        assert [got] == want
+        assert got_rng.random() == want_rng.random()
+
+
 def test_relay_zero_and_errors(f16):
     rng = random.Random(0)
     assert relay_forward(f16, [ZERO], rng) == ZERO
@@ -551,6 +571,37 @@ def test_build_message_variants(f16):
     spec = _spec()
     flat = build_message(f16, spec, random.Random(0))
     assert flat.rank == 2
+
+
+@pytest.mark.parametrize("field, overrides, once", [
+    pytest.param("2,4,2,1", {"rank": 0}, True, id="rank-0"),
+    pytest.param("2,4,2,1", {"class": None, "rank": 1}, True, id="zero-class"),
+    pytest.param("2,4,2,1", {"rank": 2}, True, id="rank-m"),
+    pytest.param("2,4,4,1", {"rank": 1}, True, id="rank-m-on-m1"),
+    pytest.param("2,4,2,1", {"rank": 1}, False, id="rank-1"),
+])
+def test_a_message_with_one_choice_is_built_once_per_call(field, overrides, once, monkeypatch):
+    # a class holds one flat of rank 0 and one of rank m, and the zero class
+    # one flat, so simulate builds that message once; rank 1 of m = 2 draws
+    # a message per trial
+    built = []
+    build = netsim.build_message
+    monkeypatch.setattr(netsim, "build_message", lambda *a: built.append(a) or build(*a))
+    spec = _spec(field=field, trials=12, **overrides)
+    for seed in (1, 2):
+        built.clear()
+        simulate(spec, seed=seed)
+        assert len(built) == (1 if once else 12)
+
+
+def test_the_element_simulator_calls_no_add_scaled(monkeypatch):
+    # relays and the message draw combine field elements through ctx.add
+    calls = []
+    add_scaled = netsim.add_scaled
+    monkeypatch.setattr(netsim, "add_scaled", lambda *a: calls.append(a) or add_scaled(*a))
+    for rank in (1, 2):
+        assert simulate(_spec(rank=rank, trials=20))["packets_forwarded"] > 0
+    assert calls == []
 
 
 # -------------------------------------------------------------------- trials
@@ -922,7 +973,8 @@ def test_each_table_holds_at_most_its_cap(monkeypatch):
 def test_a_run_without_repeats_keeps_its_tables_small():
     # eight sinks each hear two packets of a rank-2 message on 2,16,4,1:
     # 2,400 receptions that do not repeat fill the decode table to its cap of
-    # 1,024 entries, about 0.6 MiB, twice; uncapped it would reach 1.4 MiB
+    # 1,024 entries twice, and the run peaks at about 0.63 MiB; uncapped it
+    # would reach 1.42 MiB
     nodes = [{"id": "s", "role": "source"}] + [{"id": f"t{j}", "role": "sink"} for j in range(8)]
     spec = _spec(
         field="2,16,4,1", nodes=nodes, edges=[["s", f"t{j}"] for j in range(8)] * 2,
