@@ -237,8 +237,8 @@ class FieldCtx:
             return a
         N = self.order - 1
         try:
-            z = self._zech[(b - a) % N]
-        except IndexError:  # the table has N entries, so only the unbuilt one misses
+            z = self._zech[b - a]  # logs in 0..N-1: a negative index wraps as % N does
+        except IndexError:  # the table is unbuilt, or b - a lies outside -N..N-1
             z = self.zech()[(b - a) % N]
         return ZERO if z == ZERO else (a + z) % N
 
@@ -425,8 +425,8 @@ def add_scaled(
                 out[j] = t
             else:
                 try:
-                    z = zech[(t - y) % N]
-                except IndexError:  # as in add: only the unbuilt table misses
+                    z = zech[t - y]
+                except IndexError:  # as in add: unbuilt, or t - y outside -N..N-1
                     zech = ctx.zech()
                     z = zech[(t - y) % N]
                 out[j] = ZERO if z == ZERO else (y + z) % N

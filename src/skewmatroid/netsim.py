@@ -28,8 +28,10 @@ same representative unwarping picks) and draws combinations from the same
 seeded stream, so under a shared seed its decoded row space corresponds to
 the decoded flat through the warping correspondence, packet for packet.
 Both simulators share the DAG walk and that draw, _draw_nonzero_combination,
-which combines field elements as scalars and coordinate vectors entrywise;
-their element arithmetic, decoding and metrics are separate code.
+the one reader of the seeded generator: each coefficient reads getrandbits as
+randrange(q) makes its reads, and the draw combines field elements as scalars
+and coordinate vectors entrywise; their element arithmetic, decoding and
+metrics are separate code.
 
 Messages and receptions repeat from trial to trial.  A spec of rank 0, rank
 m or the zero class leaves one flat to draw, so simulate builds that message
@@ -236,17 +238,23 @@ def _draw_nonzero_combination(
     ctx: FieldCtx, items: Sequence, rng: random.Random
 ) -> Fe | list[Fe]:
     """Uniform nonzero element of the span: draw one base-field coefficient
-    per item, reject when the combination vanishes.  Exactly one randrange
-    call per item per attempt, so an identically seeded stream replays.
-    Nonzero field elements combine through ctx.add into an element; vectors,
-    which share one length, accumulate through add_scaled into a list."""
-    q, elements, randrange = ctx.q, ctx.subfield_elements, rng.randrange
+    per item, reject when the combination vanishes.  Each coefficient reads
+    getrandbits(q.bit_length()) until the value is below q, the reads
+    randrange(q) makes, so an identically seeded stream replays: one
+    accepted read per item per attempt.  Nonzero field elements combine
+    through ctx.add into an element; vectors, which share one length,
+    accumulate through add_scaled into a list."""
+    q, elements, getrandbits = ctx.q, ctx.subfield_elements, rng.getrandbits
+    k = q.bit_length()
     if isinstance(items[0], int):
         N, add = ctx.order - 1, ctx.add
         while True:
             out = ZERO
             for b in items:
-                c = elements[randrange(q)]
+                r = getrandbits(k)
+                while r >= q:
+                    r = getrandbits(k)
+                c = elements[r]
                 if c != ZERO:
                     out = add(out, (b + c) % N)
             if out != ZERO:
@@ -254,7 +262,10 @@ def _draw_nonzero_combination(
     while True:
         out = [ZERO] * len(items[0])
         for vec in items:
-            c = elements[randrange(q)]
+            r = getrandbits(k)
+            while r >= q:
+                r = getrandbits(k)
+            c = elements[r]
             if c != ZERO:
                 add_scaled(ctx, out, vec, c)
         if out.count(ZERO) != len(out):
@@ -307,8 +318,7 @@ def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
     return Flat(ctx, minpoly, p_basis(ctx, points, rank=r))
 
 
-@dataclass(frozen=True)
-class SinkResult:
+class SinkResult(NamedTuple):
     sink: str
     received: tuple  # arrival order, duplicates kept: points, or vectors in the oracle
     decoded: Flat | Subspace  # the flat of what was received, or the row space
@@ -316,8 +326,7 @@ class SinkResult:
     distance: int
 
 
-@dataclass(frozen=True)
-class TrialReport:
+class TrialReport(NamedTuple):
     message: Flat | Subspace
     sinks: tuple[SinkResult, ...]
     success: bool  # every sink recovered the message exactly
@@ -328,7 +337,7 @@ class TrialReport:
 def _walk(
     spec: NetSpec,
     message: Flat | Subspace,
-    preload: list,
+    preload: Sequence,
     forward: Callable,
     decode: Callable,
     seed: int | str,
@@ -343,8 +352,8 @@ def _walk(
     so decode runs only on a miss; None stands for a fresh table."""
     rng = random.Random(seed)
     plan = spec.plan
-    held: dict[str, list] = {nid: [] for nid, _ in spec.nodes}
-    held[plan.source] = preload
+    held: dict[str, Sequence] = {nid: [] for nid, _ in spec.nodes}
+    held[plan.source] = preload  # never appended to: the source has no in-edges
     edge_log = []
     for u in plan.order:
         pool = held[u]
@@ -396,7 +405,7 @@ def run_trial(
         span = matroid_closure(ctx, got)
         return span, dist(message, span)
 
-    return _walk(spec, message, list(message.basis), forward, decode, seed, decoded)
+    return _walk(spec, message, message.basis, forward, decode, seed, decoded)
 
 
 def canonical_line_rep(ctx: FieldCtx, vector: Sequence[Fe]) -> tuple[Fe, ...]:
@@ -413,6 +422,12 @@ def canonical_line_rep(ctx: FieldCtx, vector: Sequence[Fe]) -> tuple[Fe, ...]:
     return tuple(c if c == ZERO else (c + k) % N for c in vector)
 
 
+def _oracle_source(ctx: FieldCtx, vectors: tuple) -> tuple[Subspace, tuple]:
+    """The row space of the source vectors and the vectors the source sends,
+    each canonicalized per line."""
+    return Subspace.from_vectors(ctx, vectors), tuple(canonical_line_rep(ctx, v) for v in vectors)
+
+
 def rlnc_oracle_trial(
     ctx: FieldCtx,
     spec: NetSpec,
@@ -425,12 +440,12 @@ def rlnc_oracle_trial(
     nonzero combinations, sinks decode the row space.  Every vector is
     canonicalized per line when sent, so a shared seed replays the element
     simulator's draws one for one.  Decodes go through the table decoded (see
-    _walk), which also holds the message's row space keyed by the tuple of
-    source vectors."""
+    _walk), which also holds the message's row space and the canonicalized
+    preload, keyed by the tuple of source vectors."""
     if decoded is None:
         decoded = {}
     vectors = tuple(tuple(v) for v in source_vectors)
-    message = _memo(decoded, vectors, Subspace.from_vectors, ctx, vectors)
+    message, preload = _memo(decoded, vectors, _oracle_source, ctx, vectors)
 
     def forward(pool, rng: random.Random, u: str, v: str) -> tuple[Fe, ...]:
         return canonical_line_rep(ctx, _draw_nonzero_combination(ctx, pool, rng))
@@ -439,7 +454,6 @@ def rlnc_oracle_trial(
         span = Subspace.from_vectors(ctx, got)
         return span, subspace_dist(span, message)
 
-    preload = [canonical_line_rep(ctx, v) for v in vectors]
     return _walk(spec, message, preload, forward, decode, seed, decoded)
 
 
@@ -482,8 +496,8 @@ def simulate(
     Messages and receptions repeat from trial to trial, so the call keeps one
     table, capped by _memo at _MAX_TABLE_ENTRIES: the element and the oracle
     decode of each distinct (message, set of received packets), the oracle's
-    row space and source vectors of each distinct message and the class image
-    of each decoded row space.  No two keys are equal, as Flat and Subspace
+    source vectors of each distinct message, with their row space and
+    canonicalized preload, and the class image of each decoded row space.  No two keys are equal, as Flat and Subspace
     equal only their own type; the report is the same as without the table."""
     ctx = spec.ctx()
     n_trials = spec.trials if trials is None else trials

@@ -173,7 +173,7 @@ class SkewPoly:
                 if acc == ZERO:
                     acc = t
                 else:
-                    z = zech[(t - acc) % N]
+                    z = zech[t - acc]  # both in 0..N-1, so the index wraps as % N does
                     acc = ZERO if z == ZERO else (acc + z) % N
             e = (e * qs + 1) % N
         return acc

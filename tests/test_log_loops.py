@@ -104,6 +104,30 @@ def test_kernel_matches_the_term_oracle(spec):
                 assert got == add_scaled_by_terms(ctx, out, coeffs, k, j, off)
 
 
+@pytest.mark.parametrize("spec", ["2,2,1,1", "2,4,2,1", "3,10,2,1"])
+def test_zech_reads_wrap_like_the_modulus(spec):
+    # add, add_scaled and evaluate index the built table by a raw difference
+    # of logs; a log given as x + N, whose difference may then lie outside
+    # -N..N-1, gets the answer of the normalized call
+    ctx = _ctx(spec)
+    ctx.zech()
+    rng = random.Random(spec)
+    N = ctx.order - 1
+    for _ in range(200):
+        a, b = rng.randrange(N), rng.randrange(N)
+        assert ctx.add(a + N, b) == ctx.add(a, b + N) == ctx.add(a, b)
+        coeffs = [rng.randrange(N) for _ in range(4)]
+        out = [rng.randrange(N) for _ in coeffs]
+        k = rng.randrange(N)
+        got, want = [y + N for y in out], list(out)
+        add_scaled(ctx, got, coeffs, k)
+        add_scaled(ctx, want, coeffs, k)
+        assert got == want
+    for f in _polys(ctx, rng):
+        a = rng.randrange(N)
+        assert f.evaluate(a + N) == f.evaluate(a)
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_matrix_loops_match_the_term_oracles(spec):
     ctx = _ctx(spec)

@@ -43,7 +43,7 @@ from skewmatroid.netsim import (
 )
 
 from conftest import random_layered_spec
-from oracles import encode_by_subspace
+from oracles import draw_by_randrange, encode_by_subspace
 
 
 def _spec(**overrides) -> NetSpec:
@@ -324,13 +324,16 @@ def test_large_layered_dag_walk_order():
 
 
 class CountingRandom(random.Random):
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.calls = 0
+    """Counts the draw's accepted reads: getrandbits values below q."""
 
-    def randrange(self, *args, **kwargs):
-        self.calls += 1
-        return super().randrange(*args, **kwargs)
+    def __init__(self, seed, q):
+        super().__init__(seed)
+        self.q, self.calls = q, 0
+
+    def getrandbits(self, k):
+        r = super().getrandbits(k)
+        self.calls += r < self.q
+        return r
 
 
 def test_relay_single_packet_is_fixed(f16):
@@ -348,7 +351,7 @@ def test_a_one_packet_relay_still_draws(f16, monkeypatch):
     monkeypatch.setattr(
         netsim, "_draw_nonzero_combination", lambda *a: draws.append(a[1]) or draw(*a)
     )
-    rng = CountingRandom(0)
+    rng = CountingRandom(0, f16.q)
     for a in (ONE, class_elements(f16, 2)[3]):
         assert relay_forward(f16, [a], rng) == a
     assert [len(vectors) for vectors in draws] == [1, 1] and rng.calls >= 2
@@ -372,6 +375,24 @@ def test_the_scalar_draw_matches_the_one_entry_vector_draw(field):
         want = netsim._draw_nonzero_combination(ctx, [(b,) for b in pool], want_rng)
         assert [got] == want
         assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("field", _DRAW_FIELDS + ["2,16,4,1", "7,2,1,1"])
+def test_the_draw_reads_the_stream_randrange_reads(field):
+    # scalar and vector pools of 1-5 items with repeats: the draw returns
+    # what one randrange(q) per item per attempt returns, and leaves the
+    # stream where those calls leave it, on this interpreter's randrange
+    ctx = get_field(*[int(t) for t in field.split(",")])
+    pick = random.Random(field)
+    for i in range(200):
+        elements = [pick.randrange(ctx.order - 1) for _ in range(3)]
+        scalars = [pick.choice(elements) for _ in range(1 + i % 5)]
+        vectors = [tuple(ctx.coords(pick.choice(elements))) for _ in range(1 + i % 5)]
+        for pool in (scalars, vectors):
+            got_rng, want_rng = random.Random(f"{field}:{i}"), random.Random(f"{field}:{i}")
+            got = netsim._draw_nonzero_combination(ctx, pool, got_rng)
+            assert got == draw_by_randrange(ctx, pool, want_rng)
+            assert got_rng.random() == want_rng.random()
 
 
 def test_relay_zero_and_errors(f16):
@@ -402,7 +423,7 @@ def test_relay_output_stays_in_closure(f16, f9):
 
 def test_relay_keeps_duplicates_in_stream(f16):
     # two copies of one packet still cost one draw each per attempt
-    rng = CountingRandom(5)
+    rng = CountingRandom(5, f16.q)
     out = relay_forward(f16, [ONE, ONE], rng)
     assert out == ONE
     assert rng.calls % 2 == 0 and rng.calls >= 2
@@ -514,23 +535,24 @@ def test_encode_message_matches_the_subspace_route(field):
                 assert got_rng.random() == want_rng.random()
 
 
-def _randrange_readers(node, scope=()):
-    """The scope, as a dotted name, of each load of randrange under node."""
+def _readers(attr, node, scope=()):
+    """The scope, as a dotted name, of each load of attr under node."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-            yield from _randrange_readers(child, scope + (child.name,))
+            yield from _readers(attr, child, scope + (child.name,))
             continue
         name = getattr(child, "id", None) or getattr(child, "attr", None)
-        if name == "randrange" and isinstance(getattr(child, "ctx", None), ast.Load):
+        if name == attr and isinstance(getattr(child, "ctx", None), ast.Load):
             yield ".".join(scope)
-        yield from _randrange_readers(child, scope)
+        yield from _readers(attr, child, scope)
 
 
-def test_only_the_shared_draw_reads_randrange():
+def test_only_the_shared_draw_reads_the_generator():
     # the message's points, the relays' packets and the oracle's vectors all
     # come from one draw, so an identically seeded stream has one consumer
     tree = ast.parse(Path(netsim.__file__).read_text(encoding="utf-8"))
-    assert set(_randrange_readers(tree)) == {"_draw_nonzero_combination"}
+    assert set(_readers("getrandbits", tree)) == {"_draw_nonzero_combination"}
+    assert list(_readers("randrange", tree)) == []
 
 
 def test_simulate_without_the_oracle_reduces_no_rows(monkeypatch):
