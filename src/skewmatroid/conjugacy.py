@@ -29,20 +29,22 @@ ClassId = int | None
 
 
 def warp(ctx: FieldCtx, a: Fe) -> Fe:
-    """sigma(a)/a = a^(q^s - 1); undefined at zero.  One power, as sigma(a)
-    is a^twist: closure and relay forwarding warp every element they emit."""
+    """sigma(a)/a = a^(q^s - 1); undefined at zero.  As sigma(a) is a^twist,
+    its log is a's times twist - 1: closure and relay forwarding warp every
+    element they emit."""
     if a == ZERO:
         raise ZeroArgument("warp is undefined at zero")
-    return ctx.pow(a, ctx.twist - 1)
+    return a * (ctx.twist - 1) % (ctx.order - 1)
 
 
 def conjugate(ctx: FieldCtx, a: Fe, c: Fe) -> Fe:
-    """a conjugated by c: a * warp(c).  Zero is fixed by conjugation."""
+    """a conjugated by c: a * warp(c), whose log is a's plus warp(c)'s.
+    Zero is fixed by conjugation."""
     if c == ZERO:
         raise ZeroConjugator("conjugation by zero is undefined")
     if a == ZERO:
         return ZERO
-    return ctx.mul(a, warp(ctx, c))
+    return (a + c * (ctx.twist - 1)) % (ctx.order - 1)
 
 
 def class_of(ctx: FieldCtx, a: Fe) -> ClassId:

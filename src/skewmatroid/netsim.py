@@ -24,14 +24,21 @@ Links are error-free and carry one packet per trial; relays keep no state
 across trials.  A classical random-linear-network-coding simulator over
 coordinate vectors acts as an independent oracle: it canonicalizes each
 vector it sends to the minimum-discrete-log representative of its line (the
-same representative unwarping picks) and draws combinations from the same
-seeded stream, so under a shared seed its decoded row space corresponds to
-the decoded flat through the warping correspondence, packet for packet.
-Both simulators share the DAG walk and that draw, _draw_nonzero_combination,
-the one reader of the seeded generator: each coefficient reads getrandbits as
-randrange(q) makes its reads, and the draw combines field elements as scalars
-and coordinate vectors entrywise; their element arithmetic, decoding and
-metrics are separate code.
+same representative unwarping picks) and draws the element simulator's
+coefficients, so its decoded row space corresponds to the decoded flat
+through the warping correspondence, packet for packet.  Run on its own, it
+seeds its generator as the element trial does and reads the same stream;
+under simulate, the element walk's draws record the reads they accept,
+rejected attempts' included, and the oracle's walk replays them draw for
+draw, with no generator of its own.  A replay that reads past a draw's
+record, or leaves some of it unread, makes the trial a mismatch.  Both
+simulators share the DAG walk and that draw, _draw_nonzero_combination, the
+one reader of the seeded generator: each coefficient reads getrandbits as
+randrange(q) makes its reads, and the draw combines field elements as
+scalars and coordinate vectors entrywise; their element arithmetic, decoding
+and metrics are separate code.  An oracle sink's rows are combinations of
+the source rows, so its distance is the dimension it lacks, read without a
+row reduction.
 
 Messages and receptions repeat from trial to trial.  A spec of rank 0, rank
 m or the zero class leaves one flat to draw, so simulate builds that message
@@ -62,7 +69,7 @@ from .errors import (
     ZeroArgument,
 )
 from .field import Fe, FieldCtx, ZERO, add_scaled, field_from_spec
-from .matroid import Flat, Subspace, class_flat, dist, matroid_closure, subspace_dist
+from .matroid import Flat, Subspace, class_flat, dist, matroid_closure
 from .minimal import closure, lift, minimal_poly_and_basis, p_basis
 
 Edge = tuple[str, str]
@@ -243,21 +250,30 @@ def _draw_nonzero_combination(
     randrange(q) makes, so an identically seeded stream replays: one
     accepted read per item per attempt.  Nonzero field elements combine
     through ctx.add into an element; vectors, which share one length,
-    accumulate through add_scaled into a list."""
+    accumulate through add_scaled into a list.  A draw of field elements on
+    a generator that carries a record list (see run_trial) appends to it
+    each read it accepts, rejected attempts' included, and then None."""
     q, elements, getrandbits = ctx.q, ctx.subfield_elements, rng.getrandbits
     k = q.bit_length()
     if isinstance(items[0], int):
         N, add = ctx.order - 1, ctx.add
+        record = getattr(rng, "record", None)
+        if record is not None:
+            keep = record.append
         while True:
             out = ZERO
             for b in items:
                 r = getrandbits(k)
                 while r >= q:
                     r = getrandbits(k)
+                if record is not None:
+                    keep(r)
                 c = elements[r]
                 if c != ZERO:
                     out = add(out, (b + c) % N)
             if out != ZERO:
+                if record is not None:
+                    keep(None)
                 return out
     while True:
         out = [ZERO] * len(items[0])
@@ -270,6 +286,38 @@ def _draw_nonzero_combination(
                 add_scaled(ctx, out, vec, c)
         if out.count(ZERO) != len(out):
             return out
+
+
+class _ReplayMismatch(Exception):
+    """The oracle's draws did not read exactly the recorded reads."""
+
+
+class _Replay:
+    """The oracle walk's stand-in for a generator: getrandbits returns the
+    recorded reads in order, and raises _ReplayMismatch rather than read
+    past the end of a draw's reads (see end_draw)."""
+
+    __slots__ = ("_reads",)
+
+    def __init__(self, record: list[int | None]):
+        self._reads = iter(record)
+
+    def getrandbits(self, k: int) -> int:
+        r = next(self._reads, None)
+        if r is None:
+            raise _ReplayMismatch("a draw read past its recorded reads")
+        return r
+
+    def end_draw(self) -> None:
+        """Raise _ReplayMismatch unless the draw just made read all of its
+        recorded reads."""
+        if next(self._reads, 0) is not None:
+            raise _ReplayMismatch("a draw left recorded reads unread")
+
+    def end_walk(self) -> None:
+        """Raise _ReplayMismatch unless every recorded draw was replayed."""
+        if next(self._reads, None) is not None:
+            raise _ReplayMismatch("a recorded draw was not replayed")
 
 
 def relay_forward(ctx: FieldCtx, in_packets: Sequence[Fe], rng: random.Random) -> Fe:
@@ -291,7 +339,8 @@ def relay_forward(ctx: FieldCtx, in_packets: Sequence[Fe], rng: random.Random) -
         except WrongClass:
             pass
         else:
-            return ctx.mul(ell, warp(ctx, _draw_nonzero_combination(ctx, units, rng)))
+            a = _draw_nonzero_combination(ctx, units, rng)
+            return (ell + warp(ctx, a)) % (ctx.order - 1)
     names = class_labels(ctx, (class_of(ctx, p) for p in in_packets))
     raise MixedClasses(f"packets span several classes: {names}")
 
@@ -340,7 +389,7 @@ def _walk(
     preload: Sequence,
     forward: Callable,
     decode: Callable,
-    seed: int | str,
+    rng: random.Random | _Replay,
     decoded: dict | None,
 ) -> TrialReport:
     """One generation on the DAG, shared by both simulators.  The source
@@ -350,7 +399,6 @@ def _walk(
     depend only on their set, and succeeds when span == message.  The pair is
     kept in the table decoded, keyed by (message, distinct packets sorted),
     so decode runs only on a miss; None stands for a fresh table."""
-    rng = random.Random(seed)
     plan = spec.plan
     held: dict[str, Sequence] = {nid: [] for nid, _ in spec.nodes}
     held[plan.source] = preload  # never appended to: the source has no in-edges
@@ -386,11 +434,15 @@ def run_trial(
     seed: int | str,
     *,
     decoded: dict | None = None,
+    record: list[int | None] | None = None,
 ) -> TrialReport:
-    """One generation of the element simulator: relays forward with
-    relay_forward, each packet checked on the spot to be a zero of the
-    message's minimal polynomial, and sinks decode the flat of what they
-    received, through the table decoded (see _walk)."""
+    """One generation of the element simulator, on a generator seeded from
+    seed: relays forward with relay_forward, each packet checked on the spot
+    to be a zero of the message's minimal polynomial, and sinks decode the
+    flat of what they received, through the table decoded (see _walk).  A
+    list record travels on the generator and receives the draws' reads in
+    walk order, each draw's followed by None, for rlnc_oracle_trial to
+    replay."""
 
     def forward(pool: list[Fe], rng: random.Random, u: str, v: str) -> Fe:
         value = relay_forward(ctx, pool, rng)
@@ -405,7 +457,10 @@ def run_trial(
         span = matroid_closure(ctx, got)
         return span, dist(message, span)
 
-    return _walk(spec, message, message.basis, forward, decode, seed, decoded)
+    rng = random.Random(seed)
+    if record is not None:
+        rng.record = record
+    return _walk(spec, message, message.basis, forward, decode, rng, decoded)
 
 
 def canonical_line_rep(ctx: FieldCtx, vector: Sequence[Fe]) -> tuple[Fe, ...]:
@@ -417,8 +472,10 @@ def canonical_line_rep(ctx: FieldCtx, vector: Sequence[Fe]) -> tuple[Fe, ...]:
     a = ctx.uncoords(vector)
     if a == ZERO:
         raise ZeroArgument("the zero vector spans no line")
+    k = a % ctx.class_size - a
+    if k == 0:
+        return tuple(vector)
     N = ctx.order - 1
-    k = -(a - a % ctx.class_size)
     return tuple(c if c == ZERO else (c + k) % N for c in vector)
 
 
@@ -435,26 +492,42 @@ def rlnc_oracle_trial(
     seed: int | str,
     *,
     decoded: dict | None = None,
-) -> TrialReport:
+    replay: list[int | None] | None = None,
+) -> TrialReport | None:
     """Classical vector network coding on the same DAG: relays forward random
     nonzero combinations, sinks decode the row space.  Every vector is
-    canonicalized per line when sent, so a shared seed replays the element
-    simulator's draws one for one.  Decodes go through the table decoded (see
-    _walk), which also holds the message's row space and the canonicalized
-    preload, keyed by the tuple of source vectors."""
+    canonicalized per line when sent, so a shared seed draws the element
+    simulator's coefficients one for one.  Given replay, the record that
+    run_trial filled, the draws read it instead of a generator (seed is not
+    read), and None is returned unless each draw reads exactly its own
+    edge's recorded reads.  A sink's distance is the dimension it lacks, as
+    its rows are combinations of the source rows.  Decodes go through the
+    table decoded (see _walk), which also holds the message's row space and
+    the canonicalized preload, keyed by the tuple of source vectors."""
     if decoded is None:
         decoded = {}
     vectors = tuple(tuple(v) for v in source_vectors)
     message, preload = _memo(decoded, vectors, _oracle_source, ctx, vectors)
 
-    def forward(pool, rng: random.Random, u: str, v: str) -> tuple[Fe, ...]:
-        return canonical_line_rep(ctx, _draw_nonzero_combination(ctx, pool, rng))
+    def forward(pool, rng, u: str, v: str) -> tuple[Fe, ...]:
+        vector = _draw_nonzero_combination(ctx, pool, rng)
+        if replay is not None:
+            rng.end_draw()
+        return canonical_line_rep(ctx, vector)
 
     def decode(got) -> tuple[Subspace, int]:
         span = Subspace.from_vectors(ctx, got)
-        return span, subspace_dist(span, message)
+        return span, message.dim - span.dim
 
-    return _walk(spec, message, preload, forward, decode, seed, decoded)
+    if replay is None:
+        return _walk(spec, message, preload, forward, decode, random.Random(seed), decoded)
+    rng = _Replay(replay)
+    try:
+        report = _walk(spec, message, preload, forward, decode, rng, decoded)
+        rng.end_walk()
+    except _ReplayMismatch:
+        return None
+    return report
 
 
 def mirrored_source_vectors(ctx: FieldCtx, message: Flat) -> list[tuple[Fe, ...]]:
@@ -488,8 +561,9 @@ def simulate(
 ) -> dict:
     """Run the configured number of trials with per-trial seeds derived from
     the master seed; returns a JSON-ready report with fixed key order.  With
-    oracle="rlnc" every trial is replayed on the vector simulator under the
-    same seed and the decoded flats are compared through the class map.
+    oracle="rlnc" each trial records its draws' reads, the vector simulator
+    replays them, and the decoded flats are compared through the class map;
+    a trial whose replay does not fit its record is a mismatch.
 
     At rank 0, rank m and in the zero class the spec leaves one flat, so the
     message is built once, from trial 0's seed, and every trial sends it.
@@ -519,7 +593,8 @@ def simulate(
         if message is None or not one_choice:
             message = build_message(ctx, spec, random.Random(f"{master}:msg:{i}"))
         trial_seed = f"{master}:trial:{i}"
-        report = run_trial(ctx, spec, message, trial_seed, decoded=table)
+        record = None if oracle is None else []
+        report = run_trial(ctx, spec, message, trial_seed, decoded=table, record=record)
         successes += report.success
         packets += report.packets_forwarded
         for j, s in enumerate(report.sinks):
@@ -527,7 +602,10 @@ def simulate(
             sink_dists[j] += s.distance
         if oracle is not None:
             vecs = _memo(table, message, mirrored_source_vectors, ctx, message)
-            oreport = rlnc_oracle_trial(ctx, spec, vecs, trial_seed, decoded=table)
+            oreport = rlnc_oracle_trial(ctx, spec, vecs, trial_seed, decoded=table, replay=record)
+            if oreport is None:
+                oracle_matches = False
+                continue
             oracle_successes += oreport.success
             for s, os in zip(report.sinks, oreport.sinks):
                 image = _memo(table, os.decoded, class_flat, ctx, os.decoded, spec.class_index)

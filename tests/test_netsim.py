@@ -24,6 +24,7 @@ from skewmatroid import (
     class_flat,
     class_of,
     closure,
+    conjugate,
     encode_message,
     get_field,
     matroid_closure,
@@ -844,6 +845,108 @@ def test_the_oracle_catches_a_relay_that_skips_its_draw(monkeypatch):
     assert simulate(spec, oracle="rlnc")["oracle"]["per_trial_match"] is False
 
 
+def test_the_oracle_catches_a_draw_that_rejects_a_nonzero_combination(monkeypatch):
+    # the first element draw of a relay throws its nonzero combination away
+    # and draws again, so its recorded reads hold two attempts; the replay
+    # accepts the first and leaves the second unread
+    spec = _spec(trials=10)
+    assert simulate(spec, oracle="rlnc")["oracle"]["per_trial_match"] is True
+    draw, rejected = netsim._draw_nonzero_combination, []
+
+    def rejecting_draw(ctx, items, rng):
+        record = getattr(rng, "record", None)
+        if record is None or rejected:
+            return draw(ctx, items, rng)
+        rejected.append(draw(ctx, items, rng))  # nonzero, yet thrown away
+        assert record.pop() is None  # so both attempts' reads form one draw's
+        return draw(ctx, items, rng)
+
+    monkeypatch.setattr(netsim, "_draw_nonzero_combination", rejecting_draw)
+    report = simulate(spec, oracle="rlnc")
+    assert len(rejected) == 1
+    assert report["oracle"]["per_trial_match"] is False
+
+
+def test_the_oracle_catches_a_draw_that_reads_one_coefficient_too_many(monkeypatch):
+    # each relay's draw reads a coefficient for its first packet twice: the
+    # packets stay in the closure, and on this spec the sinks still decode
+    # what a seeded oracle decodes, but each draw's record holds a read per
+    # attempt that the replay, drawing over the pool held, never reads
+    spec = random_layered_spec(random.Random("extra:0"), trials=10, seed=3)
+    assert simulate(spec, oracle="rlnc")["oracle"]["per_trial_match"] is True
+    real = netsim.relay_forward
+
+    def greedy_relay(ctx, in_packets, rng):
+        return real(ctx, [*in_packets, in_packets[0]], rng)
+
+    monkeypatch.setattr(netsim, "relay_forward", greedy_relay)
+    report = simulate(spec, oracle="rlnc")
+    assert report["oracle"]["per_trial_match"] is False
+    assert report["packets_forwarded"] > 0
+
+
+def test_a_replay_must_read_exactly_the_recorded_reads(f16):
+    # the oracle replays run_trial's record into the same report as a
+    # generator seeded alike, and returns None for a record with a read or
+    # a draw too many or too few
+    spec = _spec()
+    message = build_message(f16, spec, random.Random("replay"))
+    vectors = mirrored_source_vectors(f16, message)
+    for i in range(20):
+        record: list = []
+        run_trial(f16, spec, message, f"r:{i}", record=record)
+        assert record.count(None) == 4 and record[-1] is None  # one draw per edge
+        seeded = rlnc_oracle_trial(f16, spec, vectors, f"r:{i}")
+        assert rlnc_oracle_trial(f16, spec, vectors, None, replay=list(record)) == seeded
+        first = record.index(None)
+        faults = [
+            record[:first] + [0] + record[first:],  # a draw's read too many
+            record[: first - 1] + record[first:],  # a read too few
+            record + record[:first + 1],  # a draw too many
+            record[: record.index(None, first + 1) + 1],  # draws too few
+        ]
+        for fault in faults:
+            assert rlnc_oracle_trial(f16, spec, vectors, None, replay=fault) is None
+    replay = netsim._Replay([2, None])
+    assert replay.getrandbits(3) == 2
+    with pytest.raises(netsim._ReplayMismatch):
+        replay.getrandbits(3)  # past its draw's record a read fails, never made up
+
+
+def test_a_trial_seeds_one_generator(monkeypatch):
+    # with the oracle on, a call seeds one generator per trial and one per
+    # message it builds, each from a string: the oracle replays the element
+    # walk's reads and builds no generator
+    seeds, built = [], []
+    seed, build = random.Random.seed, netsim.build_message
+    monkeypatch.setattr(random.Random, "seed", lambda self, *a, **k: seeds.append(a) or seed(self, *a, **k))
+    monkeypatch.setattr(netsim, "build_message", lambda *a: built.append(a) or build(*a))
+    for spec in (_spec(trials=30), _spec(trials=30, rank=1), _three_sink_spec(rank=1, trials=30)):
+        seeds.clear()
+        built.clear()
+        assert simulate(spec, oracle="rlnc")["oracle"]["per_trial_match"] is True
+        assert len(seeds) == 30 + len(built) and len(built) in (1, 30)
+        assert all(len(a) == 1 and isinstance(a[0], str) for a in seeds)
+
+
+def test_without_the_oracle_nothing_is_recorded(monkeypatch):
+    # a draw records when its generator carries a record, which only a call
+    # with the oracle gives to the element walk's generators
+    recording = []
+    draw = netsim._draw_nonzero_combination
+
+    def seen_draw(ctx, items, rng):
+        recording.append(hasattr(rng, "record"))
+        return draw(ctx, items, rng)
+
+    monkeypatch.setattr(netsim, "_draw_nonzero_combination", seen_draw)
+    simulate(_spec(trials=20))
+    assert recording and not any(recording)
+    recording.clear()
+    simulate(_spec(trials=20), oracle="rlnc")
+    assert recording.count(True) == 20 * 4  # the diamond's four element draws a trial
+
+
 def _three_sink_spec(**overrides) -> NetSpec:
     # sinks t and v hear relays a and b, u hears a alone; each relay holds
     # one packet, so t and v always decode the same span
@@ -904,18 +1007,24 @@ def _parallel_spec(**overrides) -> NetSpec:
     pytest.param(_parallel_spec, 2, id="parallel-2"),
 ])
 def test_each_distinct_reception_is_decoded_once_per_call(make, rank, monkeypatch):
-    # element decodes are matroid_closure calls and oracle decodes are
-    # subspace_dist calls, one per distinct (message, set of received
-    # packets); each distinct message is mirrored once and each distinct row
-    # space mapped once
+    # element decodes are matroid_closure calls and oracle decodes are the
+    # row reductions, Subspace.from_vectors calls, other than the one per
+    # distinct source: one per distinct (message, set of received packets);
+    # each distinct message is mirrored once and each distinct row space
+    # mapped once
     spec = make(rank=rank, trials=60, **{"class": 1})
     calls = Counter()
     reports = {"run_trial": [], "rlnc_oracle_trial": []}
-    for name in ("matroid_closure", "subspace_dist", "mirrored_source_vectors", "class_flat"):
+    for name in ("matroid_closure", "_oracle_source", "mirrored_source_vectors", "class_flat"):
         fn = getattr(netsim, name)
         monkeypatch.setattr(
             netsim, name, lambda *a, _name=name, _fn=fn: calls.update([_name]) or _fn(*a)
         )
+    from_vectors = Subspace.from_vectors.__func__
+    monkeypatch.setattr(
+        Subspace, "from_vectors",
+        classmethod(lambda cls, *a: calls.update(["from_vectors"]) or from_vectors(cls, *a)),
+    )
     for name, made in reports.items():
         fn = getattr(netsim, name)
         monkeypatch.setattr(
@@ -931,8 +1040,9 @@ def test_each_distinct_reception_is_decoded_once_per_call(make, rank, monkeypatc
     spaces = [s.decoded for r in reports["rlnc_oracle_trial"] for s in r.sinks]
     assert len(element) == len(vector) == len(spec.plan.sinks) * 60
     assert calls["matroid_closure"] == len(set(element)) < len(element)
-    assert calls["subspace_dist"] == len(set(vector)) < len(vector)
+    assert calls["from_vectors"] - calls["_oracle_source"] == len(set(vector)) < len(vector)
     assert calls["mirrored_source_vectors"] == len(set(messages)) < len(messages)
+    assert calls["_oracle_source"] == len(set(messages))
     assert calls["class_flat"] == len(set(spaces)) < len(spaces)
     tuples = {(r.message, s.received) for r in reports["run_trial"] for s in r.sinks}
     assert len(set(element)) < len(tuples)  # fewer sets than tuples, so fewer decodes
@@ -968,6 +1078,25 @@ def test_tabled_trials_match_standalone_trials(field, monkeypatch):
     for fn, a, k, report in made:
         assert k["decoded"] is not None
         assert fn(*a) == report
+
+
+@pytest.mark.parametrize("field", _TABLED_FIELDS)
+def test_warp_conjugate_and_placement_are_log_closed_forms(field, monkeypatch):
+    # on every element: warp is the power twist - 1, conjugation multiplies
+    # by that power, and a relay places its draw a in class ell as
+    # g^ell * warp(a); m = 1, N = 1, odd p and s != 1 are among the fields
+    ctx = get_field(*map(int, field.split(",")))
+    e = ctx.twist - 1
+    drawn = []
+    monkeypatch.setattr(netsim, "_draw_nonzero_combination", lambda *a: drawn[-1])
+    for a in ctx.nonzero_elements():
+        assert warp(ctx, a) == ctx.pow(a, e)
+        assert conjugate(ctx, ZERO, a) == ZERO
+        for c in ctx.nonzero_elements():
+            assert conjugate(ctx, a, c) == ctx.mul(a, ctx.pow(c, e))
+        drawn.append(a)
+        for ell in range(ctx.q - 1):
+            assert relay_forward(ctx, [ell], None) == ctx.mul(ell, ctx.pow(a, e))
 
 
 def test_each_table_holds_at_most_its_cap(monkeypatch):
