@@ -24,21 +24,20 @@ Links are error-free and carry one packet per trial; relays keep no state
 across trials.  A classical random-linear-network-coding simulator over
 coordinate vectors acts as an independent oracle: it canonicalizes each
 vector it sends to the minimum-discrete-log representative of its line (the
-same representative unwarping picks) and draws the element simulator's
+same representative unwarping picks) and takes the element simulator's
 coefficients, so its decoded row space corresponds to the decoded flat
-through the warping correspondence, packet for packet.  Run on its own, it
-seeds its generator as the element trial does and reads the same stream;
-under simulate, the element walk's draws record the reads they accept,
-rejected attempts' included, and the oracle's walk replays them draw for
-draw, with no generator of its own.  A replay that reads past a draw's
-record, or leaves some of it unread, makes the trial a mismatch.  Both
-simulators share the DAG walk and that draw, _draw_nonzero_combination, the
-one reader of the seeded generator: each coefficient reads getrandbits as
-randrange(q) makes its reads, and the draw combines field elements as
-scalars and coordinate vectors entrywise; their element arithmetic, decoding
-and metrics are separate code.  An oracle sink's rows are combinations of
-the source rows, so its distance is the dimension it lacks, read without a
-row reduction.
+through the warping correspondence, packet for packet.  It has no generator:
+the element walk's draws record the reads they accept, rejected attempts'
+included, and each oracle relay combines its vectors with its edge's
+recorded reads, retrying while the combination vanishes.  A relay that runs
+out of its draw's reads, meets a read the draw could not have made, or
+leaves some unread, makes the trial a mismatch.  The two simulators share
+the DAG walk; _draw_nonzero_combination, the element relays' and the
+message's draw, is the one reader of the seeded generator, each coefficient
+reading getrandbits as randrange(q) makes its reads.  Their arithmetic,
+decoding and metrics are separate code.  An oracle sink's rows are
+combinations of the source rows, so its distance is the dimension it lacks,
+read without a row reduction.
 
 Messages and receptions repeat from trial to trial.  A spec of rank 0, rank
 m or the zero class leaves one flat to draw, so simulate builds that message
@@ -241,83 +240,39 @@ def _memo(table: dict, key, compute: Callable, *args):
     return value
 
 
-def _draw_nonzero_combination(
-    ctx: FieldCtx, items: Sequence, rng: random.Random
-) -> Fe | list[Fe]:
-    """Uniform nonzero element of the span: draw one base-field coefficient
-    per item, reject when the combination vanishes.  Each coefficient reads
+def _draw_nonzero_combination(ctx: FieldCtx, items: Sequence[Fe], rng: random.Random) -> Fe:
+    """Uniform nonzero element of the span of nonzero field elements: draw
+    one base-field coefficient per item, combine through ctx.add, reject
+    when the combination vanishes.  Each coefficient reads
     getrandbits(q.bit_length()) until the value is below q, the reads
     randrange(q) makes, so an identically seeded stream replays: one
-    accepted read per item per attempt.  Nonzero field elements combine
-    through ctx.add into an element; vectors, which share one length,
-    accumulate through add_scaled into a list.  A draw of field elements on
-    a generator that carries a record list (see run_trial) appends to it
-    each read it accepts, rejected attempts' included, and then None."""
+    accepted read per item per attempt.  On a generator that carries a
+    record list (see run_trial) the draw appends each read it accepts,
+    rejected attempts' included, and then None."""
     q, elements, getrandbits = ctx.q, ctx.subfield_elements, rng.getrandbits
-    k = q.bit_length()
-    if isinstance(items[0], int):
-        N, add = ctx.order - 1, ctx.add
-        record = getattr(rng, "record", None)
-        if record is not None:
-            keep = record.append
-        while True:
-            out = ZERO
-            for b in items:
-                r = getrandbits(k)
-                while r >= q:
-                    r = getrandbits(k)
-                if record is not None:
-                    keep(r)
-                c = elements[r]
-                if c != ZERO:
-                    out = add(out, (b + c) % N)
-            if out != ZERO:
-                if record is not None:
-                    keep(None)
-                return out
+    k, N, add = q.bit_length(), ctx.order - 1, ctx.add
+    record = getattr(rng, "record", None)
+    if record is not None:
+        keep = record.append
     while True:
-        out = [ZERO] * len(items[0])
-        for vec in items:
+        out = ZERO
+        for b in items:
             r = getrandbits(k)
             while r >= q:
                 r = getrandbits(k)
+            if record is not None:
+                keep(r)
             c = elements[r]
             if c != ZERO:
-                add_scaled(ctx, out, vec, c)
-        if out.count(ZERO) != len(out):
+                out = add(out, (b + c) % N)
+        if out != ZERO:
+            if record is not None:
+                keep(None)
             return out
 
 
 class _ReplayMismatch(Exception):
-    """The oracle's draws did not read exactly the recorded reads."""
-
-
-class _Replay:
-    """The oracle walk's stand-in for a generator: getrandbits returns the
-    recorded reads in order, and raises _ReplayMismatch rather than read
-    past the end of a draw's reads (see end_draw)."""
-
-    __slots__ = ("_reads",)
-
-    def __init__(self, record: list[int | None]):
-        self._reads = iter(record)
-
-    def getrandbits(self, k: int) -> int:
-        r = next(self._reads, None)
-        if r is None:
-            raise _ReplayMismatch("a draw read past its recorded reads")
-        return r
-
-    def end_draw(self) -> None:
-        """Raise _ReplayMismatch unless the draw just made read all of its
-        recorded reads."""
-        if next(self._reads, 0) is not None:
-            raise _ReplayMismatch("a draw left recorded reads unread")
-
-    def end_walk(self) -> None:
-        """Raise _ReplayMismatch unless every recorded draw was replayed."""
-        if next(self._reads, None) is not None:
-            raise _ReplayMismatch("a recorded draw was not replayed")
+    """The oracle's relays did not use exactly the recorded reads."""
 
 
 def relay_forward(ctx: FieldCtx, in_packets: Sequence[Fe], rng: random.Random) -> Fe:
@@ -389,12 +344,11 @@ def _walk(
     preload: Sequence,
     forward: Callable,
     decode: Callable,
-    rng: random.Random | _Replay,
     decoded: dict | None,
 ) -> TrialReport:
     """One generation on the DAG, shared by both simulators.  The source
     starts out holding the preload.  In topological order, each node that
-    holds packets sends forward(pool, rng, u, v) on each out-edge.  Each sink
+    holds packets sends forward(pool, u, v) on each out-edge.  Each sink
     then maps its received packets through decode to (span, distance), which
     depend only on their set, and succeeds when span == message.  The pair is
     kept in the table decoded, keyed by (message, distinct packets sorted),
@@ -408,7 +362,7 @@ def _walk(
         if not pool:
             continue
         for v in plan.successors[u]:
-            value = forward(pool, rng, u, v)
+            value = forward(pool, u, v)
             held[v].append(value)
             edge_log.append((u, v, value))
     if decoded is None:
@@ -443,8 +397,11 @@ def run_trial(
     list record travels on the generator and receives the draws' reads in
     walk order, each draw's followed by None, for rlnc_oracle_trial to
     replay."""
+    rng = random.Random(seed)
+    if record is not None:
+        rng.record = record
 
-    def forward(pool: list[Fe], rng: random.Random, u: str, v: str) -> Fe:
+    def forward(pool: list[Fe], u: str, v: str) -> Fe:
         value = relay_forward(ctx, pool, rng)
         if message.minpoly.evaluate(value) != ZERO:
             raise AssertionError(
@@ -457,10 +414,7 @@ def run_trial(
         span = matroid_closure(ctx, got)
         return span, dist(message, span)
 
-    rng = random.Random(seed)
-    if record is not None:
-        rng.record = record
-    return _walk(spec, message, message.basis, forward, decode, rng, decoded)
+    return _walk(spec, message, message.basis, forward, decode, decoded)
 
 
 def canonical_line_rep(ctx: FieldCtx, vector: Sequence[Fe]) -> tuple[Fe, ...]:
@@ -489,45 +443,51 @@ def rlnc_oracle_trial(
     ctx: FieldCtx,
     spec: NetSpec,
     source_vectors: Sequence[Sequence[Fe]],
-    seed: int | str,
+    reads: Sequence[int | None],
     *,
     decoded: dict | None = None,
-    replay: list[int | None] | None = None,
 ) -> TrialReport | None:
     """Classical vector network coding on the same DAG: relays forward random
-    nonzero combinations, sinks decode the row space.  Every vector is
-    canonicalized per line when sent, so a shared seed draws the element
-    simulator's coefficients one for one.  Given replay, the record that
-    run_trial filled, the draws read it instead of a generator (seed is not
-    read), and None is returned unless each draw reads exactly its own
-    edge's recorded reads.  A sink's distance is the dimension it lacks, as
-    its rows are combinations of the source rows.  Decodes go through the
-    table decoded (see _walk), which also holds the message's row space and
-    the canonicalized preload, keyed by the tuple of source vectors."""
+    nonzero combinations, sinks decode the row space.  The coefficients are
+    reads, the record that run_trial filled: each relay takes one read r per
+    vector per attempt as the coefficient subfield_elements[r], retrying
+    while the combination vanishes, and sends the combination canonicalized
+    per line.  None is returned unless each edge uses exactly its own
+    draw's reads, each in 0..q-1.  A sink's distance is the dimension it
+    lacks, as its rows are combinations of the source rows.  Decodes go
+    through the table decoded (see _walk), which also holds the message's
+    row space and the canonicalized preload, keyed by the tuple of source
+    vectors."""
     if decoded is None:
         decoded = {}
     vectors = tuple(tuple(v) for v in source_vectors)
     message, preload = _memo(decoded, vectors, _oracle_source, ctx, vectors)
+    q, elements, coefficients = ctx.q, ctx.subfield_elements, iter(reads)
 
-    def forward(pool, rng, u: str, v: str) -> tuple[Fe, ...]:
-        vector = _draw_nonzero_combination(ctx, pool, rng)
-        if replay is not None:
-            rng.end_draw()
-        return canonical_line_rep(ctx, vector)
+    def forward(pool, u: str, v: str) -> tuple[Fe, ...]:
+        while True:
+            out = [ZERO] * len(pool[0])
+            for vec in pool:
+                r = next(coefficients, None)
+                if type(r) is not int or not 0 <= r < q:
+                    raise _ReplayMismatch  # past the draw's reads, or one it never made
+                c = elements[r]
+                if c != ZERO:
+                    add_scaled(ctx, out, vec, c)
+            if out.count(ZERO) != len(out):
+                if next(coefficients, 0) is not None:  # the draw's reads end here
+                    raise _ReplayMismatch
+                return canonical_line_rep(ctx, out)
 
     def decode(got) -> tuple[Subspace, int]:
         span = Subspace.from_vectors(ctx, got)
         return span, message.dim - span.dim
 
-    if replay is None:
-        return _walk(spec, message, preload, forward, decode, random.Random(seed), decoded)
-    rng = _Replay(replay)
     try:
-        report = _walk(spec, message, preload, forward, decode, rng, decoded)
-        rng.end_walk()
+        report = _walk(spec, message, preload, forward, decode, decoded)
     except _ReplayMismatch:
         return None
-    return report
+    return None if list(coefficients) else report  # a recorded draw left unmade
 
 
 def mirrored_source_vectors(ctx: FieldCtx, message: Flat) -> list[tuple[Fe, ...]]:
@@ -562,8 +522,9 @@ def simulate(
     """Run the configured number of trials with per-trial seeds derived from
     the master seed; returns a JSON-ready report with fixed key order.  With
     oracle="rlnc" each trial records its draws' reads, the vector simulator
-    replays them, and the decoded flats are compared through the class map;
-    a trial whose replay does not fit its record is a mismatch.
+    combines its vectors with them, and the decoded flats are compared
+    through the class map; a trial whose vector relays do not use exactly
+    its record is a mismatch.
 
     At rank 0, rank m and in the zero class the spec leaves one flat, so the
     message is built once, from trial 0's seed, and every trial sends it.
@@ -602,7 +563,7 @@ def simulate(
             sink_dists[j] += s.distance
         if oracle is not None:
             vecs = _memo(table, message, mirrored_source_vectors, ctx, message)
-            oreport = rlnc_oracle_trial(ctx, spec, vecs, trial_seed, decoded=table, replay=record)
+            oreport = rlnc_oracle_trial(ctx, spec, vecs, record, decoded=table)
             if oreport is None:
                 oracle_matches = False
                 continue

@@ -18,9 +18,12 @@ F_q-subspace until it reaches the rank and pushes it through the class map,
 where the library feeds the draws' class points to the greedy minimal
 polynomial instead; its basis is the unstopped canonical greedy over every
 point of the flat, where the library stops at the rank on the cheaper stream.
-draw_by_randrange is the simulators' draw as one randrange(q) call per item
-per attempt; the library reads getrandbits itself, and must read the stream
-exactly as randrange does.
+draw_by_randrange is the element draw as one randrange(q) call per item per
+attempt; the library reads getrandbits itself, and must read the stream
+exactly as randrange does.  The vector RLNC simulator, the element
+simulator's oracle, is part of the library (simulate's "rlnc" oracle) and
+draws nothing: it combines its vectors with the reads that the element
+draws recorded.
 
 decompose_check holds llcm and grcd against the minimal polynomials of the
 union and the intersection of two closed sets, columns_independent holds
@@ -42,7 +45,7 @@ from skewmatroid import (
     llcm,
     minimal_poly,
 )
-from skewmatroid.field import add_scaled, mat_rank
+from skewmatroid.field import mat_rank
 from skewmatroid.matroid import Flat, Subspace, class_flat
 from skewmatroid.minimal import p_basis
 
@@ -188,28 +191,17 @@ def encode_by_subspace(ctx, ell, r, rng):
 
 
 def draw_by_randrange(ctx, items, rng):
-    """The simulators' draw with one randrange(q) call per item per attempt:
-    a uniform nonzero combination of nonzero field elements, combined
-    through ctx.add into an element, or of vectors of one length,
-    accumulated through add_scaled into a list."""
-    q, elements = ctx.q, ctx.subfield_elements
-    if isinstance(items[0], int):
-        N = ctx.order - 1
-        while True:
-            out = ZERO
-            for b in items:
-                c = elements[rng.randrange(q)]
-                if c != ZERO:
-                    out = ctx.add(out, (b + c) % N)
-            if out != ZERO:
-                return out
+    """The element draw with one randrange(q) call per item per attempt: a
+    uniform nonzero combination of nonzero field elements, combined through
+    ctx.add."""
+    q, elements, N = ctx.q, ctx.subfield_elements, ctx.order - 1
     while True:
-        out = [ZERO] * len(items[0])
-        for vec in items:
+        out = ZERO
+        for b in items:
             c = elements[rng.randrange(q)]
             if c != ZERO:
-                add_scaled(ctx, out, vec, c)
-        if out.count(ZERO) != len(out):
+                out = ctx.add(out, (b + c) % N)
+        if out != ZERO:
             return out
 
 

@@ -4,9 +4,11 @@ The report sample: for each of 11 fields, 20 random layered specs whose
 ranks run through 0 to m, each simulated without and with oracle="rlnc",
 and 5 zero-class specs (ranks 0 and 1, no oracle); 495 reports in all.
 The trial sample: for each field, 4 more specs, 8 trials each through
-run_trial and rlnc_oracle_trial under one shared seed, hashing every edge
-packet and every sink's reception; 704 trials in all, so the seeded stream
-is checked packet by packet and not only through the aggregate reports.
+run_trial, recording its draws' reads, and rlnc_oracle_trial on that record,
+hashing every edge packet and every sink's reception; 704 trials in all, so
+the seeded stream is checked packet by packet and not only through the
+aggregate reports.  The trial digest was written by an oracle that seeded
+its own generator alike, so the record must give the oracle that stream.
 Two commits whose seeded output agrees print the same lines.  EXPECTED and
 EXPECTED_TRIALS pin the digests as they stand, so a change meant to keep
 every seeded output byte-identical is checked by one command, which exits 1
@@ -14,8 +16,9 @@ and prints both digests when either differs:
 
     python3 tests/report_digest.py
 
-pytest does not collect this file; it imports the package from the `src`
-directory beside this one.
+pytest does not collect this file, which imports the package from the
+`src` directory beside this one; tests/test_report_digest.py runs both
+checks as a test.
 """
 
 import dataclasses
@@ -75,14 +78,15 @@ def trials():
                 message = build_message(ctx, spec, random.Random(f"{field}:{i}:msg:{t}"))
                 seed = f"{field}:{i}:trial:{t}"
                 vectors = mirrored_source_vectors(ctx, message)
+                rec: list = []
                 for report in (
-                    run_trial(ctx, spec, message, seed, decoded=table),
-                    rlnc_oracle_trial(ctx, spec, vectors, seed, decoded=table),
+                    run_trial(ctx, spec, message, seed, decoded=table, record=rec),
+                    rlnc_oracle_trial(ctx, spec, vectors, rec, decoded=table),
                 ):
                     yield json.dumps([report.edge_packets, [s.received for s in report.sinks]])
 
 
-def _check(name: str, texts, expected: str) -> bool:
+def check(name: str, texts, expected: str) -> bool:
     """Print the sample's count and digest; True when it is the expected one."""
     digest, count = hashlib.sha256(), 0
     for text in texts:
@@ -96,8 +100,8 @@ def _check(name: str, texts, expected: str) -> bool:
 
 
 def main() -> None:
-    ok = _check("reports", reports(), EXPECTED)
-    ok = _check("trials", trials(), EXPECTED_TRIALS) and ok
+    ok = check("reports", reports(), EXPECTED)
+    ok = check("trials", trials(), EXPECTED_TRIALS) and ok
     if not ok:
         sys.exit(1)
 

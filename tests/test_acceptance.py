@@ -170,12 +170,10 @@ def test_criterion_7_simulation_equivalence(f16):
         ell = spec.class_index
         for t in range(40):
             message = build_message(f16, spec, random.Random(f"c7:m:{specs}:{t}"))
-            seed = f"c7:s:{specs}:{t}"
             # run_trial itself raises on any containment violation
-            report = run_trial(f16, spec, message, seed)
-            oracle = rlnc_oracle_trial(
-                f16, spec, mirrored_source_vectors(f16, message), seed
-            )
+            record: list = []
+            report = run_trial(f16, spec, message, f"c7:s:{specs}:{t}", record=record)
+            oracle = rlnc_oracle_trial(f16, spec, mirrored_source_vectors(f16, message), record)
             assert report.packets_forwarded == oracle.packets_forwarded
             for s, os in zip(report.sinks, oracle.sinks):
                 assert class_flat(f16, os.decoded, ell).points == s.decoded.points

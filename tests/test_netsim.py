@@ -232,7 +232,7 @@ def test_unchecked_spec_fails_before_the_walk(f16):
         with pytest.raises(SpecInvalid, match=match):
             run_trial(f16, _spec(**changes), message, seed=1)
         with pytest.raises(SpecInvalid, match=match):
-            rlnc_oracle_trial(f16, _spec(**changes), vecs, seed=1)
+            rlnc_oracle_trial(f16, _spec(**changes), vecs, [])
 
 
 def test_trial_cap_is_trials_times_edges(f16):
@@ -361,39 +361,20 @@ def test_a_one_packet_relay_still_draws(f16, monkeypatch):
 _DRAW_FIELDS = ["2,4,2,1", "2,1,1,1", "3,2,1,1", "3,4,2,1", "2,8,2,3", "2,5,1,2"]
 
 
-@pytest.mark.parametrize("field", _DRAW_FIELDS)
-def test_the_scalar_draw_matches_the_one_entry_vector_draw(field):
-    # m = 1, N = 1, odd p and s != 1 among the fields; pools of 1-5 nonzero
-    # elements with repeats: the element the scalar loop returns, and the
-    # stream it leaves, are the vector loop's
-    ctx = get_field(*[int(t) for t in field.split(",")])
-    pick = random.Random(field)
-    nonzero = list(ctx.nonzero_elements())
-    for i in range(60):
-        pool = [pick.choice(nonzero) for _ in range(1 + i % 5)]
-        got_rng, want_rng = random.Random(f"{field}:{i}"), random.Random(f"{field}:{i}")
-        got = netsim._draw_nonzero_combination(ctx, pool, got_rng)
-        want = netsim._draw_nonzero_combination(ctx, [(b,) for b in pool], want_rng)
-        assert [got] == want
-        assert got_rng.random() == want_rng.random()
-
-
 @pytest.mark.parametrize("field", _DRAW_FIELDS + ["2,16,4,1", "7,2,1,1"])
 def test_the_draw_reads_the_stream_randrange_reads(field):
-    # scalar and vector pools of 1-5 items with repeats: the draw returns
-    # what one randrange(q) per item per attempt returns, and leaves the
-    # stream where those calls leave it, on this interpreter's randrange
+    # pools of 1-5 nonzero elements with repeats: the draw returns what one
+    # randrange(q) per item per attempt returns, and leaves the stream where
+    # those calls leave it, on this interpreter's randrange
     ctx = get_field(*[int(t) for t in field.split(",")])
     pick = random.Random(field)
     for i in range(200):
         elements = [pick.randrange(ctx.order - 1) for _ in range(3)]
-        scalars = [pick.choice(elements) for _ in range(1 + i % 5)]
-        vectors = [tuple(ctx.coords(pick.choice(elements))) for _ in range(1 + i % 5)]
-        for pool in (scalars, vectors):
-            got_rng, want_rng = random.Random(f"{field}:{i}"), random.Random(f"{field}:{i}")
-            got = netsim._draw_nonzero_combination(ctx, pool, got_rng)
-            assert got == draw_by_randrange(ctx, pool, want_rng)
-            assert got_rng.random() == want_rng.random()
+        pool = [pick.choice(elements) for _ in range(1 + i % 5)]
+        got_rng, want_rng = random.Random(f"{field}:{i}"), random.Random(f"{field}:{i}")
+        got = netsim._draw_nonzero_combination(ctx, pool, got_rng)
+        assert got == draw_by_randrange(ctx, pool, want_rng)
+        assert got_rng.random() == want_rng.random()
 
 
 def test_relay_zero_and_errors(f16):
@@ -704,11 +685,9 @@ def test_diamond_mirrors_packet_for_packet(f16):
     spec = _spec()
     for i in range(30):
         message = build_message(f16, spec, random.Random(f"m:{i}"))
-        seed = f"s:{i}"
-        report = run_trial(f16, spec, message, seed)
-        oracle = rlnc_oracle_trial(
-            f16, spec, mirrored_source_vectors(f16, message), seed
-        )
+        record: list = []
+        report = run_trial(f16, spec, message, f"s:{i}", record=record)
+        oracle = rlnc_oracle_trial(f16, spec, mirrored_source_vectors(f16, message), record)
         assert report.packets_forwarded == oracle.packets_forwarded
         for (u, v, val), (ou, ov, vec) in zip(
             report.edge_packets, oracle.edge_packets
@@ -728,11 +707,9 @@ def test_random_layered_specs_mirror(f16):
         spec = random_layered_spec(rng, trials=0)
         ell = spec.class_index
         message = build_message(f16, spec, random.Random(f"mm:{i}"))
-        seed = f"ss:{i}"
-        report = run_trial(f16, spec, message, seed)
-        oracle = rlnc_oracle_trial(
-            f16, spec, mirrored_source_vectors(f16, message), seed
-        )
+        record: list = []
+        report = run_trial(f16, spec, message, f"ss:{i}", record=record)
+        oracle = rlnc_oracle_trial(f16, spec, mirrored_source_vectors(f16, message), record)
         for s, os in zip(report.sinks, oracle.sinks):
             assert class_flat(f16, os.decoded, ell).points == s.decoded.points
             assert s.distance == os.distance
@@ -886,31 +863,30 @@ def test_the_oracle_catches_a_draw_that_reads_one_coefficient_too_many(monkeypat
 
 
 def test_a_replay_must_read_exactly_the_recorded_reads(f16):
-    # the oracle replays run_trial's record into the same report as a
-    # generator seeded alike, and returns None for a record with a read or
-    # a draw too many or too few
+    # the oracle takes run_trial's record into a report that mirrors the
+    # trial packet for packet, and returns None, never raising, for a record
+    # with a read or a draw too many or too few, or with a read the draw
+    # could not have made
     spec = _spec()
     message = build_message(f16, spec, random.Random("replay"))
     vectors = mirrored_source_vectors(f16, message)
     for i in range(20):
         record: list = []
-        run_trial(f16, spec, message, f"r:{i}", record=record)
+        report = run_trial(f16, spec, message, f"r:{i}", record=record)
         assert record.count(None) == 4 and record[-1] is None  # one draw per edge
-        seeded = rlnc_oracle_trial(f16, spec, vectors, f"r:{i}")
-        assert rlnc_oracle_trial(f16, spec, vectors, None, replay=list(record)) == seeded
+        oracle = rlnc_oracle_trial(f16, spec, vectors, list(record))
+        assert [(u, v, f16.mul(0, warp(f16, f16.uncoords(list(vec)))))
+                for u, v, vec in oracle.edge_packets] == list(report.edge_packets)
         first = record.index(None)
         faults = [
             record[:first] + [0] + record[first:],  # a draw's read too many
             record[: first - 1] + record[first:],  # a read too few
             record + record[:first + 1],  # a draw too many
             record[: record.index(None, first + 1) + 1],  # draws too few
+            [record[0] - f16.q] + record[1:],  # a read below 0
         ]
         for fault in faults:
-            assert rlnc_oracle_trial(f16, spec, vectors, None, replay=fault) is None
-    replay = netsim._Replay([2, None])
-    assert replay.getrandbits(3) == 2
-    with pytest.raises(netsim._ReplayMismatch):
-        replay.getrandbits(3)  # past its draw's record a read fails, never made up
+            assert rlnc_oracle_trial(f16, spec, vectors, fault) is None
 
 
 def test_a_trial_seeds_one_generator(monkeypatch):
