@@ -22,9 +22,10 @@ r^2 q^(m-r) field operations).
 
 Links are error-free and carry one packet per trial; relays keep no state
 across trials.  A classical random-linear-network-coding simulator over
-coordinate vectors acts as an independent oracle: it canonicalizes each
-vector it sends to the minimum-discrete-log representative of its line (the
-same representative unwarping picks) and takes the element simulator's
+coordinate vectors acts as an independent oracle: each vector it sends is
+the minimum-discrete-log representative of its line, the one unwarping picks
+(the source sends the unwarped lifts of message.basis, and each relay
+canonicalizes its combination), and it takes the element simulator's
 coefficients, so its decoded row space corresponds to the decoded flat
 through the warping correspondence, packet for packet.  It has no generator:
 the element walk's draws record the reads they accept, rejected attempts'
@@ -41,12 +42,15 @@ read without a row reduction.
 
 Messages and receptions repeat from trial to trial.  A spec of rank 0, rank
 m or the zero class leaves one flat to draw, so simulate builds that message
-once per call.  It keeps one table for a call: a sink decodes the closure of
-the set of packets it received, so each decode is keyed by (message, the
-distinct received packets in sorted order), and the oracle's row spaces,
-mirrored vectors and class images share the table.
-It holds at most _MAX_TABLE_ENTRIES entries and is cleared when full; nothing
-is kept across calls, and a trial run on its own starts from an empty table.
+once per call.  It keeps one table for a call, with four kinds of entry:
+the element and the oracle decode of each distinct reception, keyed by (the
+message or its row space, the distinct received packets in sorted order),
+as a sink decodes the closure of the set of packets it received; the
+oracle's source of each distinct message, keyed by the message; and the
+class image of each decoded row space.  No two keys are equal, as Flat and
+Subspace equal only their own type.  The table holds at most
+_MAX_TABLE_ENTRIES entries and is cleared when full; nothing is kept across
+calls, and a trial run on its own starts from an empty table.
 """
 
 from __future__ import annotations
@@ -351,8 +355,8 @@ def _walk(
     holds packets sends forward(pool, u, v) on each out-edge.  Each sink
     then maps its received packets through decode to (span, distance), which
     depend only on their set, and succeeds when span == message.  The pair is
-    kept in the table decoded, keyed by (message, distinct packets sorted),
-    so decode runs only on a miss; None stands for a fresh table."""
+    a decode entry of the table decoded (see the module docstring), so decode
+    runs only on a miss; None stands for a fresh table."""
     plan = spec.plan
     held: dict[str, Sequence] = {nid: [] for nid, _ in spec.nodes}
     held[plan.source] = preload  # never appended to: the source has no in-edges
@@ -433,35 +437,33 @@ def canonical_line_rep(ctx: FieldCtx, vector: Sequence[Fe]) -> tuple[Fe, ...]:
     return tuple(c if c == ZERO else (c + k) % N for c in vector)
 
 
-def _oracle_source(ctx: FieldCtx, vectors: tuple) -> tuple[Subspace, tuple]:
-    """The row space of the source vectors and the vectors the source sends,
-    each canonicalized per line."""
-    return Subspace.from_vectors(ctx, vectors), tuple(canonical_line_rep(ctx, v) for v in vectors)
+def _oracle_source(ctx: FieldCtx, message: Flat) -> tuple[Subspace, tuple]:
+    """The row space of the lifts of message.basis, and those lifts."""
+    lifts = tuple(mirrored_source_vectors(ctx, message))
+    return Subspace.from_vectors(ctx, lifts), lifts
 
 
 def rlnc_oracle_trial(
     ctx: FieldCtx,
     spec: NetSpec,
-    source_vectors: Sequence[Sequence[Fe]],
+    message: Flat,
     reads: Sequence[int | None],
     *,
     decoded: dict | None = None,
 ) -> TrialReport | None:
-    """Classical vector network coding on the same DAG: relays forward random
-    nonzero combinations, sinks decode the row space.  The coefficients are
-    reads, the record that run_trial filled: each relay takes one read r per
-    vector per attempt as the coefficient subfield_elements[r], retrying
-    while the combination vanishes, and sends the combination canonicalized
-    per line.  None is returned unless each edge uses exactly its own
-    draw's reads, each in 0..q-1.  A sink's distance is the dimension it
-    lacks, as its rows are combinations of the source rows.  Decodes go
-    through the table decoded (see _walk), which also holds the message's
-    row space and the canonicalized preload, keyed by the tuple of source
-    vectors."""
+    """Classical vector network coding on the same DAG: the source sends the
+    lifts of message.basis, relays forward random nonzero combinations, sinks
+    decode the row space.  The coefficients are reads, the record that
+    run_trial filled: each relay takes one read r per vector per attempt as
+    the coefficient subfield_elements[r], retrying while the combination
+    vanishes, and sends the combination canonicalized per line.  None is
+    returned unless each edge uses exactly its own draw's reads, each in
+    0..q-1.  A sink's distance is the dimension it lacks, as its rows are
+    combinations of the source rows.  The source and the decodes go through
+    the table decoded (see the module docstring)."""
     if decoded is None:
         decoded = {}
-    vectors = tuple(tuple(v) for v in source_vectors)
-    message, preload = _memo(decoded, vectors, _oracle_source, ctx, vectors)
+    space, preload = _memo(decoded, message, _oracle_source, ctx, message)
     q, elements, coefficients = ctx.q, ctx.subfield_elements, iter(reads)
 
     def forward(pool, u: str, v: str) -> tuple[Fe, ...]:
@@ -481,10 +483,10 @@ def rlnc_oracle_trial(
 
     def decode(got) -> tuple[Subspace, int]:
         span = Subspace.from_vectors(ctx, got)
-        return span, message.dim - span.dim
+        return span, space.dim - span.dim
 
     try:
-        report = _walk(spec, message, preload, forward, decode, decoded)
+        report = _walk(spec, space, preload, forward, decode, decoded)
     except _ReplayMismatch:
         return None
     return None if list(coefficients) else report  # a recorded draw left unmade
@@ -528,12 +530,8 @@ def simulate(
 
     At rank 0, rank m and in the zero class the spec leaves one flat, so the
     message is built once, from trial 0's seed, and every trial sends it.
-    Messages and receptions repeat from trial to trial, so the call keeps one
-    table, capped by _memo at _MAX_TABLE_ENTRIES: the element and the oracle
-    decode of each distinct (message, set of received packets), the oracle's
-    source vectors of each distinct message, with their row space and
-    canonicalized preload, and the class image of each decoded row space.  No two keys are equal, as Flat and Subspace
-    equal only their own type; the report is the same as without the table."""
+    Both simulators read and fill the call's one table (see the module
+    docstring); the report is the same as without it."""
     ctx = spec.ctx()
     n_trials = spec.trials if trials is None else trials
     spec.validate(ctx, trials=n_trials)
@@ -562,8 +560,7 @@ def simulate(
             sink_successes[j] += s.success
             sink_dists[j] += s.distance
         if oracle is not None:
-            vecs = _memo(table, message, mirrored_source_vectors, ctx, message)
-            oreport = rlnc_oracle_trial(ctx, spec, vecs, record, decoded=table)
+            oreport = rlnc_oracle_trial(ctx, spec, message, record, decoded=table)
             if oreport is None:
                 oracle_matches = False
                 continue

@@ -19,8 +19,11 @@ a file written on another interpreter or platform is refused.
 
     python3 tests/bench_record.py --summary BENCH_31.json
 
-prints, per workload and end-to-end metric, each side's median, the parent's
-quartiles and, over paired seeds, how often the change was better.
+prints, per workload and metric, each side's median and the parent's
+quartiles.  For a metric that BENCHMARK.json lists, with the direction it
+calls better, it also prints the relative change of the medians next to the
+metric's bound, if it has one, flags a change worse than that bound, and
+counts over paired seeds how often the change was better.
 
 pytest does not collect this file.
 """
@@ -38,7 +41,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-HIGHER_IS_BETTER = {"ops_per_s"}
 
 
 def seed_list(text: str) -> list[int]:
@@ -116,8 +118,15 @@ def record(args: argparse.Namespace) -> None:
             print(f"{name} {args.workload} seed {seed}: {line}", flush=True)
 
 
+def declared_metrics() -> dict[str, dict]:
+    """BENCHMARK.json's end-to-end and per-layer metrics, by name."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
+
+
 def summary(path: str) -> None:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    declared = declared_metrics()
     print(f"Python {doc['python']} on {doc['platform']}, {doc['cpu_count']} CPUs")
     by_key: dict[tuple, dict] = {}
     for run in doc["runs"]:
@@ -136,19 +145,34 @@ def summary(path: str) -> None:
                 return [r["metrics"][metric]["value"] for r in side.values()]
 
             line = f"  {metric}:"
+            medians = {}
             if parent:
                 b = values(parent)
                 q1, _, q3 = statistics.quantiles(b, n=4) if len(b) > 1 else (b[0],) * 3
-                line += f" parent {statistics.median(b):.4g} [{q1:.4g}, {q3:.4g}]"
+                medians["parent"] = statistics.median(b)
+                line += f" parent {medians['parent']:.4g} [{q1:.4g}, {q3:.4g}]"
             if change:
-                line += f" change {statistics.median(values(change)):.4g}"
+                medians["change"] = statistics.median(values(change))
+                line += f" change {medians['change']:.4g}"
+            spec = declared.get(metric)
+            if spec is None:
+                print(line + " (not in BENCHMARK.json)")
+                continue
+            sign = 1 if spec["better"] == "higher" else -1
+            line += f" ({spec['better']} is better)"
+            if len(medians) == 2 and medians["parent"]:
+                rel = medians["change"] / medians["parent"] - 1
+                line += f", median {rel:+.1%}"
+                if "bound" in spec:
+                    line += f" (bound {spec['bound']:.0%})"
+                    if -sign * rel > spec["bound"]:
+                        line += " WORSE THAN BOUND"
             if paired:
-                sign = 1 if metric in HIGHER_IS_BETTER else -1
                 wins = sum(
                     sign * (change[s]["metrics"][metric]["value"] - parent[s]["metrics"][metric]["value"]) > 0
                     for s in paired
                 )
-                line += f" (change better in {wins}/{len(paired)} pairs)"
+                line += f"; change better in {wins}/{len(paired)} pairs"
             print(line)
 
 

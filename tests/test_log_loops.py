@@ -1,9 +1,10 @@
 """The ring and matrix loops on logs against their term-by-term oracles.
 
 SkewPoly's sum, product, right division and times_linear, field.rref,
-FieldCtx.coords and the simulator's draw accumulate through one kernel,
-field.add_scaled, the one reader of the Zech table besides FieldCtx.add and
-SkewPoly.evaluate.  tests/oracles.py holds the kernel, the loops and the
+FieldCtx.coords and the rlnc oracle's vector relays accumulate through one
+kernel, field.add_scaled, the one reader of the Zech table besides
+FieldCtx.add and SkewPoly.evaluate; the element simulator's draw adds
+through FieldCtx.add.  tests/oracles.py holds the kernel, the loops and the
 evaluation written through the context's add, sub, mul and frobenius.
 """
 

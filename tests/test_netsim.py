@@ -223,7 +223,6 @@ def test_validate_rejects_bad_topologies(f16):
 def test_unchecked_spec_fails_before_the_walk(f16):
     # the walk reads the plan, and the plan is the spec check
     message = encode_message(f16, 0, 2, random.Random(0))
-    vecs = mirrored_source_vectors(f16, message)
     cases = [
         (dict(edges=[["s", "a"], ["a", "zz"], ["s", "t"]]), "references an unknown node"),
         (dict(edges=[["s", "a"], ["a", "b"]]), "sink 't' is unreachable"),
@@ -232,7 +231,7 @@ def test_unchecked_spec_fails_before_the_walk(f16):
         with pytest.raises(SpecInvalid, match=match):
             run_trial(f16, _spec(**changes), message, seed=1)
         with pytest.raises(SpecInvalid, match=match):
-            rlnc_oracle_trial(f16, _spec(**changes), vecs, [])
+            rlnc_oracle_trial(f16, _spec(**changes), message, [])
 
 
 def test_trial_cap_is_trials_times_edges(f16):
@@ -670,15 +669,28 @@ def test_run_trial_closure_monotonicity(f16):
 # ------------------------------------------------------------ oracle mirror
 
 
-def test_mirrored_source_vectors_are_lifts(f16):
-    message = encode_message(f16, 1, 2, random.Random(6))
-    vecs = mirrored_source_vectors(f16, message)
-    assert len(vecs) == 2
-    rebuilt = class_flat(f16, Subspace.from_vectors(f16, vecs), 1)
-    assert rebuilt == message
+_TABLED_FIELDS = ["2,4,2,1", "2,4,4,1", "3,2,1,1", "3,4,2,1", "2,6,3,1", "2,8,2,3",
+                  "5,2,1,1", "2,5,1,2", "2,1,1,1", "7,2,1,1"]
+
+
+@pytest.mark.parametrize("field", _TABLED_FIELDS)
+def test_mirrored_source_vectors_are_lifts(field):
+    # at every rank, in the first and the last class (one class when q = 2),
+    # the lifts span what class_flat maps back to the message, and each is
+    # its line's least-log representative, so the oracle sends them unchanged
+    ctx = get_field(*map(int, field.split(",")))
+    rng = random.Random(f"lifts:{field}")
+    for ell in sorted({0, ctx.q - 2}):
+        for r in range(1, ctx.m + 1):
+            message = encode_message(ctx, ell, r, rng)
+            vecs = mirrored_source_vectors(ctx, message)
+            assert len(vecs) == r
+            for v in vecs:
+                assert canonical_line_rep(ctx, v) == v
+            assert class_flat(ctx, Subspace.from_vectors(ctx, vecs), ell) == message
     with pytest.raises(SpecInvalid):
-        mirrored_source_vectors(f16, matroid_closure(f16, (ZERO,)))
-    assert mirrored_source_vectors(f16, matroid_closure(f16, ())) == []
+        mirrored_source_vectors(ctx, matroid_closure(ctx, (ZERO,)))
+    assert mirrored_source_vectors(ctx, matroid_closure(ctx, ())) == []
 
 
 def test_diamond_mirrors_packet_for_packet(f16):
@@ -687,7 +699,7 @@ def test_diamond_mirrors_packet_for_packet(f16):
         message = build_message(f16, spec, random.Random(f"m:{i}"))
         record: list = []
         report = run_trial(f16, spec, message, f"s:{i}", record=record)
-        oracle = rlnc_oracle_trial(f16, spec, mirrored_source_vectors(f16, message), record)
+        oracle = rlnc_oracle_trial(f16, spec, message, record)
         assert report.packets_forwarded == oracle.packets_forwarded
         for (u, v, val), (ou, ov, vec) in zip(
             report.edge_packets, oracle.edge_packets
@@ -709,7 +721,7 @@ def test_random_layered_specs_mirror(f16):
         message = build_message(f16, spec, random.Random(f"mm:{i}"))
         record: list = []
         report = run_trial(f16, spec, message, f"ss:{i}", record=record)
-        oracle = rlnc_oracle_trial(f16, spec, mirrored_source_vectors(f16, message), record)
+        oracle = rlnc_oracle_trial(f16, spec, message, record)
         for s, os in zip(report.sinks, oracle.sinks):
             assert class_flat(f16, os.decoded, ell).points == s.decoded.points
             assert s.distance == os.distance
@@ -869,12 +881,11 @@ def test_a_replay_must_read_exactly_the_recorded_reads(f16):
     # could not have made
     spec = _spec()
     message = build_message(f16, spec, random.Random("replay"))
-    vectors = mirrored_source_vectors(f16, message)
     for i in range(20):
         record: list = []
         report = run_trial(f16, spec, message, f"r:{i}", record=record)
         assert record.count(None) == 4 and record[-1] is None  # one draw per edge
-        oracle = rlnc_oracle_trial(f16, spec, vectors, list(record))
+        oracle = rlnc_oracle_trial(f16, spec, message, list(record))
         assert [(u, v, f16.mul(0, warp(f16, f16.uncoords(list(vec)))))
                 for u, v, vec in oracle.edge_packets] == list(report.edge_packets)
         first = record.index(None)
@@ -886,7 +897,7 @@ def test_a_replay_must_read_exactly_the_recorded_reads(f16):
             [record[0] - f16.q] + record[1:],  # a read below 0
         ]
         for fault in faults:
-            assert rlnc_oracle_trial(f16, spec, vectors, fault) is None
+            assert rlnc_oracle_trial(f16, spec, message, fault) is None
 
 
 def test_a_trial_seeds_one_generator(monkeypatch):
@@ -1022,10 +1033,6 @@ def test_each_distinct_reception_is_decoded_once_per_call(make, rank, monkeypatc
     assert calls["class_flat"] == len(set(spaces)) < len(spaces)
     tuples = {(r.message, s.received) for r in reports["run_trial"] for s in r.sinks}
     assert len(set(element)) < len(tuples)  # fewer sets than tuples, so fewer decodes
-
-
-_TABLED_FIELDS = ["2,4,2,1", "2,4,4,1", "3,2,1,1", "3,4,2,1", "2,6,3,1", "2,8,2,3",
-                  "5,2,1,1", "2,5,1,2", "2,1,1,1", "7,2,1,1"]
 
 
 @pytest.mark.parametrize("field", _TABLED_FIELDS)
