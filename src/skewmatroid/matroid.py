@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .conjugacy import class_elements, class_of, warp
 from .errors import InapplicableField, NotC1Flat, TooLargeToEnumerate
@@ -36,14 +35,14 @@ _MAX_ISOMETRY_PAIRS = 1 << 17
 _MAX_REP_ENTRIES = 1 << 20
 
 
-@dataclass(frozen=True, eq=False)
 class Flat:
     """A flat: its monic minimal polynomial, whose zero set it is and by
-    which it is compared, and a P-basis that its route picked."""
+    which it is compared and hashed, and a P-basis that its route picked."""
 
-    ctx: FieldCtx
-    minpoly: SkewPoly
-    basis: tuple[Fe, ...]
+    def __init__(self, ctx: FieldCtx, minpoly: SkewPoly, basis: tuple[Fe, ...]):
+        self.ctx = ctx
+        self.minpoly = minpoly
+        self.basis = basis
 
     @property
     def rank(self) -> int:
@@ -58,7 +57,7 @@ class Flat:
         return isinstance(other, Flat) and self.minpoly == other.minpoly
 
     def __hash__(self) -> int:
-        return hash(self.minpoly)
+        return hash(self.minpoly.coeffs)  # equal minimal polynomials share a ctx
 
     def __str__(self) -> str:
         inner = ", ".join(self.ctx.format_element(a) for a in self.points)
@@ -73,12 +72,15 @@ def matroid_closure(ctx: FieldCtx, points: Iterable[Fe]) -> Flat:
     return Flat(ctx, *minimal_poly_and_basis(ctx, points))
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
-    """F_q-subspace of F_{q^m}, stored as reduced-echelon basis rows."""
+    """F_q-subspace of F_{q^m}, stored as reduced-echelon basis rows; equal
+    to a Subspace of the same context with the same rows, hashed by them."""
 
-    ctx: FieldCtx
-    rows: tuple[tuple[Fe, ...], ...]
+    __slots__ = ("ctx", "rows")
+
+    def __init__(self, ctx: FieldCtx, rows: tuple[tuple[Fe, ...], ...]):
+        self.ctx = ctx
+        self.rows = rows
 
     @classmethod
     def from_vectors(cls, ctx: FieldCtx, vectors: Iterable[Iterable[Fe]]) -> "Subspace":
@@ -205,8 +207,7 @@ def flats(
             yield flat
 
 
-@dataclass(frozen=True)
-class RepMatrix:
+class RepMatrix(NamedTuple):
     """F_q-representation of the matroid: one lifted block per nonzero class
     plus a single column for zero; column_labels maps columns to ground-set
     elements."""

@@ -59,7 +59,6 @@ import functools
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .conjugacy import class_labels, class_of, unwarp_all, warp
@@ -97,10 +96,7 @@ class WalkPlan(NamedTuple):
     sinks: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class NetSpec:
-    """A DAG network plus generation parameters, loadable from JSON."""
-
+class _NetSpecFields(NamedTuple):
     field: str
     nodes: tuple[tuple[str, str], ...]  # (id, role), insertion order significant
     edges: tuple[Edge, ...]
@@ -108,6 +104,12 @@ class NetSpec:
     rank: int
     trials: int
     seed: int | str
+
+
+class NetSpec(_NetSpecFields):
+    """A DAG network plus generation parameters, loadable from JSON.  The
+    fields are a NamedTuple's, so _replace gives a spec with its own plan;
+    this subclass has the __dict__ that the cached plan is kept in."""
 
     @classmethod
     def from_json(cls, text: str) -> "NetSpec":

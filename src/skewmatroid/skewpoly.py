@@ -18,8 +18,7 @@ exponent rather than an accumulation of a scaled row, keeps its own loop.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .conjugacy import conjugate, warp, warp_kernel
 from .errors import DivisionByZeroPoly, MixedContexts, ParseError, ZeroInput
@@ -264,8 +263,7 @@ class SkewPoly:
         return f"SkewPoly({self!s})"
 
 
-@dataclass(frozen=True)
-class AssocPoly:
+class AssocPoly(NamedTuple):
     """Sparse ordinary polynomial: (exponent, coefficient) terms, exponents
     strictly increasing.  Produced by SkewPoly.regular_associate."""
 

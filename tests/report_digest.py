@@ -21,7 +21,6 @@ pytest does not collect this file, which imports the package from the
 checks as a test.
 """
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -55,12 +54,12 @@ def reports():
             spec = random_layered_spec(
                 rng, field, ctx.q - 1, ctx.m, trials=TRIALS, seed=f"{field}:{i}"
             )
-            spec = dataclasses.replace(spec, rank=i % (ctx.m + 1))
+            spec = spec._replace(rank=i % (ctx.m + 1))
             for oracle in (None, "rlnc"):
                 yield json.dumps(simulate(spec, oracle=oracle))
         for i in range(ZERO_CLASS_PER_FIELD):
             spec = random_layered_spec(rng, field, trials=TRIALS, seed=f"{field}:zero:{i}")
-            yield json.dumps(simulate(dataclasses.replace(spec, class_index=None, rank=i % 2)))
+            yield json.dumps(simulate(spec._replace(class_index=None, rank=i % 2)))
 
 
 def trials():
@@ -72,7 +71,7 @@ def trials():
         rng = random.Random(f"trials:{field}")
         for i in range(TRIAL_SPECS_PER_FIELD):
             spec = random_layered_spec(rng, field, ctx.q - 1, ctx.m)
-            spec = dataclasses.replace(spec, rank=i % (ctx.m + 1))
+            spec = spec._replace(rank=i % (ctx.m + 1))
             table: dict = {}
             for t in range(TRIALS_PER_SPEC):
                 message = build_message(ctx, spec, random.Random(f"{field}:{i}:msg:{t}"))

@@ -494,6 +494,21 @@ def test_package_import_loads_no_submodule():
     assert proc.stdout.strip() == "['skewmatroid']"
 
 
+def test_no_module_imports_dataclasses_or_inspect():
+    # every cold call would pay for them: dataclasses brings in inspect, ast,
+    # dis and tokenize; -S keeps the host's site packages from adding or
+    # hiding either
+    package = Path(skewmatroid.__file__).resolve().parent
+    names = sorted(f"skewmatroid.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+    script = (
+        f"import importlib, sys\nfor name in {names!r}: importlib.import_module(name)\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    )
+    proc = _cli_child(python=("-S", "-c", script))
+    assert proc.returncode == 0, proc.stderr
+    assert "skewmatroid.netsim" in names and proc.stdout.split() == ["False", "False"]
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mul", "x", "x"])  # missing --field

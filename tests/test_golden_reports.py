@@ -5,7 +5,6 @@ recorded once and never edited: a change in any drawn packet, decoded flat, dist
 oracle verdict changes the bytes.
 """
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -42,14 +41,14 @@ def _layered_f65536_rank3() -> NetSpec:
         random.Random("golden-layered-16"), field="2,16,4,1", n_classes=15, trials=6,
         seed="golden",
     )
-    return dataclasses.replace(spec, rank=3)
+    return spec._replace(rank=3)
 
 
 def _layered(label: str, field: str, n_classes: int, rank: int, trials: int) -> NetSpec:
     spec = random_layered_spec(
         random.Random(label), field=field, n_classes=n_classes, trials=trials, seed=label
     )
-    return dataclasses.replace(spec, rank=rank)
+    return spec._replace(rank=rank)
 
 
 CASES = {

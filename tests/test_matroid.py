@@ -5,6 +5,7 @@ import random
 import pytest
 
 from skewmatroid import (
+    Flat,
     InapplicableField,
     NotC1Flat,
     ONE,
@@ -144,6 +145,11 @@ def test_flat_equality_and_str(f16):
     y = matroid_closure(f16, (3, 9))
     assert str(x) == "{1, g3, g6, g9, g12}"
     assert x == y and hash(x) == hash(y)
+    assert x.basis != y.basis  # compared by the minimal polynomial alone
+    z = Flat(f16, x.minpoly, (6, 12))
+    assert z == x and hash(z) == hash(x)
+    # never equal to another type, whatever it holds
+    assert x != phi_inverse(f16, x) and x != x.basis and x != x.points
     assert x != matroid_closure(f16, (ONE,))
     assert x.rank == 2 and x.minpoly.degree == 2
     empty = matroid_closure(f16, ())
@@ -276,6 +282,7 @@ def test_subspace_canonical_and_roundtrip(f16):
         } - {ZERO}
         w = Subspace.from_elements(f16, members)
         assert v == w and hash(v) == hash(w)
+        assert v != v.rows
     zero = Subspace.from_vectors(f16, [])
     assert zero.dim == 0 and zero.rows == ()
 
@@ -327,6 +334,10 @@ def test_representation_golden_f16(f16):
     assert rep.column_labels[:5] == class_elements(f16, 0)
     assert rep.column_labels[-1] == ZERO
     assert len(set(rep.column_labels)) == 16
+    assert repr(rep) == (
+        f"RepMatrix(ctx={f16!r}, a_rows={rep.a_rows!r}, "
+        f"script_rows={rep.script_rows!r}, column_labels={rep.column_labels!r})"
+    )
 
 
 def test_representation_requires_untwisted_ring(f32s2, f27s2):

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import functools
 import json
 import random
@@ -90,6 +89,11 @@ def test_from_json_round_trip():
     assert spec.plan.source == "s"
     assert spec.plan.sinks == ("t",)
     assert spec.plan.order == ("s", "a", "b", "t")
+    # a spec made by _replace is a NetSpec that builds its own plan
+    other = spec._replace(rank=1)
+    assert type(other) is NetSpec and "plan" not in vars(other)
+    assert other == _spec(rank=1) == NetSpec.from_json(_spec_json(other))
+    assert other.plan == spec.plan and other.plan is not spec.plan
 
 
 def test_walk_plan_built_once_per_spec(monkeypatch):
@@ -1046,7 +1050,7 @@ def test_tabled_trials_match_standalone_trials(field, monkeypatch):
         random_layered_spec(rng, field, ctx.q - 1, ctx.m, trials=12, seed=f"{field}:{i}")
         for i in range(2)
     ]
-    specs.append(dataclasses.replace(specs[0], rank=0))
+    specs.append(specs[0]._replace(rank=0))
     made = []
     for name in ("run_trial", "rlnc_oracle_trial"):
         fn = getattr(netsim, name)

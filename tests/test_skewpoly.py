@@ -352,6 +352,7 @@ def test_regular_associate_golden(f4):
     assoc = SkewPoly.parse(f4, "x^2+1").regular_associate()
     assert assoc.terms == ((0, ONE), (3, ONE))
     assert str(assoc) == "x^3 + 1"
+    assert repr(assoc) == "AssocPoly(ctx=FieldCtx(2,2,1,1,modpoly=7), terms=((0, 0), (3, 0)))"
     assert scan_zeros(assoc) == (0, 1, 2)
 
 
