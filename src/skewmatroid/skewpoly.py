@@ -6,9 +6,10 @@ happens on the right (f = p*g + r), which keeps remainders unique, and
 evaluation at a point is the remainder of right division by (x - a),
 computed directly as sum c_i * a^dbracket(i), the value at a of the
 regular associate; on a class it is a sigma-linearized map, so roots come
-from one m x m kernel per class.  The greatest common right divisor is the
-bare right Euclidean remainder sequence; the least common left multiple
-also tracks its one cofactor.
+from one m x m kernel per class.  Right division, the greatest common right
+divisor and the least common left multiple share one reduction loop,
+_reduce, that reduces a coefficient list in place and either stores each
+quotient term or applies it at once to the one cofactor llcm tracks.
 
 Sums, products, right division and times_linear accumulate on logs through
 the one kernel field.add_scaled; evaluation, a dot product with a running
@@ -18,7 +19,7 @@ exponent rather than an accumulation of a scaled row, keeps its own loop.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .conjugacy import conjugate, warp, warp_kernel
 from .errors import DivisionByZeroPoly, MixedContexts, ParseError, ZeroInput
@@ -113,7 +114,7 @@ class SkewPoly:
         self._check(other)
         ctx = self.ctx
         if self.is_zero() or other.is_zero():
-            return SkewPoly(ctx)
+            return SkewPoly.zero(ctx)
         frob, m = ctx._frob, ctx.m
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -132,29 +133,14 @@ class SkewPoly:
         return self.scale_left(self.ctx.inv(self.lead()))
 
     def right_divmod(self, g: "SkewPoly") -> tuple["SkewPoly", "SkewPoly"]:
-        """Unique (p, r) with self = p*g + r and r zero or deg r < deg g.
-        Each step's quotient term c cancels r_i against c sigma^shift(lead g);
-        sigma^shift of lead g and of every g_j multiply logs by one frob entry."""
+        """Unique (p, r) with self = p*g + r and r zero or deg r < deg g."""
         self._check(g)
-        ctx = self.ctx
         if g.is_zero():
             raise DivisionByZeroPoly("right division by the zero polynomial")
-        d = g.degree
         r = list(self.coeffs)
-        quot = [ZERO] * max(len(r) - d, 0)
-        N, frob, m = ctx.order - 1, ctx._frob, ctx.m
-        # the lead term is left out: it cancels r_i, which is not read again
-        *low, lead_g = g.coeffs
-        for i in range(len(r) - 1, d - 1, -1):
-            if r[i] == ZERO:
-                continue
-            shift = i - d
-            fs = frob[shift % m]
-            c = (r[i] - lead_g * fs) % N
-            quot[shift] = c
-            # the term subtracted is -c sigma^shift(g_j)
-            add_scaled(ctx, r, low, c + ctx.minus_one, fs, shift)
-        return SkewPoly(ctx, quot), SkewPoly(ctx, r[:d])
+        quot = [ZERO] * max(len(r) - g.degree, 0)
+        _reduce(self.ctx, r, g.coeffs, quot)
+        return SkewPoly(self.ctx, quot), SkewPoly(self.ctx, r)
 
     # -- evaluation ------------------------------------------------------------------
 
@@ -294,33 +280,62 @@ def _format_terms(ctx: FieldCtx, terms: Iterable[tuple[int, Fe]]) -> str:
     return " + ".join(out) or "0"
 
 
+def _reduce(ctx: FieldCtx, r: list[Fe], g: Sequence[Fe], quot=None, u=None, v=()) -> None:
+    """Right Euclid's one loop: r becomes r mod g on the right, in place and
+    trimmed, by one add_scaled pass per quotient term c x^s, which cancels
+    r_i against c sigma^s(lead g); sigma^s of lead g and of every g_j
+    multiply logs by one frob entry.  The term is stored as quot[s] or, when
+    quot is None and u is given, applied at once as u -= c x^s v."""
+    N, frob, m, neg, d = ctx.order - 1, ctx._frob, ctx.m, ctx.minus_one, len(g) - 1
+    if u is not None:
+        u.extend([ZERO] * (len(r) - d + len(v) - 1 - len(u)))
+    *low, lead_g = g  # the lead is left out: it cancels r_i, not read again
+    for i in range(len(r) - 1, d - 1, -1):
+        if r[i] != ZERO:
+            shift = i - d
+            fs = frob[shift % m]
+            c = (r[i] - lead_g * fs) % N
+            add_scaled(ctx, r, low, c + neg, fs, shift)  # r -= c sigma^shift(g_j)
+            if quot is not None:
+                quot[shift] = c
+            elif u is not None:
+                add_scaled(ctx, u, v, c + neg, fs, shift)
+    del r[d:]
+    for t in (r, u or ()):
+        while t and t[-1] == ZERO:
+            t.pop()
+
+
 def grcd(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Monic greatest common right divisor: the last nonzero remainder of the
-    right Euclidean remainder sequence, normalised; no product is formed."""
+    right Euclidean remainder sequence, which _reduce runs on two coefficient
+    lists in place, building no polynomial per step; no product is formed."""
     f._check(g)
     if f.is_zero() and g.is_zero():
         raise ZeroInput("grcd(0, 0) is undefined")
-    r0, r1 = f, g
-    while not r1.is_zero():
-        r0, r1 = r1, r0.right_divmod(r1)[1]
-    return r0.monic()
+    r0, r1 = list(f.coeffs), list(g.coeffs)
+    while r1:
+        _reduce(f.ctx, r0, r1)
+        r0, r1 = r1, r0
+    return SkewPoly(f.ctx, r0).monic()
 
 
 def llcm(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Monic least common left multiple.  Right Euclid on (f, g) tracks only
-    the cofactor u_i of f in each remainder r_i = u_i*f + v_i*g; when the
-    remainder reaches zero, u*f = -v*g is the least common left multiple,
-    so no left division is ever needed."""
+    the cofactor u_i of f in r_i = u_i*f + v_i*g, updated in _reduce's pass
+    term by term; at a zero remainder u*f = -v*g is the least common left
+    multiple, with no left division, and u is scaled first by the inverse of
+    lead(u) sigma^(deg u)(lead f), so the one product u*f is monic."""
     f._check(g)
     if f.is_zero() or g.is_zero():
         raise ZeroInput("llcm requires both polynomials nonzero")
-    r0, r1 = f, g
-    u0, u1 = SkewPoly.one(f.ctx), SkewPoly.zero(f.ctx)
-    while not r1.is_zero():
-        q, r2 = r0.right_divmod(r1)
-        r0, r1 = r1, r2
-        u0, u1 = u1, u0 - q * u1
-    return (u1 * f).monic()
+    ctx = f.ctx
+    r0, r1, u0, u1 = list(f.coeffs), list(g.coeffs), [ONE], []
+    while r1:
+        _reduce(ctx, r0, r1, u=u0, v=u1)
+        r0, r1, u0, u1 = r1, r0, u1, u0
+    u = SkewPoly(ctx, u1)
+    return u.scale_left(ctx.inv(ctx.mul(u.lead(), ctx.frobenius(f.lead(), u.degree)))) * f
 
 
 def eval_product(f: SkewPoly, g: SkewPoly, a: Fe) -> Fe:

@@ -12,6 +12,10 @@ The *_by_terms loops are the ring and matrix loops, and the accumulation
 kernel they share, written term by term through the context's add, sub, mul
 and frobenius, one call per operation; the library's loops accumulate on
 logs through field.add_scaled, which reads the Zech table directly.
+grcd_by_terms and llcm_by_terms are the textbook remainder sequence and
+cofactor recurrence on right_divmod_by_terms and mul_by_terms, where the
+library reduces coefficient lists in place in one loop that also applies
+llcm's cofactor update.
 
 encode_by_subspace draws a message by row reduction: it grows an
 F_q-subspace until it reaches the rank and pushes it through the class map,
@@ -131,6 +135,34 @@ def right_divmod_by_terms(f, g):
         for j, gj in enumerate(g.coeffs):
             r[shift + j] = ctx.sub(r[shift + j], ctx.mul(c, ctx.frobenius(gj, shift)))
     return SkewPoly(ctx, quot), SkewPoly(ctx, r[:d])
+
+
+def _monic_by_terms(f):
+    c = f.ctx.inv(f.lead())
+    return SkewPoly(f.ctx, [f.ctx.mul(c, a) for a in f.coeffs])
+
+
+def grcd_by_terms(f, g):
+    """The monic last nonzero remainder of r_(i+1) = r_(i-1) mod r_i."""
+    r0, r1 = f, g
+    while not r1.is_zero():
+        r0, r1 = r1, right_divmod_by_terms(r0, r1)[1]
+    return _monic_by_terms(r0)
+
+
+def llcm_by_terms(f, g):
+    """Monic u*f, u the cofactor of f at the first zero remainder, from
+    u_0 = 1, u_1 = 0 and u_(i+1) = u_(i-1) - q_i u_i, q_i the quotient of
+    r_(i-1) by r_i."""
+    ctx = f.ctx
+    r0, r1, u0, u1 = f, g, SkewPoly(ctx, [ONE]), SkewPoly(ctx)
+    while not r1.is_zero():
+        quo, rem = right_divmod_by_terms(r0, r1)
+        qu = mul_by_terms(quo, u1).coeffs
+        width = max(len(u0.coeffs), len(qu))
+        u2 = [ctx.sub(u0.coeff(i), qu[i] if i < len(qu) else ZERO) for i in range(width)]
+        r0, r1, u0, u1 = r1, rem, u1, SkewPoly(ctx, u2)
+    return _monic_by_terms(mul_by_terms(u1, f))
 
 
 def evaluate_by_terms(f, a):

@@ -74,6 +74,27 @@ def test_grcd_llcm(capsys):
     assert code == 0 and out.strip() == "x^4 + x^2 + 1"
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["grcd", "0", "x+1"], "x + 1\n"),
+        (["grcd", "x+1", "0"], "x + 1\n"),
+        (["divmod", "0", "x"], "quotient: 0\nremainder: 0\n"),
+        (["divmod", "x", "x^3"], "quotient: 0\nremainder: x\n"),
+        (["llcm", "x", "x"], "x\n"),
+    ],
+)
+def test_euclid_empty_list_paths(capsys, argv, want):
+    # a zero operand, a dividend below the divisor's degree and equal operands
+    assert run(capsys, "--field", "2,2,1,1", *argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("argv", [["llcm", "0", "x"], ["llcm", "x", "0"], ["grcd", "0", "0"]])
+def test_euclid_zero_inputs_exit_1(capsys, argv):
+    code, out, err = run(capsys, "--field", "2,2,1,1", *argv)
+    assert code == 1 and out == "" and err.startswith("error: ZeroInput")
+
+
 def test_eval_and_zeros(capsys):
     code, out, _ = run(capsys, *F16, "eval", "x^2+1", "g3")
     assert code == 0 and out.strip() == "0"

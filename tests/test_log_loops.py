@@ -1,11 +1,12 @@
 """The ring and matrix loops on logs against their term-by-term oracles.
 
-SkewPoly's sum, product, right division and times_linear, field.rref,
-FieldCtx.coords and the rlnc oracle's vector relays accumulate through one
-kernel, field.add_scaled, the one reader of the Zech table besides
-FieldCtx.add and SkewPoly.evaluate; the element simulator's draw adds
-through FieldCtx.add.  tests/oracles.py holds the kernel, the loops and the
-evaluation written through the context's add, sub, mul and frobenius.
+SkewPoly's sum, product, times_linear and one reduction loop (right
+division, grcd and llcm), field.rref, FieldCtx.coords and the rlnc oracle's
+vector relays accumulate through one kernel, field.add_scaled, the one
+reader of the Zech table besides FieldCtx.add and SkewPoly.evaluate; the
+element simulator's draw adds through FieldCtx.add.  tests/oracles.py holds
+the kernel, the loops, the evaluation and right Euclid written through the
+context's add, sub, mul and frobenius.
 """
 
 import ast
@@ -18,12 +19,14 @@ import skewmatroid
 from oracles import (
     add_scaled_by_terms,
     evaluate_by_terms,
+    grcd_by_terms,
+    llcm_by_terms,
     mat_vec_by_terms,
     mul_by_terms,
     right_divmod_by_terms,
     rref_by_terms,
 )
-from skewmatroid import ONE, ZERO, FieldCtx, SkewPoly, get_field
+from skewmatroid import ONE, ZERO, FieldCtx, SkewPoly, ZeroInput, get_field, grcd, llcm
 from skewmatroid.field import add_scaled, rref
 
 SPECS = [
@@ -69,6 +72,37 @@ def test_ring_loops_match_the_term_oracles(spec):
     # a dividend of lower degree than the divisor is its own remainder
     f, g = _poly(ctx, rng, 2), _poly(ctx, rng, 5)
     assert f.right_divmod(g) == right_divmod_by_terms(f, g) == (SkewPoly(ctx), f)
+
+
+def _euclid_pairs(ctx, rng):
+    """Zero operands, equal operands, a left multiple, pairs sharing a
+    random right factor, unrelated pairs, and one pair of degrees past
+    M = m(q - 1), beyond which zeros folds exponents."""
+    M = ctx.m * (ctx.q - 1)
+    f = _poly(ctx, rng, rng.randint(1, 4))
+    pairs = [(SkewPoly(ctx), f), (f, SkewPoly(ctx)), (f, f), (f, _poly(ctx, rng, 2) * f)]
+    for _ in range(4):
+        c = _poly(ctx, rng, rng.randint(1, 3))
+        pairs.append(tuple(_poly(ctx, rng, rng.randint(0, 5)) * c for _ in "fg"))
+    pairs += [tuple(_poly(ctx, rng, rng.randint(1, 7)) for _ in "fg") for _ in range(4)]
+    pairs.append((_poly(ctx, rng, M + 3), _poly(ctx, rng, M + 1)))
+    return pairs
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_euclid_matches_the_term_oracles(spec):
+    ctx = _ctx(spec)
+    rng = random.Random(f"euclid {spec}")
+    for f, g in _euclid_pairs(ctx, rng):
+        for a, b in ((f, g), (g, f)):
+            if not b.is_zero():
+                assert a.right_divmod(b) == right_divmod_by_terms(a, b)
+        assert grcd(f, g) == grcd_by_terms(f, g)
+        if f.is_zero() or g.is_zero():
+            with pytest.raises(ZeroInput):
+                llcm(f, g)
+        else:
+            assert llcm(f, g) == llcm_by_terms(f, g)
 
 
 def _matrices(ctx, rng):

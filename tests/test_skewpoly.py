@@ -22,7 +22,7 @@ from skewmatroid import (
 )
 from skewmatroid.field import MAX_ORDER
 
-from oracles import linearized_associate, scan_zeros
+from oracles import linearized_associate, right_divmod_by_terms, scan_zeros
 
 
 def _random_poly(ctx, rng, max_deg=4, nonzero=False):
@@ -428,13 +428,14 @@ def test_llcm_brute_force_oracle(f4):
 
 def _bezout(f, g):
     """Right Euclid tracking both cofactors: monic d with u*f + v*g = d.
-    An oracle written apart from the library's grcd, which tracks none."""
+    An oracle written apart from the library's grcd, which tracks none, and
+    dividing term by term, not through the library's reduction loop."""
     ctx = f.ctx
     r0, r1 = f, g
     u0, u1 = SkewPoly.one(ctx), SkewPoly.zero(ctx)
     v0, v1 = SkewPoly.zero(ctx), SkewPoly.one(ctx)
     while not r1.is_zero():
-        quo, rem = r0.right_divmod(r1)
+        quo, rem = right_divmod_by_terms(r0, r1)
         r0, r1 = r1, rem
         u0, u1 = u1, u0 - quo * u1
         v0, v1 = v1, v0 - quo * v1
@@ -460,6 +461,35 @@ def test_grcd_llcm_properties_random(spec):
         assert m.right_divmod(f)[1].is_zero()
         assert m.right_divmod(g)[1].is_zero()
         assert m.degree == f.degree + g.degree - d.degree
+
+
+def test_euclid_builds_a_constant_number_of_polynomials(monkeypatch):
+    # the remainder sequence and llcm's cofactor live in coefficient lists,
+    # so the only polynomials built are the few that form the result,
+    # however many steps Euclid takes
+    ctx = get_field(3, 10, 2, 1)
+    rng = random.Random("euclid allocations")
+
+    def dense(d):
+        return SkewPoly(ctx, [rng.randrange(ctx.order - 1) for _ in range(d + 1)])
+
+    pairs = {d: (dense(d), dense(d - 1)) for d in (30, 60)}
+    built = []
+    init = SkewPoly.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(SkewPoly, "__init__", counting_init)
+    counts = {}
+    for d, (f, g) in pairs.items():
+        for op in (grcd, llcm):
+            built.clear()
+            op(f, g)
+            counts[op.__name__, d] = len(built)
+    assert counts["grcd", 30] == counts["grcd", 60] <= 2
+    assert counts["llcm", 30] == counts["llcm", 60] <= 3
 
 
 def test_grcd_llcm_zero_cases(f4):
