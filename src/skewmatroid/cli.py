@@ -318,6 +318,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     return 0 if payload.get("ok", True) and not payload.get("failed") else 1
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -11,8 +11,8 @@ divisor and the least common left multiple share one reduction loop,
 _reduce, that reduces a coefficient list in place and either stores each
 quotient term or applies it at once to the one cofactor llcm tracks.
 
-Sums, products, right division and times_linear accumulate on logs through
-the one kernel field.add_scaled; evaluation, a dot product with a running
+Products, right division and times_linear accumulate on logs through the
+one kernel field.add_scaled; evaluation, a dot product with a running
 exponent rather than an accumulation of a scaled row, keeps its own loop.
 """
 
@@ -79,26 +79,7 @@ class SkewPoly:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self) -> int:
-        return hash((id(self.ctx), self.coeffs))
-
     # -- ring operations -----------------------------------------------------------
-
-    def _plus(self, other: "SkewPoly", k: Fe) -> "SkewPoly":
-        """self + g^k * other, one pass over other's logs."""
-        self._check(other)
-        out = list(self.coeffs) + [ZERO] * (len(other.coeffs) - len(self.coeffs))
-        add_scaled(self.ctx, out, other.coeffs, k)
-        return SkewPoly(self.ctx, out)
-
-    def __add__(self, other: "SkewPoly") -> "SkewPoly":
-        return self._plus(other, ONE)
-
-    def __neg__(self) -> "SkewPoly":
-        return SkewPoly(self.ctx, [self.ctx.neg(c) for c in self.coeffs])
-
-    def __sub__(self, other: "SkewPoly") -> "SkewPoly":
-        return self._plus(other, self.ctx.minus_one)
 
     def times_linear(self, c: Fe) -> "SkewPoly":
         """(x + c) * self in one pass: coefficient j is sigma(f_(j-1)) + c f_j,

@@ -3,7 +3,9 @@
 The scans answer from a definition over the whole field, so they share no
 code path with the route they check beyond rank and evaluation: the closure
 from rank, the flat metric from ranks of union and intersection, the zeros of
-a polynomial by evaluating it everywhere.  scan_zeros is the oracle for
+a polynomial by evaluating it everywhere.  dist_by_classes takes the flat
+metric as a sum over conjugacy classes of subspace distances between lifted
+bases, with no grcd and no minimal polynomial.  scan_zeros is the oracle for
 SkewPoly.zeros, which on m > 1 fields takes the kernel route instead.  Rank
 here is rank_by_minpoly, the degree of the whole set's minimal polynomial,
 not the library's per-class sum that closure shares.
@@ -12,6 +14,8 @@ The *_by_terms loops are the ring and matrix loops, and the accumulation
 kernel they share, written term by term through the context's add, sub, mul
 and frobenius, one call per operation; the library's loops accumulate on
 logs through field.add_scaled, which reads the Zech table directly.
+add_by_terms and sub_by_terms are the sum and difference of two polynomials,
+which the library does not take: the tests state ring identities with them.
 grcd_by_terms and llcm_by_terms are the textbook remainder sequence and
 cofactor recurrence on right_divmod_by_terms and mul_by_terms, where the
 library reduces coefficient lists in place in one loop that also applies
@@ -43,11 +47,13 @@ from skewmatroid import (
     DomainError,
     SkewPoly,
     canonical_points,
+    class_of,
     closure,
     conjugate,
     grcd,
     llcm,
     minimal_poly,
+    unwarp_method1,
 )
 from skewmatroid.field import mat_rank
 from skewmatroid.matroid import Flat, Subspace, class_flat
@@ -75,6 +81,22 @@ def dist_definitional(ctx, x, y):
     union = set(x.points) | set(y.points)
     inter = set(x.points) & set(y.points)
     return rank_by_minpoly(ctx, union) - rank_by_minpoly(ctx, inter)
+
+
+def dist_by_classes(ctx, x, y):
+    """The flat metric summed over the parts of the direct sum: for each
+    class l, 2 dim(V + W) - dim V - dim W, where V and W are the F_q-spans
+    of the two bases' class-l points, each lifted through unwarp_method1
+    and coords; plus 1 when exactly one flat holds zero."""
+    parts = ({}, {})
+    for part, flat in zip(parts, (x, y)):
+        for b in flat.basis:
+            part.setdefault(class_of(ctx, b), []).append(b)
+    total = int((None in parts[0]) != (None in parts[1]))
+    for ell in (parts[0].keys() | parts[1].keys()) - {None}:
+        v, w = ([ctx.coords(unwarp_method1(ctx, b, ell)) for b in p.get(ell, ())] for p in parts)
+        total += 2 * rref_by_terms(ctx, v + w)[1] - rref_by_terms(ctx, v)[1] - rref_by_terms(ctx, w)[1]
+    return total
 
 
 def minimal_poly_by_products(ctx, points, *, rank=None):
@@ -106,6 +128,18 @@ def add_scaled_by_terms(ctx, out, coeffs, k, j=0, off=0):
     for i, b in enumerate(coeffs):
         out[off + i] = ctx.add(out[off + i], ctx.mul(k, ctx.frobenius(b, j)))
     return out
+
+
+def add_by_terms(f, g):
+    """f + g, coefficient by coefficient through ctx.add."""
+    width = range(max(len(f.coeffs), len(g.coeffs)))
+    return SkewPoly(f.ctx, [f.ctx.add(f.coeff(i), g.coeff(i)) for i in width])
+
+
+def sub_by_terms(f, g):
+    """f - g, coefficient by coefficient through ctx.sub."""
+    width = range(max(len(f.coeffs), len(g.coeffs)))
+    return SkewPoly(f.ctx, [f.ctx.sub(f.coeff(i), g.coeff(i)) for i in width])
 
 
 def mul_by_terms(f, g):
@@ -158,10 +192,7 @@ def llcm_by_terms(f, g):
     r0, r1, u0, u1 = f, g, SkewPoly(ctx, [ONE]), SkewPoly(ctx)
     while not r1.is_zero():
         quo, rem = right_divmod_by_terms(r0, r1)
-        qu = mul_by_terms(quo, u1).coeffs
-        width = max(len(u0.coeffs), len(qu))
-        u2 = [ctx.sub(u0.coeff(i), qu[i] if i < len(qu) else ZERO) for i in range(width)]
-        r0, r1, u0, u1 = r1, rem, u1, SkewPoly(ctx, u2)
+        r0, r1, u0, u1 = r1, rem, u1, sub_by_terms(u0, mul_by_terms(quo, u1))
     return _monic_by_terms(mul_by_terms(u1, f))
 
 

@@ -32,7 +32,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 from skewmatroid import get_field, rlnc_oracle_trial, run_trial, simulate  # noqa: E402
 from skewmatroid.netsim import build_message  # noqa: E402
-from conftest import random_layered_spec  # noqa: E402
+from specs import random_layered_spec  # noqa: E402
 
 FIELDS = ["2,4,2,1", "2,4,4,1", "3,2,1,1", "3,4,2,1", "2,6,3,1", "2,8,2,3",
           "5,2,1,1", "2,16,4,1", "2,5,1,2", "2,1,1,1", "7,2,1,1"]

@@ -29,8 +29,8 @@ from skewmatroid.minimal import closure, lift
 from skewmatroid.netsim import build_message
 from skewmatroid.selftest import run_all
 
-from conftest import random_layered_spec
 from oracles import columns_independent, decompose_check
+from specs import random_layered_spec
 from test_matroid import _check_independence_axioms, _check_rank_axioms
 
 

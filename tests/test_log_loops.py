@@ -1,7 +1,7 @@
 """The ring and matrix loops on logs against their term-by-term oracles.
 
-SkewPoly's sum, product, times_linear and one reduction loop (right
-division, grcd and llcm), field.rref, FieldCtx.coords and the rlnc oracle's
+SkewPoly's product, times_linear and one reduction loop (right division,
+grcd and llcm), field.rref, FieldCtx.coords and the rlnc oracle's
 vector relays accumulate through one kernel, field.add_scaled, the one
 reader of the Zech table besides FieldCtx.add and SkewPoly.evaluate; the
 element simulator's draw adds through FieldCtx.add.  tests/oracles.py holds

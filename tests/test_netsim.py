@@ -42,8 +42,8 @@ from skewmatroid.netsim import (
     mirrored_source_vectors,
 )
 
-from conftest import random_layered_spec
 from oracles import draw_by_randrange, encode_by_subspace
+from specs import random_layered_spec
 
 
 def _spec(**overrides) -> NetSpec:

@@ -13,18 +13,44 @@ Edges are by name: a definition reaches every top-level function, class or
 method whose name it loads as a `Name`, an `Attribute` or an import alias.
 A reached method reaches its class, and a reached class its dunder methods.
 Names over-approximate calls: an unreached method that shares its name with
-a reached one goes unflagged.  Dunder methods are exempt.
+a reached one goes unflagged.
+
+Dunder methods run through operators and builtins, not by name, so a second
+test holds them to what the program does: it wraps every dunder that a class
+in `src/` defines and runs a fixed handful of the pinned golden CLI calls,
+and each wrapped dunder must be entered.  Three are exempt, each with its
+reason in EXEMPT_DUNDERS: `__init__`, and `__repr__` and `__str__`.
 """
 
 import ast
+import importlib
+import json
+import shlex
 from pathlib import Path
 
 import skewmatroid
+from skewmatroid.cli import main
+from test_golden_cli import NET
 
 PACKAGE = Path(skewmatroid.__file__).resolve().parent
 
 # name -> why it stays in `src/` though nothing the program runs reaches it
 ALLOWED: dict[str, str] = {}
+
+# dunder -> why a class in `src/` may define it though no call below enters it
+EXEMPT_DUNDERS: dict[str, str] = {
+    "__init__": "every construction runs it, and the first test reaches each class by name",
+    "__repr__": "what a value shows in a traceback or a debugger (aim 4)",
+    "__str__": "a value's text, which some verbs print and a user reads (aim 4)",
+}
+
+# CLI calls of tests/test_golden_cli.py, the last on its NET spec with the oracle
+GOLDEN_CALLS = [
+    "--field 2,2,1,1 mul x+1 'g1*x+1'",
+    "--field 2,4,2,1 dist 1,g3 g6,g9",
+    "--field 2,4,2,1 isometry-check",
+    "--json simulate --spec net.json --oracle rlnc",
+]
 
 
 def _is_dunder(name: str) -> bool:
@@ -98,3 +124,29 @@ def _unreached() -> list[str]:
 def test_every_definition_is_reached_from_the_program():
     assert _unreached() == []
 
+
+def test_every_dunder_is_entered_by_the_program(tmp_path, monkeypatch, capsys):
+    entered = set()
+
+    def wrap(key, method):
+        def wrapper(*args, **kwargs):
+            entered.add(key)
+            return method(*args, **kwargs)
+        return wrapper
+
+    wrapped = []
+    for key, keys in _graph()[2].items():
+        module, name = key.split(".")
+        cls = getattr(importlib.import_module(f"skewmatroid.{module}"), name)
+        for method_key in keys:
+            method = method_key.rsplit(".", 1)[1]
+            if _is_dunder(method) and method not in EXEMPT_DUNDERS:
+                monkeypatch.setattr(cls, method, wrap(method_key, cls.__dict__[method]))
+                wrapped.append(method_key)
+    (tmp_path / "net.json").write_text(json.dumps(NET))
+    monkeypatch.chdir(tmp_path)
+    for line in GOLDEN_CALLS:
+        assert main(shlex.split(line)) == 0, line
+    capsys.readouterr()
+    missing = sorted(set(wrapped) - entered)
+    assert wrapped and not missing, f"never entered: {', '.join(missing)}"

