@@ -161,7 +161,7 @@ def _cmd_fieldinfo(ctx: FieldCtx, args) -> dict:
         "modpoly": ctx.modpoly_string(),
         "classes": ctx.q - 1,
         "class_size": ctx.class_size,
-        "subfield_units": _point_list(ctx, ctx.subfield_elements[1:]),
+        "subfield_units": _point_list(ctx, ctx.subfield_units),
     }
 
 

@@ -13,12 +13,13 @@ the exact bracket and dbracket read s only through its representative in
 1..m.
 
 The default modulus is the smallest monic primitive one.  Candidates are
-accepted by an order test on x (square-and-multiply on digit lists), so no
-table is built for a rejected one.  A context builds no table up front: the
-Zech table is built by the first addition, in one pass that works for every
-p, from antilog and log arrays that are dropped afterwards.  Class indices,
-warps and the canonical unwarp are closed forms on the log, so a caller that
-never adds two elements never pays for the table (p^n entries).
+accepted by an order test on x (square-and-multiply on residues packed into
+ints, one integer product a step), so no table is built for a rejected one.
+A context builds no table up front: the Zech table is built by the first
+addition, in one pass that works for every p, from antilog and log arrays
+that are dropped afterwards.  Class indices, warps and the canonical unwarp
+are closed forms on the log, so a caller that never adds two elements never
+pays for the table (p^n entries), and the subfield is a range of logs.
 
 F_q-coordinates w.r.t. the basis 1, g, ..., g^(m-1) solve the sigma-Moore
 system sum_j c_j sigma^i(b_j) = sigma^i(a), i < m, whose matrix is inverted
@@ -85,34 +86,54 @@ def _is_primitive(p: int, n: int, modpoly: int, primes: list[int]) -> bool:
     of degree n, given the primes dividing N: x^N = 1 and x^(N/r) != 1 for
     every such r (Lidl & Niederreiter, Finite Fields).  This is exact for a
     reducible modpoly too: x of order N makes every nonzero residue a unit,
-    so the quotient ring is a field and modpoly is primitive."""
-    low = [-d % p for d in _digits(modpoly, p, n)]  # x^n = sum low[j] x^j
+    so the quotient ring is a field and modpoly is primitive.  Two exact
+    rejections come first: the norm of x, (-1)^n * modpoly(0), must generate
+    F_p* (for n = 1 that is the whole test), and for n >= 2, 1 is no root.
 
-    def mulmod(a: list[int], b: list[int]) -> list[int]:
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        for d in range(2 * n - 2, n - 1, -1):
-            lead = prod[d] % p
-            if lead:  # x^d = x^(d-n) * x^n
-                for j in range(n):
-                    prod[d - n + j] += lead * low[j]
-        return [c % p for c in prod[:n]]
+    Residues are packed into ints, coefficient j in the w-bit slot j, so a
+    product is one integer product (Kronecker substitution).  A step of the
+    square-and-multiply squares, shifts one slot up for a set bit, and
+    reduces by Barrett's quotient t = (c // x^n) * mu // x^(n-1), where
+    mu = x^(2n-1) // modpoly: the remainder is c + t * (x^n mod modpoly) in
+    its low n slots.  Slots stay below n^2 (p-1)^3 < 2^sb, and every slot is
+    taken mod p at once by a multiply-shift quotient, exact below 2^sb; with
+    w = 2sb + 2 bits the slots never carry into each other."""
+    digits = _digits(modpoly, p, n)
+    norm = (-1) ** n * digits[0] % p
+    if not norm or any(pow(norm, (p - 1) // r, p) == 1 for r in primes if (p - 1) % r == 0):
+        return False
+    if n == 1 or (1 + sum(digits)) % p == 0:  # x is the norm, or 1 is a root
+        return n == 1
+    sb = (n * n * (p - 1) ** 3).bit_length()
+    w, sh = 2 * sb + 2, sb + p.bit_length()
+    M = -(-(1 << sh) // p)  # c // p = c * M >> sh for every c < 2^sb
+    low = (1 << w * n) - 1
+    qmask = low // ((1 << w) - 1) * ((1 << w - sh) - 1)
+    wn, wt = w * n, w * (n - 1)
+    L = sum(-d % p << w * j for j, d in enumerate(digits))  # x^n mod modpoly
+    # mu's digits are the top digits of x^(n-1), ..., x^(2n-2) mod modpoly
+    mu, r = 0, 1 << wt
+    for _ in range(n):
+        t = r >> wt
+        mu = mu << w | t
+        r = (r << w & low) + t * L
+        r -= p * (r * M >> sh & qmask)
 
-    def x_pow(e: int) -> list[int]:
-        out = one
+    def x_pow(e: int) -> int:
+        v = 1
         for bit in bin(e)[2:]:
-            out = mulmod(out, out)
-            if bit == "1":
-                out = mulmod(out, x)
-        return out
+            c = v * v << w if bit == "1" else v * v
+            t = (c >> wn) * mu >> wt
+            t -= p * (t * M >> sh & qmask)
+            v = (c & low) + (t * L & low)
+            v -= p * (v * M >> sh & qmask)
+        return v
 
-    one = [1] + [0] * (n - 1)
-    x = [0, 1] + [0] * (n - 2) if n > 1 else low
     N = p**n - 1
-    return x_pow(N) == one and all(x_pow(N // r) != one for r in primes)
+    # for odd p, x of order N makes x^(N/2) the field's one element of order
+    # 2, which is -1, and x^(N/2) = -1 gives x^N = 1 and x^(N/2) != 1
+    first = x_pow(N // 2) == p - 1 if p > 2 else x_pow(N) == 1
+    return first and all(x_pow(N // r) != 1 for r in primes if r > 2)
 
 
 def _default_modpoly(p: int, n: int) -> int:
@@ -204,9 +225,9 @@ class FieldCtx:
         # number of F_q*-cosets in F*, also the size of every nonzero
         # conjugacy class and the log stride of the subfield
         self.class_size = N // (self.q - 1)
-        self.subfield_elements: tuple[Fe, ...] = (ZERO,) + tuple(
-            j * self.class_size for j in range(self.q - 1)
-        )
+        # F_q* is the logs j * class_size, j < q - 1, held as a range: with
+        # k = n, F_q is the whole field
+        self.subfield_units = range(0, N, self.class_size)
         self.basis: tuple[Fe, ...] = tuple(range(m))
         # sigma^j multiplies logs by q^(js) mod N, which is q^(js mod m) mod N
         # since q^m = 1 mod N; twist is the j = 1 entry, sigma's action on logs
@@ -219,6 +240,11 @@ class FieldCtx:
         self.unwarp_factor = pow((self.twist - 1) // (self.q - 1), -1, self.class_size)
         self.minus_one: Fe = N // 2 if p != 2 else ONE  # -1 = g^(N/2) for odd p
         self._s_rep = (s - 1) % m + 1  # s in 1..m: the same sigma, bounded brackets
+
+    @property
+    def subfield_elements(self) -> tuple[Fe, ...]:
+        """F_q: ZERO, then subfield_units, as a q-entry tuple built per read."""
+        return (ZERO, *self.subfield_units)
 
     # -- element arithmetic ----------------------------------------------------
 

@@ -129,6 +129,8 @@ def dist(x: Flat, y: Flat) -> int:
 def all_subspaces(ctx: FieldCtx) -> Iterator[Subspace]:
     """Every F_q-subspace of F_{q^m}, by dimension then echelon pattern."""
     m = ctx.m
+    # with m = 1 no entry is free, and F_q is the whole field
+    elements = ctx.subfield_elements if m > 1 else ()
     for r in range(m + 1):
         for pivots in itertools.combinations(range(m), r):
             free = [
@@ -137,7 +139,7 @@ def all_subspaces(ctx: FieldCtx) -> Iterator[Subspace]:
                 for j in range(pivots[i] + 1, m)
                 if j not in pivots
             ]
-            for vals in itertools.product(ctx.subfield_elements, repeat=len(free)):
+            for vals in itertools.product(elements, repeat=len(free)):
                 rows = [[ZERO] * m for _ in range(r)]
                 for i in range(r):
                     rows[i][pivots[i]] = ONE

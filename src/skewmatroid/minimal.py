@@ -119,7 +119,7 @@ def closure(ctx: FieldCtx, points: Iterable[Fe]) -> tuple[Fe, ...]:
             if t not in lines:
                 # t's line joins, and the line of x + c*t for each held x and c in F_q*
                 if lines:
-                    multiples = [ctx.mul(c, t) for c in ctx.subfield_elements[1:]]
+                    multiples = [ctx.mul(c, t) for c in ctx.subfield_units]
                     lines |= {ctx.add(x, ct) % ctx.class_size for x in lines for ct in multiples}
                 lines.add(t)
         out.update(ctx.mul(ell, warp(ctx, t)) for t in lines)

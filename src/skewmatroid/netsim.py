@@ -255,7 +255,7 @@ def _draw_nonzero_combination(ctx: FieldCtx, items: Sequence[Fe], rng: random.Ra
     accepted read per item per attempt.  On a generator that carries a
     record list (see run_trial) the draw appends each read it accepts,
     rejected attempts' included, and then None."""
-    q, elements, getrandbits = ctx.q, ctx.subfield_elements, rng.getrandbits
+    q, cs, getrandbits = ctx.q, ctx.class_size, rng.getrandbits
     k, N, add = q.bit_length(), ctx.order - 1, ctx.add
     record = getattr(rng, "record", None)
     if record is not None:
@@ -268,9 +268,8 @@ def _draw_nonzero_combination(ctx: FieldCtx, items: Sequence[Fe], rng: random.Ra
                 r = getrandbits(k)
             if record is not None:
                 keep(r)
-            c = elements[r]
-            if c != ZERO:
-                out = add(out, (b + c) % N)
+            if r:  # subfield_elements[r]: ZERO, or the log (r - 1) * class_size
+                out = add(out, (b + (r - 1) * cs) % N)
         if out != ZERO:
             if record is not None:
                 keep(None)
@@ -466,7 +465,7 @@ def rlnc_oracle_trial(
     if decoded is None:
         decoded = {}
     space, preload = _memo(decoded, message, _oracle_source, ctx, message)
-    q, elements, coefficients = ctx.q, ctx.subfield_elements, iter(reads)
+    q, cs, coefficients = ctx.q, ctx.class_size, iter(reads)
 
     def forward(pool, u: str, v: str) -> tuple[Fe, ...]:
         while True:
@@ -475,9 +474,8 @@ def rlnc_oracle_trial(
                 r = next(coefficients, None)
                 if type(r) is not int or not 0 <= r < q:
                     raise _ReplayMismatch  # past the draw's reads, or one it never made
-                c = elements[r]
-                if c != ZERO:
-                    add_scaled(ctx, out, vec, c)
+                if r:  # subfield_elements[r], as in the draw
+                    add_scaled(ctx, out, vec, (r - 1) * cs)
             if out.count(ZERO) != len(out):
                 if next(coefficients, 0) is not None:  # the draw's reads end here
                     raise _ReplayMismatch

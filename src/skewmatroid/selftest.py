@@ -63,7 +63,7 @@ def _f4_generator() -> None:
 def _f16_subfield() -> None:
     ctx = _f16()
     _assert_eq(ctx.m, 2, "extension degree over F4")
-    _assert_eq(ctx.subfield_elements, (ZERO, 0, 5, 10), "subfield")
+    _assert_eq(tuple(ctx.subfield_units), (0, 5, 10), "subfield units")
     _assert_eq(ctx.modpoly, 19, "modulus")
 
 
@@ -196,7 +196,7 @@ def _product_rule_zero() -> None:
 @_check("warp is 1 on subfield units and multiplicative")
 def _warp_properties() -> None:
     ctx = _f16()
-    for c in ctx.subfield_elements[1:]:
+    for c in ctx.subfield_units:
         _assert_eq(warp(ctx, c), ONE, f"warp({ctx.format_element(c)})")
     for a in ctx.nonzero_elements():
         for b in ctx.nonzero_elements():

@@ -38,6 +38,11 @@ union and the intersection of two closed sets, columns_independent holds
 P-independence against the rank of representation columns, and
 linearized_associate (x^i replaced by x^bracket(i)) carries the paper's link
 between skew evaluation on warp images and an additive polynomial.
+
+is_primitive_by_digits is the order test on x with residues as digit lists,
+one term product at a time and every multiplication by x a full product;
+the library packs residues into ints and runs a few cheap exact rejections
+first.
 """
 
 from skewmatroid import (
@@ -306,3 +311,36 @@ def linearized_associate(f):
         ctx,
         tuple((ctx.bracket(i), c) for i, c in enumerate(f.coeffs) if c != ZERO),
     )
+
+
+def is_primitive_by_digits(p, n, modpoly, primes):
+    """Whether x has order N = p^n - 1 modulo the monic modpoly of degree n,
+    given the primes dividing N: x^N = 1 and x^(N/r) != 1 for each r, by
+    square-and-multiply on lists of base-p digits (x^0 coefficient first)."""
+    low = [-(modpoly // p**j) % p for j in range(n)]  # x^n = sum low[j] x^j
+
+    def mulmod(a, b):
+        prod = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        for d in range(2 * n - 2, n - 1, -1):
+            lead = prod[d] % p
+            if lead:  # x^d = x^(d-n) * x^n
+                for j in range(n):
+                    prod[d - n + j] += lead * low[j]
+        return [c % p for c in prod[:n]]
+
+    def x_pow(e):
+        out = one
+        for bit in bin(e)[2:]:
+            out = mulmod(out, out)
+            if bit == "1":
+                out = mulmod(out, x)
+        return out
+
+    one = [1] + [0] * (n - 1)
+    x = [0, 1] + [0] * (n - 2) if n > 1 else low
+    N = p**n - 1
+    return x_pow(N) == one and all(x_pow(N // r) != one for r in primes)

@@ -361,6 +361,28 @@ def test_zeros_of_a_high_degree_polynomial():
     assert time.monotonic() - start < 5
 
 
+def _peak_rss_kib(*argv) -> int:
+    """The peak RSS of a cold CLI call in a child, in KiB: the kernel's
+    VmHWM, which starts afresh at exec, where ru_maxrss keeps the peak of
+    the forked test process."""
+    script = (
+        "import sys\nfrom skewmatroid.cli import main\ncode = main(sys.argv[1:])\n"
+        "print(open('/proc/self/status').read(), file=sys.stderr)\nsys.exit(code)"
+    )
+    proc = _cli_child(*argv, python=("-c", script))
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr.split("VmHWM:")[1].split()[0])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_whole_field_subfield_is_held_in_closed_form():
+    # with k = n the subfield is the whole field; its 2^20 entries were a
+    # tuple built by the constructor, 63 MiB against 15 MiB at 2,20,4,1
+    whole = _peak_rss_kib("--field", "2,20,20,1", "classof", "g5")
+    k4 = _peak_rss_kib("--field", "2,20,4,1", "classof", "g5")
+    assert whole < k4 + 4096, (whole, k4)
+
+
 @pytest.mark.parametrize(
     "spec",
     [

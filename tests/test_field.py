@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from oracles import add_by_terms, mat_vec_by_terms
+from oracles import add_by_terms, is_primitive_by_digits, mat_vec_by_terms
 from skewmatroid import (
     BadDegreeDivisibility,
     DivisionByZero,
@@ -24,6 +24,8 @@ from skewmatroid import (
 from skewmatroid.field import (
     _default_modpoly,
     _is_prime,
+    _is_primitive,
+    _prime_factors,
     add_scaled,
     kernel,
     mat_rank,
@@ -103,6 +105,42 @@ def test_order_test_matches_ascending_scan_up_to_4096():
     assert len(pairs) == 604
     for p, n in pairs:
         assert _default_modpoly(p, n) == _naive_default_modpoly(p, n), (p, n)
+
+
+def test_order_test_matches_the_digit_oracle_on_every_candidate():
+    # Explicit moduli take the same test as the default search, so it must
+    # agree on every candidate, not only up to the defaults.  Every (p, n)
+    # with p^n <= 256, n = 1 and odd p included, in full: the packed test
+    # against the digit-list oracle where c % p != 0, and the constructor on
+    # every c, which raises NonPrimitiveModpoly exactly where it rejects.
+    pairs = [(p, n) for p in range(2, 257) if _is_prime(p) for n in range(1, 9) if p**n <= 256]
+    assert len(pairs) == 70
+    for p, n in pairs:
+        primes = list(_prime_factors(p**n - 1))
+        for c in range(p**n, 2 * p**n):
+            want = c % p != 0 and is_primitive_by_digits(p, n, c, primes)
+            if c % p:
+                assert _is_primitive(p, n, c, primes) == want, (p, n, c)
+            if want:
+                assert FieldCtx(p, n, n, 1, c).modpoly == c
+            else:
+                with pytest.raises(NonPrimitiveModpoly):
+                    FieldCtx(p, n, n, 1, c)
+    # 2,000 candidates sampled across larger fields, whose products take
+    # other slot widths
+    fields = [(2, 16), (3, 10), (3, 12), (5, 8), (7, 7), (1021, 2)]
+    factors = {pn: list(_prime_factors(pn[0] ** pn[1] - 1)) for pn in fields}
+    rng = random.Random(37)
+    accepted = dict.fromkeys(fields, 0)
+    for i in range(2000):
+        p, n = fields[i % len(fields)]
+        c = p**n + rng.randrange(1, p**n)
+        while c % p == 0:
+            c = p**n + rng.randrange(1, p**n)
+        want = is_primitive_by_digits(p, n, c, factors[p, n])
+        assert _is_primitive(p, n, c, factors[p, n]) == want, (p, n, c)
+        accepted[p, n] += want
+    assert all(accepted.values()), accepted
 
 
 # ------------------------------------------------------------ construction
@@ -259,6 +297,18 @@ def test_bounded_build_3_12():
     assert elapsed < 5.0, f"3,12,1,1 built in {elapsed:.2f}s of CPU (> 5s)"
     assert ctx.modpoly == 531656
     _check_sampled_adds(ctx, random.Random(312), 300)
+
+
+@pytest.mark.parametrize("p, n", [(997, 2), (1021, 2), (3, 12)])
+def test_bounded_default_search(p, n):
+    # Among the slowest default searches of legal (p, n >= 2): about 1,000
+    # candidates on 997,2 and 1021,2, and 143 on 3,12.  With digit lists
+    # they took 108-117 ms and 44-65 ms of CPU, now about 15 and 2 ms
+    # (tests/scan_default_moduli.py times every pair).
+    start = time.process_time()
+    FieldCtx(p, n, 1, 1)
+    elapsed = time.process_time() - start
+    assert elapsed < 0.1, f"{p},{n},1,1 built in {elapsed * 1e3:.0f} ms of CPU (> 100 ms)"
 
 
 # odd p, n = 1, m = 1 (k = n), s != 1 and the 2^20 cap; the last context
