@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # The public surface: each submodule and the names it exports.
 _EXPORTS = {
     "conjugacy": """class_elements class_invariance_holds class_label class_of conjugate
-        unwarp unwarp_method1 unwarp_method2 warp""",
+        unwarp unwarp_method2 warp""",
     "errors": """BadDegreeDivisibility DivisionByZero DivisionByZeroPoly DomainError
         EmptyInput FieldTooLarge GcdViolation InapplicableField MixedClasses
         MixedContexts NonPrimeP NonPrimitiveModpoly NotC1Flat ParseError

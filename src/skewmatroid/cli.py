@@ -21,7 +21,7 @@ import operator
 import sys
 from typing import Sequence
 
-from .conjugacy import class_elements, class_label, class_of, unwarp_method1, unwarp_method2
+from .conjugacy import class_elements, class_label, class_of, unwarp, unwarp_method2
 from .errors import DomainError, SpecInvalid
 from .field import Fe, FieldCtx, field_from_spec
 
@@ -75,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--class", dest="ell", type=int, default=None,
                     help="class index (default: the element's own class)")
     sp.add_argument("--method", choices=("1", "2", "both"), default="1",
-                    help="kernel method, exponent method, or both")
+                    help="1: the least-log point of the kernel line, in closed form; "
+                         "2: the exponent method; or both")
     sp.set_defaults(handler=_cmd_unwarp)
 
     for verb, help_text in (
@@ -206,10 +207,10 @@ def _cmd_unwarp(ctx: FieldCtx, args) -> dict:
         raise DomainError("zero belongs to no nonzero class")
     if args.method == "both":
         return {
-            "method1": ctx.format_element(unwarp_method1(ctx, alpha, ell)),
+            "method1": ctx.format_element(unwarp(ctx, alpha, ell)),
             "method2": ctx.format_element(unwarp_method2(ctx, alpha, ell)),
         }
-    fn = unwarp_method1 if args.method == "1" else unwarp_method2
+    fn = unwarp if args.method == "1" else unwarp_method2
     return {"result": ctx.format_element(fn(ctx, alpha, ell))}
 
 

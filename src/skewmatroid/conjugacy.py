@@ -10,9 +10,8 @@ q^m - 1: the class of g^a is a mod (q - 1), and warp multiplies logs by
 q^s - 1.  Every use of q^s here reads the context's twist, q^s mod q^m - 1,
 so q^s is never expanded, and the canonical unwarp multiplies by the
 context's unwarp_factor, the inverse of [s]_q modulo the class size, which
-the context computes once.  By the paper's link, f(g^l warp(b)) b =
-sum f_i g^(l dbracket(i)) sigma^i(b) is F_q-linear in b: warp_kernel's kernel
-serves roots and the first unwarp route, its degree-1 case; the second is
+the context computes once.  The canonical unwarp is the paper's first route,
+the least-log point of a kernel line, in closed form; its second route is
 one exponentiation when the class size is coprime to q^s - 1.
 """
 
@@ -22,7 +21,7 @@ import math
 from typing import Iterable
 
 from .errors import InapplicableField, WrongClass, ZeroArgument, ZeroConjugator
-from .field import Fe, FieldCtx, ZERO, kernel
+from .field import Fe, FieldCtx, ZERO
 
 # A class id is None for the class of zero, else l in 0..q-2 (the class of g^l).
 ClassId = int | None
@@ -74,26 +73,6 @@ def class_invariance_holds(ctx: FieldCtx, a: Fe) -> bool:
     return with_s == with_1
 
 
-def warp_kernel(ctx: FieldCtx, ell: int, value) -> list[Fe]:
-    """A basis, as field elements, of the kernel of b -> value(g^l warp(b)) b,
-    F_q-linear when value is a skew polynomial's evaluation.  Column j of its
-    matrix is the image of basis element b_j: m calls of value build it."""
-    cols = [ctx.coords(ctx.mul(value(ctx.mul(ell, warp(ctx, b))), b)) for b in ctx.basis]
-    return [ctx.uncoords(v) for v in kernel(ctx, list(zip(*cols)))]
-
-
-def unwarp_method1(ctx: FieldCtx, alpha: Fe, ell: int) -> Fe:
-    """Solve g^l * warp(a) = alpha for a as warp_kernel's degree-1 case,
-    value = a -> a - alpha.  The kernel is one line, as alpha is in the
-    class; its least-log element is returned, the log mod the class size, as
-    F_q* is the logs j * class_size."""
-    ell = ell % (ctx.q - 1)
-    if class_of(ctx, alpha) != ell:
-        raise WrongClass(f"element is not in class {ell}")
-    (a0,) = warp_kernel(ctx, ell, lambda a: ctx.sub(a, alpha))
-    return a0 % ctx.class_size
-
-
 def unwarp_method2(ctx: FieldCtx, alpha: Fe, ell: int) -> Fe:
     """Solve g^l * warp(a) = alpha by one exponentiation: a = beta^t with
     (q^s - 1) t = 1 mod class size.  Needs those to be coprime; q^s is taken
@@ -125,11 +104,12 @@ def unwarp_all(ctx: FieldCtx, alphas: Iterable[Fe], ell: int) -> list[Fe]:
 
 
 def unwarp(ctx: FieldCtx, alpha: Fe, ell: int) -> Fe:
-    """The least-log warp preimage within a class, as unwarp_method1 returns.
+    """The least-log warp preimage within a class: the least-log point of
+    the kernel line of b -> g^l sigma(b) - alpha b, the paper's first route.
     For alpha = g^(l + j(q-1)) its log t solves t [s]_q = j mod class size,
     [s]_q = (q^s - 1)/(q - 1), which gcd(s, m) = 1 makes invertible; the
-    fiber is t plus multiples of the class size.  The inverse of [s]_q is the
-    context's unwarp_factor, a constant of the context (see FieldCtx)."""
+    fiber is t plus multiples of the class size.  The inverse of [s]_q is
+    the context's unwarp_factor, a constant of the context (see FieldCtx)."""
     return unwarp_all(ctx, (alpha,), ell)[0]
 
 

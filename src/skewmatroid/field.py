@@ -273,9 +273,6 @@ class FieldCtx:
             return a
         return (a + self.minus_one) % (self.order - 1)
 
-    def sub(self, a: Fe, b: Fe) -> Fe:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: Fe, b: Fe) -> Fe:
         if a == ZERO or b == ZERO:
             return ZERO

@@ -5,11 +5,13 @@ x moves past a coefficient by twisting it: x * a = sigma(a) * x.  Division
 happens on the right (f = p*g + r), which keeps remainders unique, and
 evaluation at a point is the remainder of right division by (x - a),
 computed directly as sum c_i * a^dbracket(i), the value at a of the
-regular associate; on a class it is a sigma-linearized map, so roots come
-from one m x m kernel per class.  Right division, the greatest common right
-divisor and the least common left multiple share one reduction loop,
-_reduce, that reduces a coefficient list in place and either stores each
-quotient term or applies it at once to the one cofactor llcm tracks.
+regular associate.  By the paper's link, f(g^l warp(b)) b =
+sum f_i g^(l dbracket(i)) sigma^i(b) is F_q-linear in b, so zeros takes a
+class's roots from the kernel of one m x m matrix over F_q.  Right division,
+the greatest common right divisor and the least common left multiple share
+one reduction loop, _reduce, that reduces a coefficient list in place and
+either stores each quotient term or applies it at once to the one cofactor
+llcm tracks.
 
 Products, right division and times_linear accumulate on logs through the
 one kernel field.add_scaled; evaluation, a dot product with a running
@@ -21,9 +23,9 @@ from __future__ import annotations
 import re
 from typing import Iterable, NamedTuple, Sequence
 
-from .conjugacy import conjugate, warp, warp_kernel
+from .conjugacy import conjugate, warp
 from .errors import DivisionByZeroPoly, MixedContexts, ParseError, ZeroInput
-from .field import MAX_ORDER, Fe, FieldCtx, ONE, ZERO, add_scaled
+from .field import MAX_ORDER, Fe, FieldCtx, ONE, ZERO, add_scaled, kernel
 
 _ZEROS_CHUNK = 1 << 14  # elements evaluated per pass of zeros on m = 1
 
@@ -149,9 +151,11 @@ class SkewPoly:
         canonical order.  x^(M+1) - x, M = m(q - 1), vanishes on the whole
         field, so each exponent i >= 1 is first folded to (i - 1) mod M + 1.
         Zero is a root when the constant term is; class l adds the closure of
-        g^l warp(t) over warp_kernel's basis t.  On m = 1, where sigma is the
-        identity and each class one point, each chunk of nonzero elements b is
-        evaluated by one add_scaled pass per nonzero term c_i, adding c_i b^i."""
+        g^l warp(t) over a basis t of the kernel of b -> f(g^l warp(b)) b,
+        whose matrix's column j is the image of basis element b_j.  On m = 1,
+        where sigma is the identity and each class one point, each chunk of
+        nonzero elements b is evaluated by one add_scaled pass per nonzero
+        term c_i, adding c_i b^i."""
         from .minimal import closure
         ctx = self.ctx
         M = ctx.m * (ctx.q - 1)
@@ -172,7 +176,8 @@ class SkewPoly:
                 pts += [b for b, v in zip(chunk, out) if v == ZERO]
             return tuple(pts)
         for ell in range(ctx.q - 1):
-            pts += [ctx.mul(ell, warp(ctx, t)) for t in warp_kernel(ctx, ell, f.evaluate)]
+            cols = [ctx.coords(ctx.mul(f.evaluate(ctx.mul(ell, warp(ctx, b))), b)) for b in ctx.basis]
+            pts += [ctx.mul(ell, warp(ctx, ctx.uncoords(t))) for t in kernel(ctx, list(zip(*cols)))]
         return closure(ctx, pts)
 
     def regular_associate(self) -> "AssocPoly":

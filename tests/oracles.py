@@ -6,14 +6,19 @@ from rank, the flat metric from ranks of union and intersection, the zeros of
 a polynomial by evaluating it everywhere.  dist_by_classes takes the flat
 metric as a sum over conjugacy classes of subspace distances between lifted
 bases, with no grcd and no minimal polynomial.  scan_zeros is the oracle for
-SkewPoly.zeros, which on m > 1 fields takes the kernel route instead.  Rank
-here is rank_by_minpoly, the degree of the whole set's minimal polynomial,
-not the library's per-class sum that closure shares.
+SkewPoly.zeros, which on m > 1 fields takes the kernel route instead.
+unwarp_method1 is the paper's kernel route to a warp preimage: the least-log
+point of kernel_line, the kernel of the sigma-linearized map
+b -> g^l sigma(b) - alpha b, where the library's unwarp reads the same point
+in closed form on logs.  Rank here is rank_by_minpoly, the degree of the
+whole set's minimal polynomial, not the library's per-class sum that
+closure shares.
 
 The *_by_terms loops are the ring and matrix loops, and the accumulation
-kernel they share, written term by term through the context's add, sub, mul
-and frobenius, one call per operation; the library's loops accumulate on
-logs through field.add_scaled, which reads the Zech table directly.
+kernel they share, written term by term through the context's add, mul and
+frobenius and sub here, one call per operation; the library's loops
+accumulate on logs through field.add_scaled, which reads the Zech table
+directly.
 add_by_terms and sub_by_terms are the sum and difference of two polynomials,
 which the library does not take: the tests state ring identities with them.
 grcd_by_terms and llcm_by_terms are the textbook remainder sequence and
@@ -58,9 +63,8 @@ from skewmatroid import (
     grcd,
     llcm,
     minimal_poly,
-    unwarp_method1,
 )
-from skewmatroid.field import mat_rank
+from skewmatroid.field import kernel, mat_rank
 from skewmatroid.matroid import Flat, Subspace, class_flat
 from skewmatroid.minimal import p_basis
 
@@ -104,6 +108,30 @@ def dist_by_classes(ctx, x, y):
     return total
 
 
+def sub(ctx, a, b):
+    """a - b through the context's add and neg."""
+    return ctx.add(a, ctx.neg(b))
+
+
+def kernel_line(ctx, alpha, ell):
+    """A basis, as field elements, of the kernel over F_q of the
+    sigma-linearized map b -> g^l sigma(b) - alpha b; column j of its matrix
+    is the coordinate vector of basis element b_j's image.  For alpha in
+    class l the kernel is one line."""
+    cols = [
+        ctx.coords(sub(ctx, ctx.mul(ell, ctx.frobenius(b)), ctx.mul(alpha, b))) for b in ctx.basis
+    ]
+    return [ctx.uncoords(v) for v in kernel(ctx, list(zip(*cols)))]
+
+
+def unwarp_method1(ctx, alpha, ell):
+    """The warp preimage of alpha in class l by the kernel route: the
+    kernel line's least-log point, its log mod the class size, as F_q* is
+    the logs j * class_size."""
+    (a0,) = kernel_line(ctx, alpha, ell)
+    return a0 % ctx.class_size
+
+
 def minimal_poly_by_products(ctx, points, *, rank=None):
     """minimal_poly_and_basis with each linear factor joined by a full
     product, SkewPoly((-conjugate, 1)) * f."""
@@ -142,9 +170,9 @@ def add_by_terms(f, g):
 
 
 def sub_by_terms(f, g):
-    """f - g, coefficient by coefficient through ctx.sub."""
+    """f - g, coefficient by coefficient through sub."""
     width = range(max(len(f.coeffs), len(g.coeffs)))
-    return SkewPoly(f.ctx, [f.ctx.sub(f.coeff(i), g.coeff(i)) for i in width])
+    return SkewPoly(f.ctx, [sub(f.ctx, f.coeff(i), g.coeff(i)) for i in width])
 
 
 def mul_by_terms(f, g):
@@ -172,7 +200,7 @@ def right_divmod_by_terms(f, g):
         c = ctx.div(r[i], ctx.frobenius(g.lead(), shift))
         quot[shift] = c
         for j, gj in enumerate(g.coeffs):
-            r[shift + j] = ctx.sub(r[shift + j], ctx.mul(c, ctx.frobenius(gj, shift)))
+            r[shift + j] = sub(ctx, r[shift + j], ctx.mul(c, ctx.frobenius(gj, shift)))
     return SkewPoly(ctx, quot), SkewPoly(ctx, r[:d])
 
 
@@ -229,7 +257,7 @@ def rref_by_terms(ctx, rows):
         for i in range(nrows):
             if i != r:
                 f = m[i][c]
-                m[i] = [ctx.sub(m[i][j], ctx.mul(f, m[r][j])) for j in range(ncols)]
+                m[i] = [sub(ctx, m[i][j], ctx.mul(f, m[r][j])) for j in range(ncols)]
         pivots.append(c)
         r += 1
     return m, len(pivots), pivots

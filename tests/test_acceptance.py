@@ -20,7 +20,6 @@ from skewmatroid import (
     representation,
     rlnc_oracle_trial,
     run_trial,
-    unwarp_method1,
     unwarp_method2,
     verify_isometry,
 )
@@ -29,7 +28,7 @@ from skewmatroid.minimal import closure, lift
 from skewmatroid.netsim import build_message
 from skewmatroid.selftest import run_all
 
-from oracles import columns_independent, decompose_check
+from oracles import columns_independent, decompose_check, sub, unwarp_method1
 from specs import random_layered_spec
 from test_matroid import _check_independence_axioms, _check_rank_axioms
 
@@ -150,7 +149,7 @@ def test_criterion_6_root_finding_agreement(f16):
             # kernel of v -> v^{q} - (alpha/gamma^ell) v has dimension 1
             beta = f16.div(alpha, gamma_ell)
             cols = [
-                f16.coords(f16.sub(f16.frobenius(b, f16.s), f16.mul(beta, b)))
+                f16.coords(sub(f16, f16.frobenius(b, f16.s), f16.mul(beta, b)))
                 for b in f16.basis
             ]
             rows = [[cols[j][i] for j in range(f16.m)] for i in range(f16.m)]

@@ -24,13 +24,13 @@ from skewmatroid import (
     eval_product,
     get_field,
     unwarp,
-    unwarp_method1,
     unwarp_method2,
     warp,
 )
-from skewmatroid.conjugacy import unwarp_all, warp_kernel
+from skewmatroid.conjugacy import unwarp_all
 from skewmatroid.field import kernel
 
+from oracles import kernel_line, sub, unwarp_method1
 from test_log_loops import SPECS, _ctx
 
 
@@ -131,7 +131,7 @@ def test_unwarp_method2_inapplicable_on_f9(f9):
 def test_unwarp_wrong_class(f16):
     alpha = class_elements(f16, 1)[0]
     with pytest.raises(WrongClass):
-        unwarp_method1(f16, alpha, 0)
+        unwarp(f16, alpha, 0)
     with pytest.raises(WrongClass):
         unwarp_method2(f16, alpha, 0)
     # zero sits in no nonzero class, so it is always the wrong class
@@ -142,7 +142,7 @@ def test_unwarp_wrong_class(f16):
 def _least_log_on_kernel_line(ctx, alpha, ell):
     # the definitional representative: the minimum over the F_q* multiples
     # of the kernel line that method 1 solves for
-    (a0,) = warp_kernel(ctx, ell, lambda a: ctx.sub(a, alpha))
+    (a0,) = kernel_line(ctx, alpha, ell)
     return min(ctx.mul(c, a0) for c in ctx.subfield_elements[1:])
 
 
@@ -227,8 +227,8 @@ def test_kernel_dimension_via_independent_matrix(f16, f9, f32s2):
                 beta = ctx.div(alpha, _gamma_pow(ctx, ell))
                 cols = []
                 for b in ctx.basis:
-                    image = ctx.sub(
-                        ctx.frobenius(b, ctx.s), ctx.mul(beta, b)
+                    image = sub(
+                        ctx, ctx.frobenius(b, ctx.s), ctx.mul(beta, b)
                     )
                     cols.append(ctx.coords(image))
                 rows = [

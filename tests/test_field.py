@@ -54,10 +54,18 @@ def _naive_default_modpoly(p: int, n: int) -> int:
         if cand % p == 0:
             continue
         mod = _digits_of(cand, p, n + 1)
-        cur = [0] * n
-        cur[1 % n] = 1
         if n == 1:
-            cur = [(-mod[0]) % p]
+            # x is the integer a = -c0 mod p: step its powers by multiplication
+            a = v = (-mod[0]) % p
+            seen = 1
+            while v not in (0, 1) and seen <= base:
+                v = v * a % p
+                seen += 1
+            if v == 1 and seen == base - 1:
+                return cand
+            continue
+        cur = [0] * n
+        cur[1] = 1
         seen = 1
         ok = True
         while cur != [1] + [0] * (n - 1):

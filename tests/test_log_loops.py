@@ -6,7 +6,7 @@ vector relays accumulate through one kernel, field.add_scaled, the one
 reader of the Zech table besides FieldCtx.add and SkewPoly.evaluate; the
 element simulator's draw adds through FieldCtx.add.  tests/oracles.py holds
 the kernel, the loops, the evaluation and right Euclid written through the
-context's add, sub, mul and frobenius.
+context's add, neg, mul and frobenius.
 """
 
 import ast

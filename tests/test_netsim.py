@@ -838,6 +838,46 @@ def test_the_oracle_catches_a_relay_that_skips_its_draw(monkeypatch):
     assert simulate(spec, oracle="rlnc")["oracle"]["per_trial_match"] is False
 
 
+def test_run_trial_names_the_edge_that_leaves_the_message(monkeypatch):
+    # a relay that forwards a point of the message's class outside the
+    # message flat: the trial's containment check stops at the first edge
+    spec = _spec(rank=1)
+    ctx = spec.ctx()
+    message = build_message(ctx, spec, random.Random(0))
+    outside = next(
+        a for a in class_elements(ctx, spec.class_index) if message.minpoly.evaluate(a) != ZERO
+    )
+    monkeypatch.setattr(netsim, "relay_forward", lambda ctx, in_packets, rng: outside)
+    with pytest.raises(AssertionError) as err:
+        run_trial(ctx, spec, message, 0)
+    assert str(err.value) == (
+        f"containment violated: {ctx.format_element(outside)} "
+        "forwarded on [s, a] lies outside the message closure"
+    )
+
+
+def test_the_oracle_compares_the_class_images_of_the_decoded_flats(monkeypatch):
+    # the element sinks decode a reception of two or more packets without
+    # its last one; every recorded read stays intact, so each oracle replay
+    # returns its report, and only the class images of the decodes differ
+    spec = _spec(trials=10)
+    assert simulate(spec, oracle="rlnc")["oracle"]["per_trial_match"] is True
+    closure_of, oracle_trial, replays = netsim.matroid_closure, netsim.rlnc_oracle_trial, []
+
+    def closure_without_the_last(ctx, points):
+        return closure_of(ctx, points[:-1] if len(points) >= 2 else points)
+
+    def replay(*args, **kwargs):
+        replays.append(oracle_trial(*args, **kwargs))
+        return replays[-1]
+
+    monkeypatch.setattr(netsim, "matroid_closure", closure_without_the_last)
+    monkeypatch.setattr(netsim, "rlnc_oracle_trial", replay)
+    report = simulate(spec, oracle="rlnc")
+    assert len(replays) == 10 and None not in replays
+    assert report["trials"] == 10 and report["oracle"]["per_trial_match"] is False
+
+
 def test_the_oracle_catches_a_draw_that_rejects_a_nonzero_combination(monkeypatch):
     # the first element draw of a relay throws its nonzero combination away
     # and draws again, so its recorded reads hold two attempts; the replay

@@ -19,6 +19,7 @@ from oracles import (
     mul_by_terms,
     rank_by_minpoly,
     sub_by_terms,
+    unwarp_method1,
 )
 from skewmatroid import (
     ONE,
@@ -33,7 +34,6 @@ from skewmatroid import (
     is_p_independent,
     lift,
     rank_of,
-    unwarp_method1,
 )
 from skewmatroid.conjugacy import class_labels
 from skewmatroid.minimal import minimal_poly_and_basis

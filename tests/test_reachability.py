@@ -9,11 +9,13 @@ definition that only it or the tests keep alive is dead code in the package.
 The independent routes the tests hold the fast paths against live in
 `tests/oracles.py`.
 
-Edges are by name: a definition reaches every top-level function, class or
-method whose name it loads as a `Name`, an `Attribute` or an import alias.
-A reached method reaches its class, and a reached class its dunder methods.
-Names over-approximate calls: an unreached method that shares its name with
-a reached one goes unflagged.
+Edges are by name: a definition reaches every top-level function or class
+whose name it loads as a `Name`, an `Attribute` or an import alias, and
+every method whose name it loads as an `Attribute`, so a local variable
+that shares a method's name does not reach it.  A reached method reaches
+its class, and a reached class its dunder methods.  Names over-approximate
+calls: an unreached method that shares its name with an attribute some
+reached definition loads goes unflagged.
 
 Dunder methods run through operators and builtins, not by name, so a second
 test holds them to what the program does: it wraps every dunder that a class
@@ -58,12 +60,15 @@ def _is_dunder(name: str) -> bool:
 
 
 def _loaded_names(node: ast.AST, skip=()) -> set[str]:
-    """Names that node loads, outside the subtrees in skip."""
+    """Names that node loads, outside the subtrees in skip: an `Attribute`
+    load as '.attr', a `Name` load or an import alias as the bare name."""
     names, stack = set(), [node]
     while stack:
         n = stack.pop()
-        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
-            names.add(n.id if isinstance(n, ast.Name) else n.attr)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names.add("." + n.attr)
         elif isinstance(n, ast.alias):
             names.add(n.name.split(".")[-1])
         stack.extend(c for c in ast.iter_child_nodes(n) if c not in skip)
@@ -100,9 +105,12 @@ def _graph():
 
 def _unreached() -> list[str]:
     loads, roots, methods = _graph()
-    by_name: dict[str, list[str]] = {}
+    by_name: dict[str, list[str]] = {}  # a loaded name -> the definitions it reaches
     for key in loads:
-        by_name.setdefault(key.rsplit(".", 1)[1], []).append(key)
+        name = key.rsplit(".", 1)[1]
+        by_name.setdefault("." + name, []).append(key)
+        if key.count(".") == 1:  # a top-level definition, not a method
+            by_name.setdefault(name, []).append(key)
     reached, stack = set(), list(roots)
     while stack:
         key = stack.pop()
