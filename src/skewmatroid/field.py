@@ -4,10 +4,9 @@ A :class:`FieldCtx` describes F = F_{p^n} together with the subfield F_q,
 q = p^k (so F = F_{q^m}, m = n/k), and the automorphism sigma(a) = a^{q^s}.
 Nonzero elements are stored as the discrete log of a fixed generator g (a
 root of the modulus polynomial), so multiplication, inversion and powering
-are integer arithmetic mod p^n - 1; addition is one lookup in a precomputed
-table of logs of g^i + 1 (the Zech table, an array of 4-byte logs).  The
-ring and matrix loops accumulate through one kernel, add_scaled, which
-reads the table like add, only where two terms meet.  The context owns the
+are integer arithmetic mod p^n - 1; addition is one read of zech[i], the
+log of g^i + 1.  The ring and matrix loops accumulate through one kernel,
+add_scaled, which reads zech like add, only where two terms meet.  The context owns the
 twist: sigma multiplies logs by q^s mod p^n - 1, so q^s is never expanded;
 the exact bracket and dbracket read s only through its representative in
 1..m.
@@ -15,11 +14,16 @@ the exact bracket and dbracket read s only through its representative in
 The default modulus is the smallest monic primitive one.  Candidates are
 accepted by an order test on x (square-and-multiply on residues packed into
 ints, one integer product a step), so no table is built for a rejected one.
-A context builds no table up front: the Zech table is built by the first
-addition, in one pass that works for every p, from antilog and log arrays
-that are dropped afterwards.  Class indices, warps and the canonical unwarp
-are closed forms on the log, so a caller that never adds two elements never
-pays for the table (p^n entries), and the subfield is a range of logs.
+A context builds no table up front.  Its first reads of zech are lookups
+by discrete logarithm on packed residues (Pohlig-Hellman, with a
+baby-step giant-step per prime factor of p^n - 1), counted by the context;
+the Zech table (an array of p^n - 1 4-byte logs) is built once a call
+about to read would take the reads past K, the table's build cost over one
+lookup's, in one pass that works for every p, from antilog and log arrays
+that are dropped afterwards.  K is 0 on the smallest fields, which build
+on their first read.  Class indices, warps and the canonical unwarp
+are closed forms on the log, so a caller that never adds two elements
+reads nothing, and the subfield is a range of logs.
 
 F_q-coordinates w.r.t. the basis 1, g, ..., g^(m-1) solve the sigma-Moore
 system sum_j c_j sigma^i(b_j) = sigma^i(a), i < m, whose matrix is inverted
@@ -81,6 +85,61 @@ def _digits(value: int, p: int, width: int) -> list[int]:
     return out
 
 
+class _Residues:
+    """F_p[x]/(modpoly), modpoly monic of degree n given by its digits, with
+    residues packed into ints: coefficient j in the w-bit slot j, so a
+    product is one integer product (Kronecker substitution).  reduce takes a
+    product of two reduced residues, or one shifted a slot up (times x), to
+    its remainder by Barrett's quotient t = (c // x^n) * mu // x^(n-1), where
+    mu = x^(2n-1) // modpoly: the remainder is c + t * (x^n mod modpoly) in
+    its low n slots.  Slots stay below n^2 (p-1)^3 < 2^sb, and every slot is
+    taken mod p at once by a multiply-shift quotient, exact below 2^sb; with
+    w = 2sb + 2 bits the slots never carry into each other.  A reduced
+    residue has every slot in 0..p-1, so equal residues are equal ints."""
+
+    def __init__(self, p: int, n: int, digits: list[int]):
+        sb = (n * n * (p - 1) ** 3).bit_length()
+        w, sh = 2 * sb + 2, sb + p.bit_length()
+        M = -(-(1 << sh) // p)  # c // p = c * M >> sh for every c < 2^sb
+        low = (1 << w * n) - 1
+        qmask = low // ((1 << w) - 1) * ((1 << w - sh) - 1)
+        wn, wt = w * n, w * (n - 1)
+        L = sum(-d % p << w * j for j, d in enumerate(digits))  # x^n mod modpoly
+        # mu's digits are the top digits of x^(n-1), ..., x^(2n-2) mod modpoly
+        mu, r = 0, 1 << wt
+        for _ in range(n):
+            t = r >> wt
+            mu = mu << w | t
+            r = (r << w & low) + t * L
+            r -= p * (r * M >> sh & qmask)
+        self.p, self.w, self.x = p, w, 1 << w
+        self._reducer = (p, M, sh, qmask, low, wn, wt, mu, L)
+
+    def reduce(self, c: int) -> int:
+        p, M, sh, qmask, low, wn, wt, mu, L = self._reducer
+        t = (c >> wn) * mu >> wt
+        t -= p * (t * M >> sh & qmask)
+        v = (c & low) + (t * L & low)
+        return v - p * (v * M >> sh & qmask)
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply, for e >= 0 if a = x, which multiplies
+        by a shift, so a step is one reduction; any other a is a reduced
+        residue and e >= 1, and a step is one or two reductions."""
+        reduce = self.reduce
+        if a == self.x:
+            v = 1
+            for bit in bin(e)[2:]:
+                v = reduce(v * v << self.w if bit == "1" else v * v)
+        else:
+            v = a
+            for bit in bin(e)[3:]:
+                v = reduce(v * v)
+                if bit == "1":
+                    v = reduce(v * a)
+        return v
+
+
 def _is_primitive(p: int, n: int, modpoly: int, primes: list[int]) -> bool:
     """Whether x has multiplicative order N = p^n - 1 modulo the monic modpoly
     of degree n, given the primes dividing N: x^N = 1 and x^(N/r) != 1 for
@@ -89,51 +148,19 @@ def _is_primitive(p: int, n: int, modpoly: int, primes: list[int]) -> bool:
     so the quotient ring is a field and modpoly is primitive.  Two exact
     rejections come first: the norm of x, (-1)^n * modpoly(0), must generate
     F_p* (for n = 1 that is the whole test), and for n >= 2, 1 is no root.
-
-    Residues are packed into ints, coefficient j in the w-bit slot j, so a
-    product is one integer product (Kronecker substitution).  A step of the
-    square-and-multiply squares, shifts one slot up for a set bit, and
-    reduces by Barrett's quotient t = (c // x^n) * mu // x^(n-1), where
-    mu = x^(2n-1) // modpoly: the remainder is c + t * (x^n mod modpoly) in
-    its low n slots.  Slots stay below n^2 (p-1)^3 < 2^sb, and every slot is
-    taken mod p at once by a multiply-shift quotient, exact below 2^sb; with
-    w = 2sb + 2 bits the slots never carry into each other."""
+    Powers of x are taken on packed residues (_Residues)."""
     digits = _digits(modpoly, p, n)
     norm = (-1) ** n * digits[0] % p
     if not norm or any(pow(norm, (p - 1) // r, p) == 1 for r in primes if (p - 1) % r == 0):
         return False
     if n == 1 or (1 + sum(digits)) % p == 0:  # x is the norm, or 1 is a root
         return n == 1
-    sb = (n * n * (p - 1) ** 3).bit_length()
-    w, sh = 2 * sb + 2, sb + p.bit_length()
-    M = -(-(1 << sh) // p)  # c // p = c * M >> sh for every c < 2^sb
-    low = (1 << w * n) - 1
-    qmask = low // ((1 << w) - 1) * ((1 << w - sh) - 1)
-    wn, wt = w * n, w * (n - 1)
-    L = sum(-d % p << w * j for j, d in enumerate(digits))  # x^n mod modpoly
-    # mu's digits are the top digits of x^(n-1), ..., x^(2n-2) mod modpoly
-    mu, r = 0, 1 << wt
-    for _ in range(n):
-        t = r >> wt
-        mu = mu << w | t
-        r = (r << w & low) + t * L
-        r -= p * (r * M >> sh & qmask)
-
-    def x_pow(e: int) -> int:
-        v = 1
-        for bit in bin(e)[2:]:
-            c = v * v << w if bit == "1" else v * v
-            t = (c >> wn) * mu >> wt
-            t -= p * (t * M >> sh & qmask)
-            v = (c & low) + (t * L & low)
-            v -= p * (v * M >> sh & qmask)
-        return v
-
+    ring = _Residues(p, n, digits)
     N = p**n - 1
     # for odd p, x of order N makes x^(N/2) the field's one element of order
     # 2, which is -1, and x^(N/2) = -1 gives x^N = 1 and x^(N/2) != 1
-    first = x_pow(N // 2) == p - 1 if p > 2 else x_pow(N) == 1
-    return first and all(x_pow(N // r) != 1 for r in primes if r > 2)
+    first = ring.pow(ring.x, N // 2) == p - 1 if p > 2 else ring.pow(ring.x, N) == 1
+    return first and all(ring.pow(ring.x, N // r) != 1 for r in primes if r > 2)
 
 
 def _default_modpoly(p: int, n: int) -> int:
@@ -179,6 +206,95 @@ def _zech_table(p: int, n: int, modpoly: int) -> array:
     return zech
 
 
+class _ZechLogs:
+    """zech[i] = log(g^i + 1) without the table, for a primitive modpoly.
+    g^i = x^i is a power of x on packed residues (_Residues), and adding 1
+    changes the constant slot.  The log of h = g^i + 1 is by Pohlig and
+    Hellman ("An improved algorithm for computing logarithms over GF(p) and
+    its cryptographic significance", IEEE Trans. IT 24(1), 1978): for each
+    prime power q = r^e dividing N = p^n - 1, h^(N/q) is g^(N/q) to the
+    power log mod q, read one base-r digit at a time by Shanks's baby-step
+    giant-step in the subgroup of order r, at most ceil(sqrt(r)) giant steps
+    a digit; the CRT joins the residues.  The powers h^(N/q) share their
+    exponentiations down a product tree over the factors.  The
+    factorisation, the baby steps and every per-factor power of g are made
+    once, by the constructor; reads counts the lookups made."""
+
+    def __init__(self, p: int, n: int, modpoly: int):
+        self.N = N = p**n - 1
+        self.ring = ring = _Residues(p, n, _digits(modpoly, p, n))
+        self.reads = 0
+        self.qs: list[int] = []
+        self.factors = []
+        lookup = 0  # the reductions a lookup takes, on average
+        for r in _prime_factors(N):
+            e = 1
+            while N % r ** (e + 1) == 0:
+                e += 1
+            q = r**e
+            m = math.isqrt(r - 1) + 1  # every digit is a * m + b, a, b < m
+            gamma = ring.pow(ring.x, N // r)  # of order r
+            baby, z = {}, 1
+            for b in range(m):
+                baby[z] = b
+                z = ring.reduce(z * gamma)
+            # (g^(N/q))^(-r^j) clears digit j before digit j + 1 is read
+            clear = [ring.pow(ring.x, -(N // q) * r**j % N) for j in range(e - 1)]
+            crt = N // q * pow(N // q, -1, q)
+            self.qs.append(q)
+            giant = ring.pow(ring.x, N // r * (r - m))  # gamma^-m
+            self.factors.append((r, e, m, baby, giant, clear, crt))
+            # a digit: half its giant steps, about 1.5 reductions each with
+            # the probe, then its power and its clearing step, about 1.5
+            # reductions a bit of r each
+            lookup += e * (3 * m // 4 + 1) + 3 * e * (e + 1) * (r.bit_length() - 1) // 4
+        # x^i, one reduction a bit of N; the product tree, about 1.5 a bit
+        # of N on each of its levels
+        L = N.bit_length()
+        lookup += L + 3 * L * (len(self.qs) - 1).bit_length() // 2
+        # K, the one place it is stated: the lookups a table's build costs,
+        # an entry of the build costing about 7/10 of a reduction (0.4-1.3
+        # measured on fields of order 2^4 to 2^20)
+        self.break_even = N * 7 // (10 * lookup)
+
+    def __getitem__(self, i: int) -> int:
+        self.reads += 1
+        ring = self.ring
+        h = ring.pow(ring.x, i % self.N) + 1
+        if h & ring.x - 1 == ring.p:  # the constant slot wrapped
+            h -= ring.p
+        if not h:
+            return ZERO
+        out = 0
+        for (r, e, m, baby, giant, clear, crt), y in zip(
+            self.factors, self._cofactor_powers(h, 0, len(self.qs))
+        ):
+            log = 0  # of y = h^(N/q) to the base g^(N/q), mod q
+            for j in range(e):
+                z = ring.pow(y, r ** (e - 1 - j))  # gamma^(digit j)
+                for a in range(m):
+                    b = baby.get(z)
+                    if b is not None:
+                        break
+                    z = ring.reduce(z * giant)
+                d = a * m + b
+                log += d * r**j
+                if d and j < e - 1:
+                    y = ring.reduce(y * ring.pow(clear[j], d))
+            out += log * crt
+        return out % self.N
+
+    def _cofactor_powers(self, h: int, lo: int, hi: int) -> list[int]:
+        # h^(N/q) for each q in qs[lo:hi], given h already raised to the
+        # product of the qs outside lo:hi
+        if hi - lo < 2:
+            return [h] * (hi - lo)
+        mid, qs, ring = (lo + hi) // 2, self.qs, self.ring
+        return self._cofactor_powers(ring.pow(h, math.prod(qs[mid:hi])), lo, mid) + (
+            self._cofactor_powers(ring.pow(h, math.prod(qs[lo:mid])), mid, hi)
+        )
+
+
 class FieldCtx:
     """Immutable context for F_{q^m} over F_q with twist sigma(a) = a^{q^s}."""
 
@@ -213,12 +329,14 @@ class FieldCtx:
         elif not _is_primitive(p, n, modpoly, list(_prime_factors(p**n - 1))):
             raise NonPrimitiveModpoly(f"modpoly {modpoly} is not primitive")
         self.modpoly = modpoly
-        # the Zech table is built by zech() on its first call, the columns
-        # of the Moore inverse by coords; both stay in plain instance
+        # the Zech table is built by zech() once it has paid for itself, the
+        # columns of the Moore inverse by coords; both stay in plain instance
         # attributes, as a descriptor on the class (functools.cached_property)
         # stops the interpreter specializing the read in add.  Until the
-        # build, _zech is an empty list; then an array of N 4-byte logs
+        # build, _zech is an empty list, and _logs answers reads from the
+        # first; then _zech is an array of N 4-byte logs and _logs is dropped
         self._zech: array | list = []
+        self._logs: _ZechLogs | None = None
         self._coords_inv: list[tuple[Fe, ...]] | None = None
 
         N = self.order - 1
@@ -248,15 +366,29 @@ class FieldCtx:
 
     # -- element arithmetic ----------------------------------------------------
 
-    def zech(self) -> array:
-        """The Zech table, zech[i] = log(g^i + 1), built on the first call.
-        add and add_scaled call it on a miss, the first time two terms meet,
-        and SkewPoly.evaluate once per call at a nonzero point."""
+    def zech(self, reads: int = 1) -> array | _ZechLogs:
+        """zech[i] = log(g^i + 1) for a caller about to make `reads` reads:
+        the Zech table, or until it is built the lookup by discrete log
+        (_ZechLogs), which counts its reads.  The table is built, once,
+        when the reads so far plus `reads` would pass K, the build's cost
+        over a lookup's (_ZechLogs.break_even).  K is 0 on the smallest
+        fields, which build on the first read, and below the order on
+        every field, so a caller about to read every entry builds.
+        add calls it on a miss with one read, add_scaled the first time two
+        terms meet with one a coefficient, and SkewPoly.evaluate once per
+        call at a nonzero point with one a term."""
         if not self._zech:
+            if self._logs is None:
+                self._logs = _ZechLogs(self.p, self.n, self.modpoly)
+            if self._logs.reads + reads <= self._logs.break_even:
+                return self._logs
             self._zech = _zech_table(self.p, self.n, self.modpoly)
+            self._logs = None
         return self._zech
 
     def add(self, a: Fe, b: Fe) -> Fe:
+        """a + b: one read of zech, from the table once it is built, and
+        until then a lookup that counts towards K (zech())."""
         if a == ZERO:
             return b
         if b == ZERO:
@@ -265,7 +397,7 @@ class FieldCtx:
         try:
             z = self._zech[b - a]  # logs in 0..N-1: a negative index wraps as % N does
         except IndexError:  # the table is unbuilt, or b - a lies outside -N..N-1
-            z = self.zech()[(b - a) % N]
+            z = self.zech(1)[(b - a) % N]
         return ZERO if z == ZERO else (a + z) % N
 
     def neg(self, a: Fe) -> Fe:
@@ -437,8 +569,9 @@ def add_scaled(
     """out[off + j] += g^k * sigma-power of coeffs[j] on logs, in place: a
     nonzero b adds the log k + b*f, f a frob entry or an exponent, and a
     ZERO entry adds nothing.  This is the accumulation step of every ring
-    and matrix loop, and the one place besides add that reads the Zech
-    table, only where two terms meet."""
+    and matrix loop, and the one place besides add that reads zech, only
+    where two terms meet; until the table is built, the first meeting
+    declares one read a coefficient to zech()."""
     N, zech = ctx.order - 1, ctx._zech
     for j, b in enumerate(coeffs, off):
         if b != ZERO:
@@ -450,7 +583,7 @@ def add_scaled(
                 try:
                     z = zech[t - y]
                 except IndexError:  # as in add: unbuilt, or t - y outside -N..N-1
-                    zech = ctx.zech()
+                    zech = ctx.zech(len(coeffs))
                     z = zech[(t - y) % N]
                 out[j] = ZERO if z == ZERO else (y + z) % N
 

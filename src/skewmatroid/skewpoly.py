@@ -133,7 +133,7 @@ class SkewPoly:
         # 0^dbracket(i) is 1 at i = 0 only, and a constant is its own value
         if a == ZERO or len(self.coeffs) < 2:
             return self.coeff(0)
-        N, qs, zech = ctx.order - 1, ctx.twist, ctx.zech()
+        N, qs, zech = ctx.order - 1, ctx.twist, ctx.zech(len(self.coeffs))
         acc, e = ZERO, 0  # e = dbracket(i) mod N; dbracket(i+1) = dbracket(i) q^s + 1
         for c in self.coeffs:
             if c != ZERO:

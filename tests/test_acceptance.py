@@ -149,7 +149,7 @@ def test_criterion_6_root_finding_agreement(f16):
             # kernel of v -> v^{q} - (alpha/gamma^ell) v has dimension 1
             beta = f16.div(alpha, gamma_ell)
             cols = [
-                f16.coords(sub(f16, f16.frobenius(b, f16.s), f16.mul(beta, b)))
+                f16.coords(sub(f16, f16.frobenius(b), f16.mul(beta, b)))
                 for b in f16.basis
             ]
             rows = [[cols[j][i] for j in range(f16.m)] for i in range(f16.m)]

@@ -486,13 +486,17 @@ def test_twist_taken_mod_m_on_cli(capsys, verb):
 
 
 def test_largest_odd_p_field_builds(capsys, monkeypatch):
-    # 3^12 elements: the build is bounded, so the verb answers in about a
-    # second; a closure of two points adds, so it builds the Zech table of
-    # a fresh context
+    # 3^12 elements: a closure of two points adds, by lookups on a fresh
+    # context, as it makes fewer reads than K (2,201 here); zeros on m = 1
+    # reads a whole chunk of the field at once, so it builds the Zech table,
+    # and the build is bounded, so the verb answers in about a second
     monkeypatch.setattr(field, "_FIELD_CACHE", {})
     code, out, err = run(capsys, "--field", "3,12,1,1", "closure", "1,g2")
     assert code == 0 and out.strip() and err == ""
     ctx = field_from_spec("3,12,1,1")
+    assert ctx._zech == [] and 0 < ctx._logs.reads <= 2201
+    code, out, err = run(capsys, "--field", "3,12,1,1", "zeros", "x^2+1")
+    assert code == 0 and out.strip() and err == ""
     assert len(ctx._zech) == ctx.order - 1
 
 

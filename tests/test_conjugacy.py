@@ -200,13 +200,18 @@ def _modular_inverse_sites(node, scope=()):
 
 def test_only_the_context_and_method2_take_a_modular_inverse():
     # the canonical unwarp's factor is a constant of the context, so no
-    # per-element path inverts [s]_q again
+    # per-element path inverts [s]_q again; the Zech lookup's CRT
+    # coefficients are made once, with its baby steps
     sites = {
         (path.name, name)
         for path in pathlib.Path(skewmatroid.__file__).parent.glob("*.py")
         for name in _modular_inverse_sites(ast.parse(path.read_text()))
     }
-    assert sites == {("field.py", "FieldCtx.__init__"), ("conjugacy.py", "unwarp_method2")}
+    assert sites == {
+        ("field.py", "FieldCtx.__init__"),
+        ("field.py", "_ZechLogs.__init__"),
+        ("conjugacy.py", "unwarp_method2"),
+    }
 
 
 def test_unwarp_picks_minimal_log(f16):
@@ -220,22 +225,23 @@ def test_unwarp_picks_minimal_log(f16):
 
 
 def test_kernel_dimension_via_independent_matrix(f16, f9, f32s2):
-    # re-derive the kernel of v -> v^{q^s} - beta*v with plain linear algebra
+    # re-derive the kernel of v -> sigma(v) - beta*v = v^{q^s} - beta*v with
+    # plain linear algebra: one line, the one unwarp picks a point of
     for ctx in (f16, f9, f32s2):
         for ell in range(ctx.q - 1):
             for alpha in class_elements(ctx, ell):
                 beta = ctx.div(alpha, _gamma_pow(ctx, ell))
                 cols = []
                 for b in ctx.basis:
-                    image = sub(
-                        ctx, ctx.frobenius(b, ctx.s), ctx.mul(beta, b)
-                    )
+                    image = sub(ctx, ctx.frobenius(b), ctx.mul(beta, b))
                     cols.append(ctx.coords(image))
                 rows = [
                     [cols[j][i] for j in range(ctx.m)] for i in range(ctx.m)
                 ]
                 null_basis = kernel(ctx, rows)
                 assert len(null_basis) == 1
+                line = ctx.uncoords(null_basis[0])
+                assert ctx.div(line, unwarp(ctx, alpha, ell)) in ctx.subfield_units
 
 
 # -------------------------------------------------------------------- twist

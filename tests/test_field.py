@@ -6,6 +6,7 @@ import time
 import pytest
 
 from oracles import add_by_terms, is_primitive_by_digits, mat_vec_by_terms
+from test_golden_highrank import _spec as _high_rank_spec
 from skewmatroid import (
     BadDegreeDivisibility,
     DivisionByZero,
@@ -20,12 +21,16 @@ from skewmatroid import (
     ZERO,
     field_from_spec,
     get_field,
+    simulate,
 )
+from skewmatroid import field
 from skewmatroid.field import (
+    _ZechLogs,
     _default_modpoly,
     _is_prime,
     _is_primitive,
     _prime_factors,
+    _zech_table,
     add_scaled,
     kernel,
     mat_rank,
@@ -296,11 +301,11 @@ def _check_sampled_adds(ctx, rng, count):
 
 def test_bounded_build_3_12():
     # 531,441 elements; the table walk over 144 rejected candidates took ~50 s.
-    # The context defers its Zech table, so the timed work runs through the
-    # first addition, which builds it.
+    # The context defers its Zech table, so the timed work runs through a
+    # call about to read every entry, which builds it.
     start = time.process_time()
     ctx = FieldCtx(3, 12, 1, 1)
-    ctx.add(ONE, ONE)
+    ctx.zech(ctx.order)
     elapsed = time.process_time() - start
     assert elapsed < 5.0, f"3,12,1,1 built in {elapsed:.2f}s of CPU (> 5s)"
     assert ctx.modpoly == 531656
@@ -319,39 +324,118 @@ def test_bounded_default_search(p, n):
     assert elapsed < 0.1, f"{p},{n},1,1 built in {elapsed * 1e3:.0f} ms of CPU (> 100 ms)"
 
 
-# odd p, n = 1, m = 1 (k = n), s != 1 and the 2^20 cap; the last context
-# reads coords first, so rref builds the Zech table inside the Moore inverse
+# odd p, n = 1, m = 1 (k = n), s != 1 and the 2^20 cap, each with the read
+# that builds its table: K + 1, K the build's cost over a lookup's, 0 on the
+# smallest fields.  The last context reads coords first, whose Moore inverse
+# and coordinates read by lookup without reaching K
+BUILDS_AT = {
+    "2,2,1,1": 1, "2,3,1,1": 1, "2,4,2,1": 1, "2,4,4,1": 1, "2,5,1,2": 2,
+    "2,6,1,5": 2, "2,8,2,3": 4, "2,10,5,1": 12, "2,16,4,1": 425, "2,20,4,1": 4588,
+    "3,1,1,1": 1, "3,2,1,1": 1, "3,3,1,2": 1, "3,4,2,1": 2, "3,5,5,1": 4,
+    "3,10,2,1": 363, "5,2,1,1": 1, "5,3,1,1": 3, "7,1,1,1": 1, "7,2,1,1": 1,
+    "11,2,2,1": 2, "101,1,1,1": 2,
+}
+
+
 @pytest.mark.parametrize(
     "spec, first_read",
-    [
-        (spec, "add")
-        for spec in (
-            "2,2,1,1", "2,3,1,1", "2,4,2,1", "2,4,4,1", "2,5,1,2", "2,6,1,5",
-            "2,8,2,3", "2,10,5,1", "2,16,4,1", "2,20,4,1", "3,1,1,1", "3,2,1,1",
-            "3,3,1,2", "3,4,2,1", "3,5,5,1", "3,10,2,1", "5,2,1,1", "5,3,1,1",
-            "7,1,1,1", "7,2,1,1", "11,2,2,1", "101,1,1,1",
-        )
-    ]
-    + [("2,16,4,1", "coords")],
+    [(spec, "add") for spec in BUILDS_AT] + [("2,16,4,1", "coords")],
 )
 def test_tables_built_on_first_read(spec, first_read):
+    # the first read past K builds the table: each add of two nonzero
+    # elements is one read, the reads before BUILDS_AT are lookups by
+    # discrete log, and that one builds
     ctx = FieldCtx(*(int(t) for t in spec.split(",")))
-    assert ctx._zech == [] and ctx._coords_inv is None
+    assert ctx._zech == [] and ctx._logs is None and ctx._coords_inv is None
+    builds_at = BUILDS_AT[spec]
+    logs = ctx.zech(0)  # a call about to read nothing gets the lookup
+    assert logs.break_even + 1 == builds_at
     rng = random.Random(spec)
     if first_read == "coords":
         a = rng.randrange(ctx.order - 1)
         coords = ctx.coords(a)
-        assert type(ctx._coords_inv) is list and len(ctx._zech) == ctx.order - 1
+        assert type(ctx._coords_inv) is list and ctx._zech == []
         assert ctx.uncoords(coords) == a
-    _check_sampled_adds(ctx, rng, 200)
-    assert len(ctx._zech) == ctx.order - 1
+    # 200 sums against the digit oracle, up to 100 of them by lookup
+    lookups = builds_at - 1 - logs.reads
+    checked = min(100, lookups)
+    _check_sampled_adds(ctx, rng, checked)
+    for _ in range(lookups - checked):
+        ctx.add(ONE, rng.randrange(ctx.order - 1))
+    assert ctx._zech == [] and logs.reads == builds_at - 1
+    ctx.add(ONE, ONE)
+    assert len(ctx._zech) == ctx.order - 1 and ctx._logs is None
+    _check_sampled_adds(ctx, rng, 200 - checked)
 
 
 def test_zech_table_is_four_bytes_an_entry():
-    # 2^20 - 1 logs; a list of ints held 40 MiB
-    ctx = get_field(2, 20, 4, 1)
-    ctx.add(ONE, 5)
+    # 2^20 - 1 logs; a list of ints held 40 MiB.  A call about to make
+    # 4,588 reads, one past K, builds the table at its first read
+    ctx = FieldCtx(2, 20, 4, 1)
+    add_scaled(ctx, [ONE] * 4588, [ONE] * 4588, 5)
+    assert len(ctx._zech) == ctx.order - 1 and ctx._logs is None
     assert sys.getsizeof(ctx._zech) < 5 * 2**20
+
+
+# every (p, n >= 2) of order up to 2^12, and the fields of test_log_loops.SPECS
+# up to that order (2,16,4,1 and 3,10,2,1 take about 5 s each, so the every-i
+# check on them is in tests/scan_zech_lookups.py)
+SMALL_PN = sorted(
+    {(p, n) for p in range(2, 65) if _is_prime(p) for n in range(2, 13) if p**n <= 4096}
+    | {(2, 1), (3, 1), (101, 1)}
+)
+
+
+@pytest.mark.parametrize("p, n", SMALL_PN)
+def test_zech_lookup_matches_the_table_on_every_entry(p, n):
+    modpoly = _default_modpoly(p, n)
+    logs = _ZechLogs(p, n, modpoly)
+    assert [logs[i] for i in range(p**n - 1)] == list(_zech_table(p, n, modpoly))
+
+
+# orders 2^16 to 2^20: n = 1 (65,543 - 1 = 2 * 32,771), odd p, N = 2^19 - 1
+# prime, and the cap; 400 sampled entries each, 2,000 in all
+@pytest.mark.parametrize("spec", ["2,16,4,1", "17,4,1,1", "2,19,1,1", "2,20,4,1", "65543,1,1,1"])
+def test_zech_lookup_matches_the_table_on_sampled_entries(spec):
+    ctx = get_field(*(int(t) for t in spec.split(",")))
+    logs = _ZechLogs(ctx.p, ctx.n, ctx.modpoly)
+    table = ctx.zech(ctx.order)
+    for i in random.Random(spec).sample(range(ctx.order - 1), 400):
+        assert logs[i] == table[i], i
+    assert logs.reads == 400
+
+
+# (field, call, builds): zeros on m = 20 passes K inside its kernel's
+# elimination, zeros on m = 1 declares a chunk of reads at its first, and of
+# the high-rank simulations of tests/test_golden_highrank.py on 2^20 fields
+# only the oracle's on m = 20 passes K; the rest stay under it
+BUILD_COUNTS = [
+    ("2,20,1,1", "zeros x^3+g5*x^2+x+g7", 1),
+    ("2,20,20,1", "zeros x^3+g7", 1),
+    ("2,20,4,1", "zeros x^3+g5*x^2+x+g7", 0),
+    ("2,20,1,1", "simulate 4 rlnc", 1),
+    ("2,20,1,1", "simulate 4", 0),
+    ("2,20,4,1", "simulate 3 rlnc", 0),
+]
+
+
+@pytest.mark.parametrize("spec, call, builds", BUILD_COUNTS)
+def test_each_call_builds_the_table_at_most_once(monkeypatch, spec, call, builds):
+    made = []
+    build = field._zech_table
+    monkeypatch.setattr(field, "_zech_table", lambda *args: made.append(args) or build(*args))
+    monkeypatch.setattr(field, "_FIELD_CACHE", {})
+    ctx = field_from_spec(spec)
+    verb, arg, *oracle = call.split(" ")
+    if verb == "zeros":
+        f = SkewPoly.parse(ctx, arg)
+        assert all(f.evaluate(a) == ZERO for a in f.zeros())
+    else:
+        simulate(_high_rank_spec(spec, int(arg)), oracle=(oracle or [None])[0])
+    assert len(made) == builds
+    assert (ctx._logs is None) == (builds == 1)
+    if not builds:
+        assert ctx._logs.reads <= ctx._logs.break_even
 
 
 def test_calls_that_add_nothing_build_no_table():

@@ -141,11 +141,11 @@ def test_kernel_matches_the_term_oracle(spec):
 
 @pytest.mark.parametrize("spec", ["2,2,1,1", "2,4,2,1", "3,10,2,1"])
 def test_zech_reads_wrap_like_the_modulus(spec):
-    # add, add_scaled and evaluate index the built table by a raw difference
-    # of logs; a log given as x + N, whose difference may then lie outside
-    # -N..N-1, gets the answer of the normalized call
-    ctx = _ctx(spec)
-    ctx.zech()
+    # add, add_scaled and evaluate index zech by a raw difference of logs; a
+    # log given as x + N, whose difference may then lie outside -N..N-1,
+    # gets the answer of the normalized call.  A fresh context reads by
+    # lookup until its reads pass K (362 on 3,10,2,1), the table after
+    ctx = FieldCtx(*(int(t) for t in spec.split(",")))
     rng = random.Random(spec)
     N = ctx.order - 1
     for _ in range(200):

@@ -19,8 +19,9 @@ reached definition loads goes unflagged.
 
 Dunder methods run through operators and builtins, not by name, so a second
 test holds them to what the program does: it wraps every dunder that a class
-in `src/` defines and runs a fixed handful of the pinned golden CLI calls,
-and each wrapped dunder must be entered.  Three are exempt, each with its
+in `src/` defines and runs a fixed handful of CLI calls, pinned golden calls
+and one on a field whose first Zech reads are lookups by discrete log, and
+each wrapped dunder must be entered.  Three are exempt, each with its
 reason in EXEMPT_DUNDERS: `__init__`, and `__repr__` and `__str__`.
 """
 
@@ -31,6 +32,7 @@ import shlex
 from pathlib import Path
 
 import skewmatroid
+from skewmatroid import field
 from skewmatroid.cli import main
 from test_golden_cli import NET
 
@@ -46,12 +48,15 @@ EXEMPT_DUNDERS: dict[str, str] = {
     "__str__": "a value's text, which some verbs print and a user reads (aim 4)",
 }
 
-# CLI calls of tests/test_golden_cli.py, the last on its NET spec with the oracle
+# CLI calls of tests/test_golden_cli.py, the fourth on its NET spec with the
+# oracle; every golden call's field builds its Zech table on the first read,
+# so the last call, on 2^16 elements, adds by lookup
 GOLDEN_CALLS = [
     "--field 2,2,1,1 mul x+1 'g1*x+1'",
     "--field 2,4,2,1 dist 1,g3 g6,g9",
     "--field 2,4,2,1 isometry-check",
     "--json simulate --spec net.json --oracle rlnc",
+    "--field 2,16,4,1 eval x^2+g3*x+1 g5",
 ]
 
 
@@ -153,6 +158,7 @@ def test_every_dunder_is_entered_by_the_program(tmp_path, monkeypatch, capsys):
                 wrapped.append(method_key)
     (tmp_path / "net.json").write_text(json.dumps(NET))
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(field, "_FIELD_CACHE", {})  # no table built by an earlier test
     for line in GOLDEN_CALLS:
         assert main(shlex.split(line)) == 0, line
     capsys.readouterr()

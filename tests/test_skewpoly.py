@@ -268,7 +268,7 @@ def test_zeros_of_a_cubic_on_a_large_field():
     # the kernel route evaluates the cubic m = 20 times and solves one
     # 20 x 20 system; the scan evaluated it at all 2^20 elements (about 1.2 s)
     ctx = get_field(2, 20, 1, 1)
-    ctx.add(ONE, ONE)  # builds the Zech table outside the timed call
+    ctx.zech(ctx.order)  # builds the Zech table outside the timed call
     f = SkewPoly.parse(ctx, "x^3+g5*x^2+x+g7")
     start = time.process_time()
     roots = f.zeros()
@@ -280,7 +280,7 @@ def test_zeros_on_m1_is_no_slower_than_the_scan():
     # on m = 1 every class is one point, so zeros evaluates every element
     ctx = get_field(2, 16, 16, 1)
     f = SkewPoly.parse(ctx, "x^3+g5*x^2+x+g7")
-    ctx.zech()  # built before the clock starts, so no round pays for it
+    ctx.zech(ctx.order)  # built before the clock starts, so no round pays for it
 
     def timed(run):
         start = time.process_time()
@@ -314,7 +314,7 @@ def test_zeros_on_m1_of_a_sparse_polynomial_of_high_degree():
     # 65,536 coefficients at each element takes 2^32 steps.  a^65535 = 1 on
     # nonzero a, so the one root is the square root of 1 + g
     ctx = get_field(2, 16, 16, 1)
-    ctx.zech()
+    ctx.zech(ctx.order)
     f = SkewPoly.parse(ctx, "x^65535+x^2+g1")
     start = time.process_time()
     roots = f.zeros()
