@@ -6,10 +6,12 @@ Nonzero elements are stored as the discrete log of a fixed generator g (a
 root of the modulus polynomial), so multiplication, inversion and powering
 are integer arithmetic mod p^n - 1; addition is one read of zech[i], the
 log of g^i + 1.  The ring and matrix loops accumulate through one kernel,
-add_scaled, which reads zech like add, only where two terms meet.  The context owns the
-twist: sigma multiplies logs by q^s mod p^n - 1, so q^s is never expanded;
-the exact bracket and dbracket read s only through its representative in
-1..m.
+add_scaled, which reads zech like add, only where two terms meet; the
+simulator's class scan and zeros on m = 1 read one other, vanishing_points,
+which yields the points of a range of logs at which a skew polynomial
+vanishes.  The context owns the twist: sigma multiplies logs by q^s mod
+p^n - 1, so q^s is never expanded; the exact bracket and dbracket read s
+only through its representative in 1..m.
 
 The default modulus is the smallest monic primitive one.  Candidates are
 accepted by an order test on x (square-and-multiply on residues packed into
@@ -57,6 +59,7 @@ ONE: Fe = 0
 
 MAX_ORDER = 1 << 20
 _ZECH_CHUNK = 1 << 14  # Zech entries converted per step of the build
+_SCAN_BLOCK = 1 << 6  # points per declaration of vanishing_points' reads
 
 
 def _prime_factors(v: int) -> Iterator[int]:
@@ -375,8 +378,9 @@ class FieldCtx:
         fields, which build on the first read, and below the order on
         every field, so a caller about to read every entry builds.
         add calls it on a miss with one read, add_scaled the first time two
-        terms meet with one a coefficient, and SkewPoly.evaluate once per
-        call at a nonzero point with one a term."""
+        terms meet with one a coefficient, SkewPoly.evaluate once per call
+        at a nonzero point with one a term, rref once per elimination and
+        vanishing_points once per block of points."""
         if not self._zech:
             if self._logs is None:
                 self._logs = _ZechLogs(self.p, self.n, self.modpoly)
@@ -588,14 +592,68 @@ def add_scaled(
                 out[j] = ZERO if z == ZERO else (y + z) % N
 
 
+def vanishing_points(
+    ctx: FieldCtx, coeffs: Sequence[Fe], points: range, block: int = _SCAN_BLOCK
+) -> Iterator[Fe]:
+    """The points b of a range of logs, in order, at which the skew
+    polynomial with these coefficients (degree ascending) vanishes: sum
+    g^c_i b^e_i = 0 over its nonzero terms, e_i = dbracket(i) mod N, the
+    value SkewPoly.evaluate takes.  The pairs (c_i, e_i) are formed once,
+    relative to the first term's: divided by that term the sum is 1 plus
+    the other terms, 1 + g^t is g^zech[t], and b is a zero where that and
+    the middle terms sum to the lead term's negation.  So a point costs one
+    multiply-mod per term but the first, and one Zech read fewer than
+    evaluate makes.  Until the table is built, each block of `block` points
+    declares to zech() the reads evaluate would make there, one a point for
+    each term but the lead: a scan that stops after a few blocks makes its
+    reads by lookup, and one block over every point builds the table before
+    the first read."""
+    N, qs = ctx.order - 1, ctx.twist
+    terms, e = [], 0  # e = dbracket(i) mod N, as in evaluate
+    for c in coeffs:
+        if c != ZERO:
+            terms.append((c, e))
+        e = (e * qs + 1) % N
+    if len(terms) < 2:  # zero vanishes everywhere, one term nowhere
+        if not terms:
+            yield from points
+        return
+    c0, e0 = terms[0]
+    *mid, (cl, el) = [((c - c0) % N, (e - e0) % N) for c, e in terms[1:]]
+    cl += ctx.minus_one  # a zero: 1 and the middle terms sum to g^(cl + b el)
+    (c1, e1), *rest = mid or [(ZERO, ZERO)]  # unread on two terms
+    for lo in range(0, len(points), block):
+        chunk = points[lo : lo + block]
+        zech = ctx._zech or ctx.zech(len(chunk) * (len(terms) - 1))
+        if not mid:  # two terms: where 1 alone is the lead's negation
+            yield from (b for b in chunk if (cl + b * el) % N == ONE)
+            continue
+        for b in chunk:
+            acc = zech[(c1 + b * e1) % N]
+            for c, e in rest:
+                t = (c + b * e) % N
+                if acc == ZERO:
+                    acc = t
+                else:
+                    z = zech[t - acc]  # both in 0..N-1, so the index wraps as % N does
+                    acc = ZERO if z == ZERO else (acc + z) % N
+            if acc == (cl + b * el) % N:
+                yield b
+
+
 def rref(ctx: FieldCtx, rows: list[list[Fe]]) -> tuple[list[list[Fe]], int, list[int]]:
     """Reduced row echelon form; returns (matrix, rank, pivot columns).
     Entries are logs: the pivot row is scaled by adding a log, and each
-    elimination adds -f times the pivot row through add_scaled."""
+    elimination adds -f times the pivot row through add_scaled.  Until the
+    table is built, the elimination first declares to zech() the reads it
+    may make, ncols for each other row at each pivot, so one that would
+    take the reads past K builds the table before its first lookup."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     N = ctx.order - 1
+    if nrows > 1 and not ctx._zech:
+        ctx.zech(min(nrows, ncols) * (nrows - 1) * ncols)
     pivots = []
     r = 0
     for c in range(ncols):

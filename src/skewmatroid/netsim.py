@@ -15,10 +15,11 @@ received, and success is exact flat recovery; partial recovery is reported
 through the flat metric.
 
 That basis costs what its rank r needs: the greedy stops at r points and
-reads whichever canonical-order stream has the smaller closed-form count, the
-flat's points enumerated from its (q^r - 1)/(q - 1) lines or the class
-scanned in ascending log for zeros of the minimal polynomial (about
-r^2 q^(m-r) field operations).
+reads whichever canonical-order stream costs less by a closed-form count,
+the flat's points enumerated from its (q^r - 1)/(q - 1) lines, each line
+weighed as _LINE_WEIGHT terms, or the class scanned in ascending log for
+zeros of the minimal polynomial by field.vanishing_points, the kernel that
+zeros on m = 1 reads too (about r q^(m-r) points of r terms each).
 
 Links are error-free and carry one packet per trial; relays keep no state
 across trials.  A classical random-linear-network-coding simulator over
@@ -70,7 +71,7 @@ from .errors import (
     WrongClass,
     ZeroArgument,
 )
-from .field import Fe, FieldCtx, ZERO, add_scaled, field_from_spec
+from .field import Fe, FieldCtx, ZERO, add_scaled, field_from_spec, vanishing_points
 from .matroid import Flat, Subspace, class_flat, dist, matroid_closure
 from .minimal import closure, lift, minimal_poly_and_basis, p_basis
 
@@ -80,6 +81,10 @@ _ROLES = frozenset({"source", "relay", "sink"})
 _SPEC_KEYS = frozenset({"field", "nodes", "edges", "class", "rank", "trials", "seed"})
 _MAX_EDGE_TRIALS = 250_000  # trials x max(1, edges): 62,500 trials on the diamond
 _MAX_TABLE_ENTRIES = 1_024  # in the one table simulate keeps for a call; see _memo
+# a line of the preload's line route costs about 3 terms of a scanned point:
+# 0.8-0.9 us against 0.25-0.32 us of CPU, on 2,20,1,1, 3,12,1,1, 3,10,2,1
+# and 2,16,4,1 at the ranks where the two routes cost the same
+_LINE_WEIGHT = 3
 
 
 def _require(cond: bool, message: str) -> None:
@@ -311,7 +316,8 @@ def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
     polynomial until it holds r.  Its basis, which the source sends, is the
     greedy P-basis of its points in canonical order, stopped at r points and
     read from the flat's lines or from a scan of class ell for zeros of its
-    minimal polynomial, whichever count (see the module docstring) is smaller."""
+    minimal polynomial, whichever weighed count (see the module docstring) is
+    smaller."""
     if not 1 <= r <= ctx.m:
         raise RankOutOfRange(f"rank {r} outside 1..{ctx.m}")
     ell %= ctx.q - 1
@@ -319,11 +325,10 @@ def encode_message(ctx: FieldCtx, ell: int, r: int, rng: random.Random) -> Flat:
     draws = iter(lambda: _draw_nonzero_combination(ctx, ctx.basis, rng), None)
     drawn = (ctx.mul(ell, warp(ctx, a)) for a in draws)
     minpoly, picks = minimal_poly_and_basis(ctx, drawn, rank=r)
-    if (q**r - 1) // (q - 1) <= r * r * q ** (m - r):
+    if _LINE_WEIGHT * (q**r - 1) // (q - 1) <= r * r * q ** (m - r):
         points = closure(ctx, picks)
     else:
-        scan = range(ell, ctx.order - 1, q - 1)
-        points = (b for b in scan if minpoly.evaluate(b) == ZERO)
+        points = vanishing_points(ctx, minpoly.coeffs, range(ell, ctx.order - 1, q - 1))
     return Flat(ctx, minpoly, p_basis(ctx, points, rank=r))
 
 

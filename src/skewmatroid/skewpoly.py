@@ -15,7 +15,9 @@ llcm tracks.
 
 Products, right division and times_linear accumulate on logs through the
 one kernel field.add_scaled; evaluation, a dot product with a running
-exponent rather than an accumulation of a scaled row, keeps its own loop.
+exponent rather than an accumulation of a scaled row, keeps its own loop
+for one point, and zeros on m = 1 reads field.vanishing_points, the loop
+over a range of points that the simulator's preload reads too.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .conjugacy import conjugate, warp
 from .errors import DivisionByZeroPoly, MixedContexts, ParseError, ZeroInput
-from .field import MAX_ORDER, Fe, FieldCtx, ONE, ZERO, add_scaled, kernel
-
-_ZEROS_CHUNK = 1 << 14  # elements evaluated per pass of zeros on m = 1
+from .field import MAX_ORDER, Fe, FieldCtx, ONE, ZERO, add_scaled, kernel, vanishing_points
 
 
 class SkewPoly:
@@ -153,9 +153,9 @@ class SkewPoly:
         Zero is a root when the constant term is; class l adds the closure of
         g^l warp(t) over a basis t of the kernel of b -> f(g^l warp(b)) b,
         whose matrix's column j is the image of basis element b_j.  On m = 1,
-        where sigma is the identity and each class one point, each chunk of
-        nonzero elements b is evaluated by one add_scaled pass per nonzero
-        term c_i, adding c_i b^i."""
+        where sigma is the identity and each class one point, the nonzero
+        zeros are field.vanishing_points over every log, with its reads
+        declared at once."""
         from .minimal import closure
         ctx = self.ctx
         M = ctx.m * (ctx.q - 1)
@@ -167,14 +167,7 @@ class SkewPoly:
         pts = [ZERO] if f.coeff(0) == ZERO else []
         if ctx.m == 1:
             N = ctx.order - 1
-            terms = [(c, i) for i, c in enumerate(f.coeffs) if c != ZERO]  # b^dbracket(i) = b^i
-            for lo in range(0, N, _ZEROS_CHUNK):
-                chunk = range(lo, min(lo + _ZEROS_CHUNK, N))
-                out = [ZERO] * len(chunk)
-                for c, ei in terms:
-                    add_scaled(ctx, out, chunk, c, ei)
-                pts += [b for b, v in zip(chunk, out) if v == ZERO]
-            return tuple(pts)
+            return (*pts, *vanishing_points(ctx, f.coeffs, range(N), N))
         for ell in range(ctx.q - 1):
             cols = [ctx.coords(ctx.mul(f.evaluate(ctx.mul(ell, warp(ctx, b))), b)) for b in ctx.basis]
             pts += [ctx.mul(ell, warp(ctx, ctx.uncoords(t))) for t in kernel(ctx, list(zip(*cols)))]

@@ -14,6 +14,10 @@ in closed form on logs.  Rank here is rank_by_minpoly, the degree of the
 whole set's minimal polynomial, not the library's per-class sum that
 closure shares.
 
+evaluate_by_running_exponent is SkewPoly.evaluate's loop, with each term
+added through the context's add: the oracle for field.vanishing_points,
+the one vanishing loop of the preload's class scan and of zeros on m = 1.
+
 The *_by_terms loops are the ring and matrix loops, and the accumulation
 kernel they share, written term by term through the context's add, mul and
 frobenius and sub here, one call per operation; the library's loops
@@ -235,6 +239,21 @@ def evaluate_by_terms(f, a):
     acc = ZERO
     for i, c in enumerate(f.coeffs):
         acc = ctx.add(acc, ctx.mul(c, ctx.pow(a, ctx.dbracket(i))))
+    return acc
+
+
+def evaluate_by_running_exponent(f, a):
+    """SkewPoly.evaluate's loop: sum c_i a^e_i with e_i = dbracket(i) mod N
+    kept as a running exponent, e_(i+1) = e_i q^s + 1, each term added in
+    through ctx.add; the oracle for field.vanishing_points."""
+    ctx = f.ctx
+    if a == ZERO or len(f.coeffs) < 2:
+        return f.coeff(0)
+    N, acc, e = ctx.order - 1, ZERO, 0
+    for c in f.coeffs:
+        if c != ZERO:
+            acc = ctx.add(acc, (c + a * e) % N)
+        e = (e * ctx.twist + 1) % N
     return acc
 
 

@@ -416,6 +416,7 @@ BUILD_COUNTS = [
     ("2,20,1,1", "simulate 4 rlnc", 1),
     ("2,20,1,1", "simulate 4", 0),
     ("2,20,4,1", "simulate 3 rlnc", 0),
+    ("2,20,4,1", "simulate 4", 0),
 ]
 
 

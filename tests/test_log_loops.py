@@ -3,10 +3,11 @@
 SkewPoly's product, times_linear and one reduction loop (right division,
 grcd and llcm), field.rref, FieldCtx.coords and the rlnc oracle's
 vector relays accumulate through one kernel, field.add_scaled, the one
-reader of the Zech table besides FieldCtx.add and SkewPoly.evaluate; the
-element simulator's draw adds through FieldCtx.add.  tests/oracles.py holds
-the kernel, the loops, the evaluation and right Euclid written through the
-context's add, neg, mul and frobenius.
+reader of the Zech table besides FieldCtx.add, SkewPoly.evaluate and
+field.vanishing_points, the scan for zeros over a range of logs that the
+preload and zeros on m = 1 read; the element simulator's draw adds through
+FieldCtx.add.  tests/oracles.py holds the kernel, the loops, the evaluation
+and right Euclid written through the context's add, neg, mul and frobenius.
 """
 
 import ast
@@ -18,6 +19,7 @@ import pytest
 import skewmatroid
 from oracles import (
     add_scaled_by_terms,
+    evaluate_by_running_exponent,
     evaluate_by_terms,
     grcd_by_terms,
     llcm_by_terms,
@@ -26,8 +28,18 @@ from oracles import (
     right_divmod_by_terms,
     rref_by_terms,
 )
-from skewmatroid import ONE, ZERO, FieldCtx, SkewPoly, ZeroInput, get_field, grcd, llcm
-from skewmatroid.field import add_scaled, rref
+from skewmatroid import (
+    ONE,
+    ZERO,
+    FieldCtx,
+    SkewPoly,
+    ZeroInput,
+    get_field,
+    grcd,
+    llcm,
+    minimal_poly,
+)
+from skewmatroid.field import add_scaled, rref, vanishing_points
 
 SPECS = [
     "2,1,1,1", "3,1,1,1", "2,2,1,1", "2,3,1,1", "2,4,2,1", "2,4,4,1", "2,5,1,2",
@@ -72,6 +84,65 @@ def test_ring_loops_match_the_term_oracles(spec):
     # a dividend of lower degree than the divisor is its own remainder
     f, g = _poly(ctx, rng, 2), _poly(ctx, rng, 5)
     assert f.right_divmod(g) == right_divmod_by_terms(f, g) == (SkewPoly(ctx), f)
+
+
+def _vanishing_polys(ctx, rng):
+    """The zero polynomial, a constant, monomials, a binomial, sparse and
+    dense polynomials of degrees past m(q - 1), and some with zeros: the
+    minimal polynomial of class points, and products with x - a."""
+    N, M = ctx.order - 1, ctx.m * (ctx.q - 1)
+    polys = _polys(ctx, rng)
+    polys += [SkewPoly(ctx, [ZERO] * i + [rng.randrange(N)]) for i in (1, ctx.m, M + 2)]
+    polys.append(SkewPoly(ctx, [rng.randrange(N)] + [ZERO] * (M + 1) + [ONE]))
+    polys += [_poly(ctx, rng, M + rng.randint(1, 4)) for _ in range(2)]
+    for _ in range(3):
+        ell = rng.randrange(ctx.q - 1)
+        k = rng.randint(1, ctx.m)
+        pts = [(ell + (ctx.q - 1) * rng.randrange(ctx.class_size)) % N for _ in range(k)]
+        polys.append(minimal_poly(ctx, pts))
+        polys.append(_poly(ctx, rng, 2) * SkewPoly(ctx, (ctx.neg(rng.randrange(N)), ONE)))
+    return polys
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_vanishing_points_match_the_evaluation_oracle(spec):
+    # three classes' progressions of logs, the whole range and a tail of it,
+    # or a window of 2,000 points of each on the larger fields, declared in
+    # blocks of the default, of 1, of 7, and all at once
+    ctx = _ctx(spec)
+    rng = random.Random(f"vanishing {spec}")
+    N, step = ctx.order - 1, ctx.q - 1
+    ells = sorted({0, step - 1, rng.randrange(step)})
+    ranges = [range(ell, N, step) for ell in ells] + [range(N), range(N)[rng.randrange(N) :]]
+    for points in ranges:
+        lo = rng.randrange(max(len(points) - 2000, 1))
+        points = points[lo : lo + 2000]
+        for f in _vanishing_polys(ctx, rng):
+            want = [b for b in points if evaluate_by_running_exponent(f, b) == ZERO]
+            assert list(vanishing_points(ctx, f.coeffs, points)) == want
+            for block in (1, 7, max(len(points), 1)):
+                assert list(vanishing_points(ctx, f.coeffs, points, block)) == want
+    # the oracle is SkewPoly.evaluate's loop, and both are sum c_i a^dbracket(i)
+    for f in _vanishing_polys(ctx, rng)[:6]:
+        for a in rng.sample(range(N), min(N, 8)):
+            assert evaluate_by_running_exponent(f, a) == evaluate_by_terms(f, a)
+
+
+def test_vanishing_points_declare_their_reads_a_block_at_a_time():
+    # on a cold 2^20 context (K = 4,587) a scan that stops early makes its
+    # reads by lookup, where one that declares its whole range builds the
+    # table before its first read
+    ctx = FieldCtx(2, 20, 4, 1)
+    points = range(0, ctx.order - 1, ctx.q - 1)
+    f = minimal_poly(ctx, [points[3], points[40], points[700]])
+    scan = vanishing_points(ctx, f.coeffs, points)
+    first = [next(scan) for _ in range(3)]
+    assert points[3] in first and all(f.evaluate(b) == ZERO for b in first)
+    assert ctx._zech == [] and 0 < ctx._logs.reads <= ctx._logs.break_even
+    cold = FieldCtx(2, 20, 4, 1)
+    logs = cold.zech(0)
+    assert next(vanishing_points(cold, f.coeffs, points, len(points))) == first[0]
+    assert len(cold._zech) == cold.order - 1 and logs.reads == 0
 
 
 def _euclid_pairs(ctx, rng):

@@ -482,18 +482,76 @@ def test_run_trial_enumerates_nothing(f16, monkeypatch):
 
 @pytest.mark.parametrize("r", range(1, 13))
 def test_encode_message_work_follows_the_cheaper_stream(r, monkeypatch):
-    # evaluate and warp calls are at most 2 min(q^r, r^2 q^(m-r)); the
+    # evaluations and warp calls are at most 2 min(q^r, r^2 q^(m-r)); the
     # unstopped greedy over the enumerated flat alone costs about 2 q^r, a
-    # warp per line and an evaluate per point
+    # warp per line and an evaluate per point.  The class scan evaluates in
+    # field.vanishing_points, which stops where the greedy stops reading it,
+    # so each point it evaluated, up to the last it yielded, is one evaluation
     ctx = get_field(2, 12, 1, 1)
     calls = Counter()
-    evaluate, warp_ = SkewPoly.evaluate, minimal.warp
+    evaluate, warp_, scan = SkewPoly.evaluate, minimal.warp, netsim.vanishing_points
+
+    def counted_scan(ctx, coeffs, points, *block):
+        evaluated = 0
+        try:
+            for b in scan(ctx, coeffs, points, *block):
+                evaluated = points.index(b) + 1
+                yield b
+            evaluated = len(points)
+        finally:
+            calls.update({"e": evaluated})
+
     monkeypatch.setattr(SkewPoly, "evaluate", lambda f, a: calls.update("e") or evaluate(f, a))
     monkeypatch.setattr(minimal, "warp", lambda c, a: calls.update("w") or warp_(c, a))
+    monkeypatch.setattr(netsim, "vanishing_points", counted_scan)
     message = encode_message(ctx, 0, r, random.Random(f"work:{r}"))
     assert message.rank == r
     q, m = ctx.q, ctx.m
     assert sum(calls.values()) <= 2 * min(q**r, r * r * q ** (m - r))
+
+
+_ROUTE_FIELDS = [
+    "2,4,2,1", "2,5,1,2", "2,6,1,5", "2,8,2,3", "3,4,2,1", "5,3,1,2", "2,12,1,1",
+    "3,6,1,1", "2,16,4,1", "2,6,6,1", "7,2,2,1",
+]
+
+
+@pytest.mark.parametrize("field", _ROUTE_FIELDS)
+def test_both_preload_routes_give_the_same_basis(field, monkeypatch):
+    # a weight of 0 takes every rank's basis from the flat's lines, and the
+    # field's order, above every scan count, from the class scan; the two
+    # must agree, and draw the same message from the same stream
+    ctx = get_field(*[int(t) for t in field.split(",")])
+    for r in range(1, ctx.m + 1):
+        if (ctx.q**r - 1) // (ctx.q - 1) > 5_000:
+            continue
+        for ell in sorted({0, ctx.q - 2}):
+            seed = f"routes {field}:{r}:{ell}"
+            got = {}
+            for weight in (0, ctx.order):
+                monkeypatch.setattr(netsim, "_LINE_WEIGHT", weight)
+                rng = random.Random(seed)
+                got[weight] = encode_message(ctx, ell, r, rng), rng.random()
+            (lines, after_lines), (scanned, after_scan) = got.values()
+            assert lines.basis == scanned.basis and len(lines.basis) == r
+            assert lines.minpoly == scanned.minpoly and after_lines == after_scan
+
+
+@pytest.mark.parametrize(
+    "field, routes",
+    [("2,4,2,1", ["lines", "scan"]), ("2,16,4,1", ["lines", "lines", "scan", "scan"])],
+)
+def test_the_line_weight_keeps_each_workload_route(field, routes, monkeypatch):
+    # F16 and the diamond (2,4,2,1): rank 1 on lines, rank 2 on the scan;
+    # 2,16,4,1: ranks 1 and 2 on lines, ranks 3 and 4 on the scan
+    ctx = get_field(*[int(t) for t in field.split(",")])
+    taken = []
+    closure_, scan = netsim.closure, netsim.vanishing_points
+    monkeypatch.setattr(netsim, "closure", lambda *a: taken.append("lines") or closure_(*a))
+    monkeypatch.setattr(netsim, "vanishing_points", lambda *a: taken.append("scan") or scan(*a))
+    for r in range(1, ctx.m + 1):
+        encode_message(ctx, 0, r, random.Random(r))
+    assert taken == routes
 
 
 _ENCODE_FIELDS = [
