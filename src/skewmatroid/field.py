@@ -6,12 +6,15 @@ Nonzero elements are stored as the discrete log of a fixed generator g (a
 root of the modulus polynomial), so multiplication, inversion and powering
 are integer arithmetic mod p^n - 1; addition is one read of zech[i], the
 log of g^i + 1.  The ring and matrix loops accumulate through one kernel,
-add_scaled, which reads zech like add, only where two terms meet; the
-simulator's class scan and zeros on m = 1 read one other, vanishing_points,
-which yields the points of a range of logs at which a skew polynomial
-vanishes.  The context owns the twist: sigma multiplies logs by q^s mod
-p^n - 1, so q^s is never expanded; the exact bracket and dbracket read s
-only through its representative in 1..m.
+add_scaled, which reads zech like add, only where two terms meet.  Three
+more loops evaluate skew polynomials on logs and read zech the same way:
+value_at, the value at one point; grow_minimal, the greedy minimal
+polynomial, which evaluates by value_at and multiplies in place by one
+linear factor a point it keeps; and vanishing_points, which the
+simulator's class scan and zeros on m = 1 read, the points of a range of
+logs at which a skew polynomial vanishes.  The context owns the twist:
+sigma multiplies logs by q^s mod p^n - 1, so q^s is never expanded; the
+exact bracket and dbracket read s only through its representative in 1..m.
 
 The default modulus is the smallest monic primitive one.  Candidates are
 accepted by an order test on x (square-and-multiply on residues packed into
@@ -377,10 +380,11 @@ class FieldCtx:
         over a lookup's (_ZechLogs.break_even).  K is 0 on the smallest
         fields, which build on the first read, and below the order on
         every field, so a caller about to read every entry builds.
-        add calls it on a miss with one read, add_scaled the first time two
-        terms meet with one a coefficient, SkewPoly.evaluate once per call
-        at a nonzero point with one a term, rref once per elimination and
-        vanishing_points once per block of points."""
+        add calls it on a miss with one read, add_scaled and each linear
+        factor of grow_minimal the first time two terms meet with one a
+        coefficient, value_at once per call at a nonzero point with one a
+        coefficient, rref once per elimination and vanishing_points once per
+        block of points with the reads it makes there."""
         if not self._zech:
             if self._logs is None:
                 self._logs = _ZechLogs(self.p, self.n, self.modpoly)
@@ -592,42 +596,115 @@ def add_scaled(
                 out[j] = ZERO if z == ZERO else (y + z) % N
 
 
+def value_at(ctx: FieldCtx, coeffs: Sequence[Fe], a: Fe) -> Fe:
+    """The value at a of the skew polynomial with these coefficients (degree
+    ascending), sum c_i a^dbracket(i), with dbracket(i) mod N kept as a
+    running exponent: dbracket(i+1) = dbracket(i) q^s + 1.  0^dbracket(i) is
+    1 at i = 0 only, and a constant is its own value.  Otherwise it declares
+    to zech() one read a coefficient, and reads only where two terms meet."""
+    if a == ZERO or len(coeffs) < 2:
+        return coeffs[0] if coeffs else ZERO
+    N, qs, zech = ctx.order - 1, ctx.twist, ctx._zech or ctx.zech(len(coeffs))
+    acc, e = ZERO, 0
+    for c in coeffs:
+        if c != ZERO:
+            t = (c + a * e) % N
+            if acc == ZERO:
+                acc = t
+            else:
+                z = zech[t - acc]  # both in 0..N-1, so the index wraps as % N does
+                acc = ZERO if z == ZERO else (acc + z) % N
+        e = (e * qs + 1) % N
+    return acc
+
+
+def grow_minimal(
+    ctx: FieldCtx, coeffs: list[Fe], points: Iterable[Fe], rank: int | None = None
+) -> list[Fe]:
+    """Grow the skew polynomial f with these coefficients (degree ascending,
+    lead nonzero), in place, into the least left multiple of f that also
+    vanishes on the points, and return the points that raised its degree,
+    taken greedily in the order given, up to rank of them; a point is read
+    from the iterable only while fewer than rank are held.  A point b with
+    v = f(b) nonzero (value_at) multiplies f on the left by x + a, where
+    -a = b warp(v) is the point conjugated by f's value: on logs,
+    b + v (q^s - 1) plus the log of -1, and a = 0 for b = 0.  Coefficient j
+    of (x + a) f is sigma(f_(j-1)) + a f_j, formed from the top down, so
+    that each f_j is read before it is overwritten.  As in add_scaled, zech
+    is read only where two terms meet, and until the table is built the
+    first meeting of a pass declares one read a coefficient of f."""
+    picks: list[Fe] = []
+    if rank == 0:
+        return picks
+    N, qs, w, neg = ctx.order - 1, ctx.twist, ctx.twist - 1, ctx.minus_one
+    for b in points:
+        v = value_at(ctx, coeffs, b)
+        if v == ZERO:
+            continue
+        d, f = len(coeffs), coeffs[-1]
+        coeffs.append(f * qs % N)
+        a, zech = ZERO if b == ZERO else (b + v * w + neg) % N, ctx._zech
+        for j in range(d - 1, 0, -1):  # f is f_j, g is f_(j-1)
+            g = coeffs[j - 1]
+            y = ZERO if g == ZERO else g * qs % N
+            if f != ZERO and a != ZERO:
+                t = (a + f) % N
+                if y == ZERO:
+                    y = t
+                else:
+                    try:
+                        z = zech[t - y]
+                    except IndexError:  # as in add_scaled
+                        zech = ctx.zech(d)
+                        z = zech[(t - y) % N]
+                    y = ZERO if z == ZERO else (y + z) % N
+            coeffs[j] = y
+            f = g
+        coeffs[0] = ZERO if f == ZERO or a == ZERO else (a + f) % N
+        picks.append(b)
+        if len(picks) == rank:
+            break
+    return picks
+
+
 def vanishing_points(
     ctx: FieldCtx, coeffs: Sequence[Fe], points: range, block: int = _SCAN_BLOCK
 ) -> Iterator[Fe]:
     """The points b of a range of logs, in order, at which the skew
     polynomial with these coefficients (degree ascending) vanishes: sum
     g^c_i b^e_i = 0 over its nonzero terms, e_i = dbracket(i) mod N, the
-    value SkewPoly.evaluate takes.  The pairs (c_i, e_i) are formed once,
+    value value_at takes.  The pairs (c_i, e_i) are formed in one pass,
     relative to the first term's: divided by that term the sum is 1 plus
     the other terms, 1 + g^t is g^zech[t], and b is a zero where that and
     the middle terms sum to the lead term's negation.  So a point costs one
-    multiply-mod per term but the first, and one Zech read fewer than
-    evaluate makes.  Until the table is built, each block of `block` points
-    declares to zech() the reads evaluate would make there, one a point for
-    each term but the lead: a scan that stops after a few blocks makes its
-    reads by lookup, and one block over every point builds the table before
-    the first read."""
+    multiply-mod per term but the first, and at most one Zech read for each
+    term but the first and the lead; a binomial, where 1 alone must be the
+    lead's negation, reads none.  Until the table is built, each block of
+    `block` points declares to zech() those reads: a scan that stops after a
+    few blocks makes its reads by lookup, and one block over every point
+    builds the table before the first read."""
     N, qs = ctx.order - 1, ctx.twist
-    terms, e = [], 0  # e = dbracket(i) mod N, as in evaluate
+    rel, e, first = [], 0, None  # e = dbracket(i) mod N, as in value_at
     for c in coeffs:
         if c != ZERO:
-            terms.append((c, e))
+            if first is None:
+                first = c0, e0 = c, e
+            else:
+                rel.append(((c - c0) % N, (e - e0) % N))
         e = (e * qs + 1) % N
-    if len(terms) < 2:  # zero vanishes everywhere, one term nowhere
-        if not terms:
+    if not rel:  # zero vanishes everywhere, one term nowhere
+        if first is None:
             yield from points
         return
-    c0, e0 = terms[0]
-    *mid, (cl, el) = [((c - c0) % N, (e - e0) % N) for c, e in terms[1:]]
+    cl, el = rel.pop()
     cl += ctx.minus_one  # a zero: 1 and the middle terms sum to g^(cl + b el)
-    (c1, e1), *rest = mid or [(ZERO, ZERO)]  # unread on two terms
+    if not rel:
+        yield from (b for b in points if (cl + b * el) % N == ONE)
+        return
+    (c1, e1), *rest = rel
     for lo in range(0, len(points), block):
         chunk = points[lo : lo + block]
-        zech = ctx._zech or ctx.zech(len(chunk) * (len(terms) - 1))
-        if not mid:  # two terms: where 1 alone is the lead's negation
-            yield from (b for b in chunk if (cl + b * el) % N == ONE)
-            continue
+        zech = ctx._zech or ctx.zech(len(chunk) * len(rel))
         for b in chunk:
             acc = zech[(c1 + b * e1) % N]
             for c, e in rest:

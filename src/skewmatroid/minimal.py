@@ -5,26 +5,29 @@ degree that evaluates to zero on every point.  It is built one point at a
 time: a point the current polynomial already kills is skipped, otherwise the
 polynomial is extended by the linear factor whose root is the point
 conjugated by the current value.  Degree growth therefore counts exactly the
-"independent" points, which is what bases below rest on.
+"independent" points, which is what bases below rest on.  That greedy is one
+field kernel, field.grow_minimal, which grows a coefficient list in place and
+returns the points it kept: a SkewPoly is built once, at the end, and rank
+counts the points kept, building none.
 
 The matroid is the direct sum of {0} and one submatroid per conjugacy class
 (Lam & Leroy, "Vandermonde and Wronskian matrices over division rings",
 J. Algebra 1988), and warping carries each class's flats one-to-one onto the
 F_q-subspaces of the field.  Rank, closure and lift read one split of a
 point set into those summands, _class_parts.  Rank adds [0 in the set] to
-each class part's minimal-polynomial degree, at most m.  Warp kills F_q*, so
-each class's flats are projective geometries: a closure is the warp image of
-the lines of the span of each part's unwarped points, one point per line,
-with no scan of the field.
+each class part's minimal-polynomial degree, at most m, the number of points
+the greedy keeps.  Warp kills F_q*, so each class's flats are projective
+geometries: a closure is the warp image of the lines of the span of each
+part's unwarped points, one point per line, with no scan of the field.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .conjugacy import ClassId, class_labels, class_of, conjugate, unwarp, unwarp_all, warp
+from .conjugacy import ClassId, class_labels, class_of, unwarp, unwarp_all, warp
 from .errors import MixedClasses
-from .field import Fe, FieldCtx, ZERO
+from .field import Fe, FieldCtx, ONE, grow_minimal
 from .skewpoly import SkewPoly
 
 
@@ -37,23 +40,14 @@ def minimal_poly_and_basis(
     ctx: FieldCtx, points: Iterable[Fe], *, rank: int | None = None
 ) -> tuple[SkewPoly, tuple[Fe, ...]]:
     """The minimal polynomial and the points that raised its degree, taken
-    greedily in the order given: the polynomial does not depend on that
-    order, the basis does.  With rank, the greedy stops once it holds rank
-    of them: when they span a flat of that rank, every later point is a zero
-    of the polynomial by then, so the polynomial is the same."""
-    f = SkewPoly.one(ctx)
-    if rank == 0:
-        return f, ()
-    basis = []
-    for b in points:
-        v = f.evaluate(b)
-        if v == ZERO:
-            continue
-        f = f.times_linear(ctx.neg(conjugate(ctx, b, v)))
-        basis.append(b)
-        if len(basis) == rank:
-            break
-    return f, tuple(basis)
+    greedily in the order given (field.grow_minimal): the polynomial does
+    not depend on that order, the basis does.  With rank, the greedy stops
+    once it holds rank of them: when they span a flat of that rank, every
+    later point is a zero of the polynomial by then, so the polynomial is
+    the same."""
+    coeffs = [ONE]
+    picks = grow_minimal(ctx, coeffs, points, rank)
+    return SkewPoly(ctx, coeffs), tuple(picks)
 
 
 def minimal_poly(ctx: FieldCtx, points: Iterable[Fe]) -> SkewPoly:
@@ -76,7 +70,7 @@ def rank_of(ctx: FieldCtx, points: Iterable[Fe]) -> int:
     part's minimal-polynomial degree, at most m, where its greedy stops."""
     parts = _class_parts(ctx, points)
     return (parts.pop(None, None) is not None) + sum(
-        minimal_poly_and_basis(ctx, part, rank=ctx.m)[0].degree for part in parts.values()
+        len(grow_minimal(ctx, [ONE], part, ctx.m)) for part in parts.values()
     )
 
 

@@ -13,11 +13,13 @@ one reduction loop, _reduce, that reduces a coefficient list in place and
 either stores each quotient term or applies it at once to the one cofactor
 llcm tracks.
 
-Products, right division and times_linear accumulate on logs through the
-one kernel field.add_scaled; evaluation, a dot product with a running
-exponent rather than an accumulation of a scaled row, keeps its own loop
-for one point, and zeros on m = 1 reads field.vanishing_points, the loop
-over a range of points that the simulator's preload reads too.
+Products and right division accumulate on logs through the one kernel
+field.add_scaled.  Evaluation at one point, a dot product with a running
+exponent rather than an accumulation of a scaled row, is field.value_at,
+which the greedy minimal polynomial (field.grow_minimal) reads too, and
+zeros on m = 1 reads field.vanishing_points, the loop over a range of
+points that the simulator's preload reads too.  So every read of the Zech
+table is made in field.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .conjugacy import conjugate, warp
 from .errors import DivisionByZeroPoly, MixedContexts, ParseError, ZeroInput
-from .field import MAX_ORDER, Fe, FieldCtx, ONE, ZERO, add_scaled, kernel, vanishing_points
+from .field import (
+    MAX_ORDER, Fe, FieldCtx, ONE, ZERO, add_scaled, kernel, value_at, vanishing_points,
+)
 
 
 class SkewPoly:
@@ -47,10 +51,6 @@ class SkewPoly:
     @classmethod
     def zero(cls, ctx: FieldCtx) -> "SkewPoly":
         return cls(ctx)
-
-    @classmethod
-    def one(cls, ctx: FieldCtx) -> "SkewPoly":
-        return cls(ctx, (ONE,))
 
     # -- basic structure ---------------------------------------------------------
 
@@ -82,15 +82,6 @@ class SkewPoly:
         )
 
     # -- ring operations -----------------------------------------------------------
-
-    def times_linear(self, c: Fe) -> "SkewPoly":
-        """(x + c) * self in one pass: coefficient j is sigma(f_(j-1)) + c f_j,
-        and sigma multiplies a log by the twist."""
-        N, qs = self.ctx.order - 1, self.ctx.twist
-        out = [ZERO] + [a if a == ZERO else a * qs % N for a in self.coeffs]
-        if c != ZERO:
-            add_scaled(self.ctx, out, self.coeffs, c)
-        return SkewPoly(self.ctx, out)
 
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
         # (a x^i)(b x^j) = a sigma^i(b) x^(i+j): on logs, a + b q^(is) mod N
@@ -128,23 +119,9 @@ class SkewPoly:
     # -- evaluation ------------------------------------------------------------------
 
     def evaluate(self, a: Fe) -> Fe:
-        """Remainder of right division by (x - a), as sum c_i a^dbracket(i)."""
-        ctx = self.ctx
-        # 0^dbracket(i) is 1 at i = 0 only, and a constant is its own value
-        if a == ZERO or len(self.coeffs) < 2:
-            return self.coeff(0)
-        N, qs, zech = ctx.order - 1, ctx.twist, ctx.zech(len(self.coeffs))
-        acc, e = ZERO, 0  # e = dbracket(i) mod N; dbracket(i+1) = dbracket(i) q^s + 1
-        for c in self.coeffs:
-            if c != ZERO:
-                t = (c + a * e) % N
-                if acc == ZERO:
-                    acc = t
-                else:
-                    z = zech[t - acc]  # both in 0..N-1, so the index wraps as % N does
-                    acc = ZERO if z == ZERO else (acc + z) % N
-            e = (e * qs + 1) % N
-        return acc
+        """Remainder of right division by (x - a), as sum c_i a^dbracket(i)
+        (field.value_at)."""
+        return value_at(self.ctx, self.coeffs, a)
 
     def zeros(self) -> tuple[Fe, ...]:
         """All field elements the polynomial evaluates to zero on, in

@@ -14,9 +14,14 @@ in closed form on logs.  Rank here is rank_by_minpoly, the degree of the
 whole set's minimal polynomial, not the library's per-class sum that
 closure shares.
 
-evaluate_by_running_exponent is SkewPoly.evaluate's loop, with each term
-added through the context's add: the oracle for field.vanishing_points,
-the one vanishing loop of the preload's class scan and of zeros on m = 1.
+evaluate_by_running_exponent is field.value_at's loop, with each term added
+through the context's add: the oracle for field.vanishing_points, the one
+vanishing loop of the preload's class scan and of zeros on m = 1.
+
+minimal_poly_by_products is the greedy minimal polynomial with each linear
+factor joined by a full product, where field.grow_minimal multiplies by
+x + a in place, from the top coefficient down; times_linear forms (x + c) f
+in one pass from the bottom up, through field.add_scaled.
 
 The *_by_terms loops are the ring and matrix loops, and the accumulation
 kernel they share, written term by term through the context's add, mul and
@@ -68,7 +73,7 @@ from skewmatroid import (
     llcm,
     minimal_poly,
 )
-from skewmatroid.field import kernel, mat_rank
+from skewmatroid.field import add_scaled, kernel, mat_rank
 from skewmatroid.matroid import Flat, Subspace, class_flat
 from skewmatroid.minimal import p_basis
 
@@ -139,7 +144,7 @@ def unwarp_method1(ctx, alpha, ell):
 def minimal_poly_by_products(ctx, points, *, rank=None):
     """minimal_poly_and_basis with each linear factor joined by a full
     product, SkewPoly((-conjugate, 1)) * f."""
-    f = SkewPoly.one(ctx)
+    f = SkewPoly(ctx, (ONE,))
     if rank == 0:
         return f, ()
     basis = []
@@ -152,6 +157,17 @@ def minimal_poly_by_products(ctx, points, *, rank=None):
         if len(basis) == rank:
             break
     return f, tuple(basis)
+
+
+def times_linear(f, c):
+    """(x + c) * f in one pass: coefficient j is sigma(f_(j-1)) + c f_j, and
+    sigma multiplies a log by the twist."""
+    ctx = f.ctx
+    N, qs = ctx.order - 1, ctx.twist
+    out = [ZERO] + [a if a == ZERO else a * qs % N for a in f.coeffs]
+    if c != ZERO:
+        add_scaled(ctx, out, f.coeffs, c)
+    return SkewPoly(ctx, out)
 
 
 def scan_zeros(poly):
@@ -243,7 +259,7 @@ def evaluate_by_terms(f, a):
 
 
 def evaluate_by_running_exponent(f, a):
-    """SkewPoly.evaluate's loop: sum c_i a^e_i with e_i = dbracket(i) mod N
+    """field.value_at's loop: sum c_i a^e_i with e_i = dbracket(i) mod N
     kept as a running exponent, e_(i+1) = e_i q^s + 1, each term added in
     through ctx.add; the oracle for field.vanishing_points."""
     ctx = f.ctx

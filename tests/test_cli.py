@@ -392,6 +392,16 @@ def test_unwarp_builds_no_table():
     assert unwarp < classof + 2048, (unwarp, classof)
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_binomial_zeros_build_no_table():
+    # zeros on m = 1 decides a binomial by one multiply-mod a point and no
+    # Zech read, so it declares none: the scan of 2^20 points built the
+    # 4 MiB table, 27.9 MiB against 15.8 MiB
+    zeros = _peak_rss_kib("--field", "2,20,20,1", "zeros", "x^3+g7")
+    classof = _peak_rss_kib("--field", "2,20,20,1", "classof", "g5")
+    assert zeros < classof + 2048, (zeros, classof)
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -32,6 +32,7 @@ from skewmatroid.field import (
     _prime_factors,
     _zech_table,
     add_scaled,
+    grow_minimal,
     kernel,
     mat_rank,
     rref,
@@ -406,12 +407,13 @@ def test_zech_lookup_matches_the_table_on_sampled_entries(spec):
 
 
 # (field, call, builds): zeros on m = 20 passes K inside its kernel's
-# elimination, zeros on m = 1 declares a chunk of reads at its first, and of
-# the high-rank simulations of tests/test_golden_highrank.py on 2^20 fields
-# only the oracle's on m = 20 passes K; the rest stay under it
+# elimination, zeros on m = 1 declares a chunk of reads at its first but a
+# binomial's, which reads none, declares none, and of the high-rank
+# simulations of tests/test_golden_highrank.py on 2^20 fields only the
+# oracle's on m = 20 passes K; the rest stay under it
 BUILD_COUNTS = [
     ("2,20,1,1", "zeros x^3+g5*x^2+x+g7", 1),
-    ("2,20,20,1", "zeros x^3+g7", 1),
+    ("2,20,20,1", "zeros x^3+g7", 0),
     ("2,20,4,1", "zeros x^3+g5*x^2+x+g7", 0),
     ("2,20,1,1", "simulate 4 rlnc", 1),
     ("2,20,1,1", "simulate 4", 0),
@@ -434,9 +436,10 @@ def test_each_call_builds_the_table_at_most_once(monkeypatch, spec, call, builds
     else:
         simulate(_high_rank_spec(spec, int(arg)), oracle=(oracle or [None])[0])
     assert len(made) == builds
-    assert (ctx._logs is None) == (builds == 1)
-    if not builds:
-        assert ctx._logs.reads <= ctx._logs.break_even
+    if builds:
+        assert ctx._logs is None and len(ctx._zech) == ctx.order - 1
+    else:  # lookups under K, if any: the binomial's zeros make none
+        assert ctx._zech == [] and (ctx._logs is None or ctx._logs.reads <= ctx._logs.break_even)
 
 
 def test_calls_that_add_nothing_build_no_table():
@@ -451,7 +454,10 @@ def test_calls_that_add_nothing_build_no_table():
     assert f.right_divmod(SkewPoly.parse(ctx, "x^3 + g2*x")) == (SkewPoly(ctx), f)
     # ctx.add and the kernel read the table only where two terms meet
     assert add_by_terms(f, SkewPoly.parse(ctx, "g4*x^3 + g5*x^4")).coeffs == (9, ONE, 3, 4, 5)
-    assert f.times_linear(ZERO) == SkewPoly.parse(ctx, "x") * f
+    # the greedy's extension at zero is the product by x, with no meeting
+    coeffs = list(f.coeffs)
+    assert grow_minimal(ctx, coeffs, [ZERO]) == [ZERO]
+    assert coeffs == list((SkewPoly.parse(ctx, "x") * f).coeffs)
     out = [ZERO] * 4
     add_scaled(ctx, out, [7, ZERO, 3], 5, 2, off=1)
     assert out == [ZERO, 19, ZERO, 11]

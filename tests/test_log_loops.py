@@ -1,9 +1,11 @@
 """The ring and matrix loops on logs against their term-by-term oracles.
 
-SkewPoly's product, times_linear and one reduction loop (right division,
-grcd and llcm), field.rref, FieldCtx.coords and the rlnc oracle's
-vector relays accumulate through one kernel, field.add_scaled, the one
-reader of the Zech table besides FieldCtx.add, SkewPoly.evaluate and
+SkewPoly's product and one reduction loop (right division, grcd and llcm),
+field.rref, FieldCtx.coords and the rlnc oracle's vector relays accumulate
+through one kernel, field.add_scaled.  The Zech table is read only in
+field: by add_scaled, FieldCtx.add, field.value_at (the one-point
+evaluation that SkewPoly.evaluate reads), field.grow_minimal (the greedy
+minimal polynomial, which reads value_at at each point) and
 field.vanishing_points, the scan for zeros over a range of logs that the
 preload and zeros on m = 1 read; the element simulator's draw adds through
 FieldCtx.add.  tests/oracles.py holds the kernel, the loops, the evaluation
@@ -38,8 +40,10 @@ from skewmatroid import (
     grcd,
     llcm,
     minimal_poly,
+    rank_of,
 )
-from skewmatroid.field import add_scaled, rref, vanishing_points
+from skewmatroid.conjugacy import class_elements
+from skewmatroid.field import add_scaled, rref, value_at, vanishing_points
 
 SPECS = [
     "2,1,1,1", "3,1,1,1", "2,2,1,1", "2,3,1,1", "2,4,2,1", "2,4,4,1", "2,5,1,2",
@@ -122,10 +126,83 @@ def test_vanishing_points_match_the_evaluation_oracle(spec):
             assert list(vanishing_points(ctx, f.coeffs, points)) == want
             for block in (1, 7, max(len(points), 1)):
                 assert list(vanishing_points(ctx, f.coeffs, points, block)) == want
-    # the oracle is SkewPoly.evaluate's loop, and both are sum c_i a^dbracket(i)
-    for f in _vanishing_polys(ctx, rng)[:6]:
-        for a in rng.sample(range(N), min(N, 8)):
-            assert evaluate_by_running_exponent(f, a) == evaluate_by_terms(f, a)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_value_at_matches_the_evaluation_oracles(spec):
+    # the one evaluation loop, on the zero polynomial, constants, monomials
+    # and degrees past m(q - 1), at zero, one, -1 and random points, given a
+    # tuple as SkewPoly.evaluate passes it or a list as grow_minimal does
+    ctx = _ctx(spec)
+    rng = random.Random(f"value_at {spec}")
+    N = ctx.order - 1
+    points = [ZERO, ONE, ctx.minus_one] + rng.sample(range(N), min(N, 6))
+    for f in _vanishing_polys(ctx, rng):
+        for a in points:
+            want = evaluate_by_terms(f, a)
+            assert evaluate_by_running_exponent(f, a) == want
+            assert value_at(ctx, f.coeffs, a) == value_at(ctx, list(f.coeffs), a) == want
+
+
+# (lookups, declarations, reads declared) of each call below: those of the
+# loop that grow_minimal replaced, an evaluate and a times_linear pass a
+# point, as the kernel declares and reads where and as much as they did
+GREEDY_READS = {rank_of: (66, 38, 104), minimal_poly: (1054, 68, 1213)}
+
+
+@pytest.mark.parametrize("call", GREEDY_READS, ids=lambda f: f.__name__)
+def test_the_greedy_reads_and_declares_as_the_loop_it_replaced(call):
+    # a cold 2^20 context whose K is raised past the order, so that every
+    # read is a lookup; 40 points: 9 of one class (m = 5, so rank_of stops
+    # that part at 5), zero, 28 others and two repeats
+    ctx = FieldCtx(2, 20, 4, 1)
+    ctx.zech(0).break_even = ctx.order
+    declared = []
+    zech = ctx.zech
+    ctx.zech = lambda reads=1: declared.append(reads) or zech(reads)
+    rng = random.Random("lookups 2,20,4,1")
+    pts = rng.sample(class_elements(ctx, 3), 9) + [ZERO]
+    pts += [rng.randrange(ctx.order - 1) for _ in range(28)]
+    result = call(ctx, pts + pts[:2])
+    assert (result if call is rank_of else result.degree) == 33
+    assert (ctx._logs.reads, len(declared), sum(declared)) == GREEDY_READS[call]
+    assert ctx._zech == []
+
+
+class _CountedReads:
+    """A Zech table that counts the reads made of it."""
+
+    def __init__(self, table):
+        self.table, self.reads = table, 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.table[i]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_vanishing_points_declare_the_reads_they_make(spec):
+    # a point reads zech at most once for each nonzero term but the first
+    # and the lead, and a scan declares exactly that a point, a block at a
+    # time: none on a binomial, which decides a point by one multiply-mod.
+    # The scan runs on a fresh context, which calls zech() at every block,
+    # and reads the cached context's table, whose logs are the same
+    ctx = _ctx(spec)
+    counted, declared = _CountedReads(ctx.zech(ctx.order)), []
+    cold = FieldCtx(*(int(t) for t in spec.split(",")))
+    cold.zech = lambda reads=1: declared.append(reads) or counted
+    rng = random.Random(f"declared {spec}")
+    N, step = ctx.order - 1, ctx.q - 1
+    points = range(rng.randrange(step), N, step)[:200]  # three blocks, and part of one
+    for f in _vanishing_polys(ctx, rng):
+        declared.clear()
+        reads = counted.reads
+        got = list(vanishing_points(cold, f.coeffs, points))
+        assert got == [b for b in points if evaluate_by_running_exponent(f, b) == ZERO]
+        terms = sum(c != ZERO for c in f.coeffs)
+        assert sum(declared) == len(points) * max(terms - 2, 0)
+        assert len(declared) == (-(-len(points) // 64) if terms > 2 else 0)
+        assert counted.reads - reads <= sum(declared)
 
 
 def test_vanishing_points_declare_their_reads_a_block_at_a_time():
@@ -267,11 +344,12 @@ def _zech_readers(node, scope=()):
 
 
 def test_only_the_kernel_and_evaluate_read_the_zech_table():
-    # the table is read in field (add, add_scaled and its build) and by
-    # SkewPoly.evaluate; any other loop accumulates through add_scaled
+    # the table is read in field alone (add, add_scaled, the evaluation and
+    # vanishing loops, the greedy and its build); any other loop accumulates
+    # through add_scaled or evaluates through value_at
     readers = {
         (path.name, name)
         for path in pathlib.Path(skewmatroid.__file__).parent.glob("*.py")
         for name in _zech_readers(ast.parse(path.read_text()))
     }
-    assert {r for r in readers if r[0] != "field.py"} <= {("skewpoly.py", "SkewPoly.evaluate")}
+    assert {path for path, _ in readers} == {"field.py"}

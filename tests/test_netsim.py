@@ -484,12 +484,14 @@ def test_run_trial_enumerates_nothing(f16, monkeypatch):
 def test_encode_message_work_follows_the_cheaper_stream(r, monkeypatch):
     # evaluations and warp calls are at most 2 min(q^r, r^2 q^(m-r)); the
     # unstopped greedy over the enumerated flat alone costs about 2 q^r, a
-    # warp per line and an evaluate per point.  The class scan evaluates in
+    # warp per line and an evaluate per point.  The greedy evaluates each
+    # point it reads through field.value_at, and the class scan in
     # field.vanishing_points, which stops where the greedy stops reading it,
     # so each point it evaluated, up to the last it yielded, is one evaluation
     ctx = get_field(2, 12, 1, 1)
     calls = Counter()
     evaluate, warp_, scan = SkewPoly.evaluate, minimal.warp, netsim.vanishing_points
+    value_at = field_module.value_at
 
     def counted_scan(ctx, coeffs, points, *block):
         evaluated = 0
@@ -502,6 +504,7 @@ def test_encode_message_work_follows_the_cheaper_stream(r, monkeypatch):
             calls.update({"e": evaluated})
 
     monkeypatch.setattr(SkewPoly, "evaluate", lambda f, a: calls.update("e") or evaluate(f, a))
+    monkeypatch.setattr(field_module, "value_at", lambda *a: calls.update("e") or value_at(*a))
     monkeypatch.setattr(minimal, "warp", lambda c, a: calls.update("w") or warp_(c, a))
     monkeypatch.setattr(netsim, "vanishing_points", counted_scan)
     message = encode_message(ctx, 0, r, random.Random(f"work:{r}"))

@@ -1,10 +1,12 @@
 """Rank summed class by class, and the minimal polynomial grown one linear
 factor at a time, against the whole-set routes in tests/oracles.py.
 
-rank_of adds, per conjugacy class, the degree of that class part's minimal
-polynomial; rank_by_minpoly takes the degree of the whole set's.
-SkewPoly.times_linear forms (x + c) * f in one pass on logs, which
-minimal_poly_by_products forms as a full product.
+rank_of adds, per conjugacy class, the number of points that raised the
+degree of that class part's minimal polynomial; rank_by_minpoly takes the
+degree of the whole set's.  field.grow_minimal multiplies the polynomial by
+x + a in place, from the top coefficient down, where times_linear forms
+(x + c) * f in one pass from the bottom up and minimal_poly_by_products
+forms each factor's product in full.
 """
 
 import random
@@ -17,8 +19,10 @@ from oracles import (
     closure_definitional,
     minimal_poly_by_products,
     mul_by_terms,
+    evaluate_by_terms,
     rank_by_minpoly,
     sub_by_terms,
+    times_linear,
     unwarp_method1,
 )
 from skewmatroid import (
@@ -30,12 +34,15 @@ from skewmatroid import (
     class_elements,
     class_of,
     closure,
+    conjugate,
     get_field,
     is_p_independent,
     lift,
+    minimal_poly,
     rank_of,
 )
 from skewmatroid.conjugacy import class_labels
+from skewmatroid.field import grow_minimal
 from skewmatroid.minimal import minimal_poly_and_basis
 from test_log_loops import SPECS, _ctx, _element, _polys
 
@@ -97,13 +104,29 @@ def test_closure_and_lift_match_the_oracles_in_any_order(spec):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_times_linear_matches_the_product(spec):
+    # the one-pass (x + c) f of tests/oracles.py against the full product,
+    # and the kernel's in-place extension at a point b against the product
+    # by x - b warp(f(b)), or no change where f(b) = 0: b = 0 extends by x,
+    # and the minimal polynomials' points are zeros
     ctx = _ctx(spec)
     rng = random.Random(spec)
-    polys = _polys(ctx, rng) + [SkewPoly(ctx, (ONE, ZERO, ZERO, rng.randrange(ctx.order - 1)))]
-    constants = [ZERO, ONE, ctx.minus_one] + [rng.randrange(ctx.order - 1) for _ in range(3)]
+    N = ctx.order - 1
+    polys = _polys(ctx, rng) + [SkewPoly(ctx, (ONE, ZERO, ZERO, rng.randrange(N)))]
+    constants = [ZERO, ONE, ctx.minus_one] + [rng.randrange(N) for _ in range(3)]
     for f in polys:
         for c in constants:
-            assert f.times_linear(c) == mul_by_terms(SkewPoly(ctx, (c, ONE)), f)
+            assert times_linear(f, c) == mul_by_terms(SkewPoly(ctx, (c, ONE)), f)
+    zeros = [[rng.randrange(N) for _ in range(k)] for k in (1, 2, ctx.m + 1)]
+    for f, roots in [(f, []) for f in polys] + [(minimal_poly(ctx, z), z[-2:]) for z in zeros]:
+        for b in [ZERO, ONE, ctx.minus_one] + roots + rng.sample(range(N), min(N, 4)):
+            coeffs = list(f.coeffs)
+            picks = grow_minimal(ctx, coeffs, [b])
+            v = evaluate_by_terms(f, b)
+            if v == ZERO:
+                assert (coeffs, picks) == (list(f.coeffs), [])
+            else:
+                want = mul_by_terms(SkewPoly(ctx, (ctx.neg(conjugate(ctx, b, v)), ONE)), f)
+                assert (coeffs, picks) == (list(want.coeffs), [b])
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -142,6 +165,23 @@ def test_minimal_poly_and_basis_matches_the_product_loop(spec):
             assert got == minimal_poly_by_products(ctx, canon, rank=r)
 
 
+@pytest.mark.parametrize("spec", SPECS)
+def test_the_kernel_matches_the_product_loop(spec):
+    # grow_minimal from 1 over zero points, duplicates, mixed classes and
+    # descending order with zero last, at rank 0, 1, m and unstopped: the
+    # coefficients, exactly and trimmed, the picks, and the points left in
+    # the stream where it stops, as the product loop leaves them
+    ctx = _ctx(spec)
+    rng = random.Random(f"kernel {spec}")
+    for pts in _point_sets(ctx, rng):
+        for rank in (0, 1, ctx.m, None):
+            rest, stream, coeffs = iter(pts), iter(pts), [ONE]
+            want_poly, want_picks = minimal_poly_by_products(ctx, rest, rank=rank)
+            picks = grow_minimal(ctx, coeffs, stream, rank)
+            assert coeffs == list(want_poly.coeffs) and tuple(picks) == want_picks
+            assert list(stream) == list(rest)
+
+
 def test_rank_passes_single_class_parts_only(monkeypatch):
     import skewmatroid.minimal
 
@@ -152,12 +192,12 @@ def test_rank_passes_single_class_parts_only(monkeypatch):
     want = rank_by_minpoly(ctx, pts)
     seen = []
 
-    def spy(ctx, points, **kw):
+    def spy(ctx, coeffs, points, *rank):
         points = list(points)
         seen.append({class_of(ctx, b) for b in points})
-        return minimal_poly_and_basis(ctx, points, **kw)
+        return grow_minimal(ctx, coeffs, points, *rank)
 
-    monkeypatch.setattr(skewmatroid.minimal, "minimal_poly_and_basis", spy)
+    monkeypatch.setattr(skewmatroid.minimal, "grow_minimal", spy)
     assert rank_of(ctx, pts) == want
     assert is_p_independent(ctx, pts) == (want == len(pts))
     assert len(seen) == 2 * (ctx.q - 1)
