@@ -9,10 +9,11 @@ NetSpec.plan is the spec check, so no walk reads an unchecked spec.  Every
 node forwards, per outgoing edge, one element drawn uniformly from the
 closure of the packets it holds: unwarp the packets, draw a uniform nonzero
 F_q-linear combination of the unwarped field elements, warp the result back
-into the class.  A flat is known by its monic minimal polynomial: forwarded
-packets are checked to be its zeros, sinks decode to the flat of what they
-received, and success is exact flat recovery; partial recovery is reported
-through the flat metric.
+into the class.  One point spans only itself, so a node that holds one
+packet forwards it after its draw's reads.  A flat is known by its monic
+minimal polynomial: forwarded packets are checked to be its zeros, sinks
+decode to the flat of what they received, and success is exact flat
+recovery; partial recovery is reported through the flat metric.
 
 That basis costs what its rank r needs: the greedy stops at r points and
 reads whichever canonical-order stream costs less by a closed-form count,
@@ -26,9 +27,11 @@ across trials.  A classical random-linear-network-coding simulator over
 coordinate vectors acts as an independent oracle: each vector it sends is
 the minimum-discrete-log representative of its line, the one unwarping picks
 (the source sends the unwarped lifts of message.basis, and each relay
-canonicalizes its combination), and it takes the element simulator's
-coefficients, so its decoded row space corresponds to the decoded flat
-through the warping correspondence, packet for packet.  It has no generator:
+canonicalizes its combination; one that holds one vector forwards it after
+its draw's reads, as that vector already is its line's representative), and
+it takes the element simulator's coefficients, so its decoded row space
+corresponds to the decoded flat through the warping correspondence, packet
+for packet.  It has no generator:
 the element walk's draws record the reads they accept, rejected attempts'
 included, and each oracle relay combines its vectors with its edge's
 recorded reads, retrying while the combination vanishes.  A relay that runs
@@ -71,7 +74,7 @@ from .errors import (
     WrongClass,
     ZeroArgument,
 )
-from .field import Fe, FieldCtx, ZERO, add_scaled, field_from_spec, vanishing_points
+from .field import Fe, FieldCtx, ZERO, add_scaled, field_from_spec, value_at, vanishing_points
 from .matroid import Flat, Subspace, class_flat, dist, matroid_closure
 from .minimal import closure, lift, minimal_poly_and_basis, p_basis
 
@@ -290,10 +293,16 @@ def relay_forward(ctx: FieldCtx, in_packets: Sequence[Fe], rng: random.Random) -
 
     All-zero input forwards zero (the closure of {0}); otherwise the packets
     must share a class and the draw combines their unwarped preimages, which
-    warping carries onto the closure.
+    warping carries onto the closure.  One nonzero packet is forwarded after
+    its draw's reads, as one point spans only itself: the draw's c * a, c in
+    F_q*, warps back to a, so the draw runs over the packet itself and
+    advances the generator and the record as any draw over one item does.
     """
     if not in_packets:
         raise EmptyInput("a relay needs at least one incoming packet")
+    if len(in_packets) == 1 and in_packets[0] != ZERO:
+        _draw_nonzero_combination(ctx, in_packets, rng)
+        return in_packets[0]
     ell = class_of(ctx, in_packets[0])
     if ell is None:
         if in_packets.count(ZERO) == len(in_packets):
@@ -411,9 +420,11 @@ def run_trial(
     if record is not None:
         rng.record = record
 
+    coeffs = message.minpoly.coeffs
+
     def forward(pool: list[Fe], u: str, v: str) -> Fe:
         value = relay_forward(ctx, pool, rng)
-        if message.minpoly.evaluate(value) != ZERO:
+        if value_at(ctx, coeffs, value) != ZERO:
             raise AssertionError(
                 f"containment violated: {ctx.format_element(value)} "
                 f"forwarded on [{u}, {v}] lies outside the message closure"
@@ -462,7 +473,10 @@ def rlnc_oracle_trial(
     decode the row space.  The coefficients are reads, the record that
     run_trial filled: each relay takes one read r per vector per attempt as
     the coefficient subfield_elements[r], retrying while the combination
-    vanishes, and sends the combination canonicalized per line.  None is
+    vanishes, and sends the combination canonicalized per line.  One point
+    spans only itself, so a relay holding one vector reads its draw's reads
+    by the same rules and forwards that vector: the source lifts and the
+    relay outputs are already their lines' representatives.  None is
     returned unless each edge uses exactly its own draw's reads, each in
     0..q-1.  A sink's distance is the dimension it lacks, as its rows are
     combinations of the source rows.  The source and the decodes go through
@@ -473,6 +487,15 @@ def rlnc_oracle_trial(
     q, cs, coefficients = ctx.q, ctx.class_size, iter(reads)
 
     def forward(pool, u: str, v: str) -> tuple[Fe, ...]:
+        if len(pool) == 1:  # held vectors are canonical, and c * v's rep is v
+            r = 0
+            while not r:
+                r = next(coefficients, None)
+                if type(r) is not int or not 0 <= r < q:
+                    raise _ReplayMismatch
+            if next(coefficients, 0) is not None:
+                raise _ReplayMismatch
+            return pool[0]
         while True:
             out = [ZERO] * len(pool[0])
             for vec in pool:

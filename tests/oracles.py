@@ -42,10 +42,13 @@ polynomial instead; its basis is the unstopped canonical greedy over every
 point of the flat, where the library stops at the rank on the cheaper stream.
 draw_by_randrange is the element draw as one randrange(q) call per item per
 attempt; the library reads getrandbits itself, and must read the stream
-exactly as randrange does.  The vector RLNC simulator, the element
-simulator's oracle, is part of the library (simulate's "rlnc" oracle) and
-draws nothing: it combines its vectors with the reads that the element
-draws recorded.
+exactly as randrange does.  relay_by_unwarp is a one-packet relay by the
+route that a relay with two or more packets takes: check the class, unwarp,
+draw a nonzero multiple of the preimage and place it as g^l * warp; the
+library forwards the lone packet after the same draw's reads.  The vector
+RLNC simulator, the element simulator's oracle, is part of the library
+(simulate's "rlnc" oracle) and draws nothing: it combines its vectors with
+the reads that the element draws recorded.
 
 decompose_check holds llcm and grcd against the minimal polynomials of the
 union and the intersection of two closed sets, columns_independent holds
@@ -72,10 +75,13 @@ from skewmatroid import (
     grcd,
     llcm,
     minimal_poly,
+    warp,
 )
+from skewmatroid.conjugacy import unwarp_all
 from skewmatroid.field import add_scaled, kernel, mat_rank
 from skewmatroid.matroid import Flat, Subspace, class_flat
 from skewmatroid.minimal import p_basis
+from skewmatroid.netsim import _draw_nonzero_combination
 
 
 class NotClosed(DomainError):
@@ -334,6 +340,15 @@ def draw_by_randrange(ctx, items, rng):
                 out = ctx.add(out, (b + c) % N)
         if out != ZERO:
             return out
+
+
+def relay_by_unwarp(ctx, a, rng):
+    """What a relay holding the one nonzero packet a forwards, by the class
+    check, unwarp_all, the shared draw over the preimage, and placement of
+    the draw in class l as g^l * warp."""
+    ell = class_of(ctx, a)
+    units = unwarp_all(ctx, [a], ell)
+    return ctx.mul(ell, warp(ctx, _draw_nonzero_combination(ctx, units, rng)))
 
 
 def decompose_check(ctx, points1, points2):

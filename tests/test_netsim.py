@@ -26,6 +26,7 @@ from skewmatroid import (
     conjugate,
     encode_message,
     get_field,
+    lift,
     matroid_closure,
     relay_forward,
     rlnc_oracle_trial,
@@ -42,7 +43,7 @@ from skewmatroid.netsim import (
     mirrored_source_vectors,
 )
 
-from oracles import draw_by_randrange, encode_by_subspace
+from oracles import draw_by_randrange, encode_by_subspace, relay_by_unwarp
 from specs import random_layered_spec
 
 
@@ -340,11 +341,42 @@ class CountingRandom(random.Random):
         return r
 
 
-def test_relay_single_packet_is_fixed(f16):
-    rng = random.Random(0)
-    for a in f16.nonzero_elements():
-        for _ in range(5):
-            assert relay_forward(f16, [a], rng) == a
+_TABLED_FIELDS = ["2,4,2,1", "2,4,4,1", "3,2,1,1", "3,4,2,1", "2,6,3,1", "2,8,2,3",
+                  "5,2,1,1", "2,5,1,2", "2,1,1,1", "7,2,1,1"]
+
+
+def _lone_packets(ctx, salt):
+    # every nonzero element up to order 256, a seeded sample of 256 above
+    if ctx.order <= 256:
+        return list(ctx.nonzero_elements())
+    return random.Random(f"{salt}:{ctx.order}").sample(range(ctx.order - 1), 256)
+
+
+def test_relay_single_packet_is_fixed():
+    # on each field a lone packet comes back as the unwarp route places it,
+    # with the same recorded reads and the generator left at the same point;
+    # m = 1, N = 1, odd p and s != 1 are among the fields
+    for field in _TABLED_FIELDS + ["2,16,4,1"]:
+        ctx = get_field(*map(int, field.split(",")))
+        for a in _lone_packets(ctx, "lone"):
+            got_rng, want_rng = random.Random(f"lone:{a}"), random.Random(f"lone:{a}")
+            got_rng.record, want_rng.record = [], []
+            for _ in range(3):
+                assert relay_forward(ctx, [a], got_rng) == a == relay_by_unwarp(ctx, a, want_rng)
+            assert got_rng.record == want_rng.record, field
+            assert got_rng.random() == want_rng.random(), field
+
+
+@pytest.mark.parametrize("field", _TABLED_FIELDS + ["2,16,4,1"])
+def test_a_class_point_lift_is_its_line_representative(field):
+    # the oracle forwards a lone vector as is: every c * v, c in F_q*, of a
+    # class point's lift v canonicalizes back to v
+    ctx = get_field(*map(int, field.split(",")))
+    N, scalars = ctx.order - 1, [c for c in ctx.subfield_elements if c != ZERO]
+    for a in _lone_packets(ctx, "lift"):
+        (v,) = (tuple(w) for w in lift(ctx, [a]))
+        for c in scalars:
+            assert canonical_line_rep(ctx, [x if x == ZERO else (x + c) % N for x in v]) == v
 
 
 def test_a_one_packet_relay_still_draws(f16, monkeypatch):
@@ -734,10 +766,6 @@ def test_run_trial_closure_monotonicity(f16):
 # ------------------------------------------------------------ oracle mirror
 
 
-_TABLED_FIELDS = ["2,4,2,1", "2,4,4,1", "3,2,1,1", "3,4,2,1", "2,6,3,1", "2,8,2,3",
-                  "5,2,1,1", "2,5,1,2", "2,1,1,1", "7,2,1,1"]
-
-
 @pytest.mark.parametrize("field", _TABLED_FIELDS)
 def test_mirrored_source_vectors_are_lifts(field):
     # at every rank, in the first and the last class (one class when q = 2),
@@ -1001,6 +1029,17 @@ def test_a_replay_must_read_exactly_the_recorded_reads(f16):
             record[: record.index(None, first + 1) + 1],  # draws too few
             [record[0] - f16.q] + record[1:],  # a read below 0
         ]
+        # the same five at the third draw, a -> t, whose relay holds one packet
+        start = record.index(None, first + 1) + 1
+        end = record.index(None, start)
+        assert not any(record[start:end - 1]) and record[end - 1]
+        faults += [
+            record[:end] + [0] + record[end:],
+            record[: end - 1] + record[end:],
+            record[: end + 1] + record[start : end + 1] + record[end + 1 :],
+            record[:start] + record[end + 1 :],
+            record[:start] + [record[start] - f16.q] + record[start + 1 :],
+        ]
         for fault in faults:
             assert rlnc_oracle_trial(f16, spec, message, fault) is None
 
@@ -1171,8 +1210,9 @@ def test_tabled_trials_match_standalone_trials(field, monkeypatch):
 @pytest.mark.parametrize("field", _TABLED_FIELDS)
 def test_warp_conjugate_and_placement_are_log_closed_forms(field, monkeypatch):
     # on every element: warp is the power twist - 1, conjugation multiplies
-    # by that power, and a relay places its draw a in class ell as
-    # g^ell * warp(a); m = 1, N = 1, odd p and s != 1 are among the fields
+    # by that power, and a relay of two packets places its draw a in class
+    # ell as g^ell * warp(a); m = 1, N = 1, odd p and s != 1 are among the
+    # fields
     ctx = get_field(*map(int, field.split(",")))
     e = ctx.twist - 1
     drawn = []
@@ -1184,7 +1224,7 @@ def test_warp_conjugate_and_placement_are_log_closed_forms(field, monkeypatch):
             assert conjugate(ctx, a, c) == ctx.mul(a, ctx.pow(c, e))
         drawn.append(a)
         for ell in range(ctx.q - 1):
-            assert relay_forward(ctx, [ell], None) == ctx.mul(ell, ctx.pow(a, e))
+            assert relay_forward(ctx, [ell, ell], None) == ctx.mul(ell, ctx.pow(a, e))
 
 
 def test_each_table_holds_at_most_its_cap(monkeypatch):
