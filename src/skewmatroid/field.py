@@ -26,9 +26,11 @@ the Zech table (an array of p^n - 1 4-byte logs) is built once a call
 about to read would take the reads past K, the table's build cost over one
 lookup's, in one pass that works for every p, from antilog and log arrays
 that are dropped afterwards.  K is 0 on the smallest fields, which build
-on their first read.  Class indices, warps and the canonical unwarp
-are closed forms on the log, so a caller that never adds two elements
-reads nothing, and the subfield is a range of logs.
+on their first read.  A call about to read declares an upper bound on the
+reads its loop can still make, counted from the terms it has left to meet.
+Class indices, warps and the canonical unwarp are closed forms on the log,
+so a caller that never adds two elements reads nothing, and the subfield
+is a range of logs.
 
 F_q-coordinates w.r.t. the basis 1, g, ..., g^(m-1) solve the sigma-Moore
 system sum_j c_j sigma^i(b_j) = sigma^i(a), i < m, whose matrix is inverted
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadDegreeDivisibility,
@@ -379,12 +381,9 @@ class FieldCtx:
         when the reads so far plus `reads` would pass K, the build's cost
         over a lookup's (_ZechLogs.break_even).  K is 0 on the smallest
         fields, which build on the first read, and below the order on
-        every field, so a caller about to read every entry builds.
-        add calls it on a miss with one read, add_scaled and each linear
-        factor of grow_minimal the first time two terms meet with one a
-        coefficient, value_at once per call at a nonzero point with one a
-        coefficient, rref once per elimination and vanishing_points once per
-        block of points with the reads it makes there."""
+        every field, so a caller about to read every entry builds.  Each
+        caller declares as `reads` an upper bound on the reads its loop can
+        still make, counted as the caller's docstring says."""
         if not self._zech:
             if self._logs is None:
                 self._logs = _ZechLogs(self.p, self.n, self.modpoly)
@@ -516,21 +515,26 @@ class FieldCtx:
         return f"g{a}"
 
     def modpoly_string(self) -> str:
-        """The modulus as a polynomial in x over F_p."""
-        terms = []
-        for j in range(self.n, -1, -1):
-            c = (self.modpoly // self.p**j) % self.p
-            if not c:
-                continue
-            if j == 0:
-                terms.append(str(c))
-            else:
-                xp = "x" if j == 1 else f"x^{j}"
-                terms.append(xp if c == 1 else f"{c}*{xp}")
-        return " + ".join(terms)
+        """The modulus as a polynomial in x over F_p: its base-p digits."""
+        p, n, mp = self.p, self.n, self.modpoly
+        return format_terms(((j, c) for j in range(n, -1, -1) if (c := mp // p**j % p)), str, 1)
 
     def __repr__(self) -> str:
         return f"FieldCtx({self.p},{self.n},{self.k},{self.s},modpoly={self.modpoly})"
+
+
+def format_terms(terms: Iterable[tuple[int, int]], fmt: Callable[[int], str], unit: int) -> str:
+    """'c*x^e + ...' from (exponent, coefficient) terms in the order given,
+    each coefficient printed by fmt, and none before a power of x when it is
+    the unit; "0" when there are none."""
+    out = []
+    for e, c in terms:
+        if e == 0:
+            out.append(fmt(c))
+        else:
+            xp = "x" if e == 1 else f"x^{e}"
+            out.append(xp if c == unit else f"{fmt(c)}*{xp}")
+    return " + ".join(out) or "0"
 
 
 _FIELD_CACHE: dict[tuple[int, int, int, int, int | None], FieldCtx] = {}
@@ -579,7 +583,8 @@ def add_scaled(
     ZERO entry adds nothing.  This is the accumulation step of every ring
     and matrix loop, and the one place besides add that reads zech, only
     where two terms meet; until the table is built, the first meeting
-    declares one read a coefficient to zech()."""
+    declares to zech() one read for each entry from it on, the meetings
+    left at most."""
     N, zech = ctx.order - 1, ctx._zech
     for j, b in enumerate(coeffs, off):
         if b != ZERO:
@@ -591,7 +596,7 @@ def add_scaled(
                 try:
                     z = zech[t - y]
                 except IndexError:  # as in add: unbuilt, or t - y outside -N..N-1
-                    zech = ctx.zech(len(coeffs))
+                    zech = ctx.zech(len(coeffs) + off - j)
                     z = zech[(t - y) % N]
                 out[j] = ZERO if z == ZERO else (y + z) % N
 
@@ -600,11 +605,13 @@ def value_at(ctx: FieldCtx, coeffs: Sequence[Fe], a: Fe) -> Fe:
     """The value at a of the skew polynomial with these coefficients (degree
     ascending), sum c_i a^dbracket(i), with dbracket(i) mod N kept as a
     running exponent: dbracket(i+1) = dbracket(i) q^s + 1.  0^dbracket(i) is
-    1 at i = 0 only, and a constant is its own value.  Otherwise it declares
-    to zech() one read a coefficient, and reads only where two terms meet."""
+    1 at i = 0 only, and a constant is its own value.  Otherwise it reads
+    only where two terms meet, at most nonzero terms - 1 times, and until
+    the table is built declares that many to zech()."""
     if a == ZERO or len(coeffs) < 2:
         return coeffs[0] if coeffs else ZERO
-    N, qs, zech = ctx.order - 1, ctx.twist, ctx._zech or ctx.zech(len(coeffs))
+    N, qs = ctx.order - 1, ctx.twist
+    zech = ctx._zech or ctx.zech(sum(c != ZERO for c in coeffs) - 1)
     acc, e = ZERO, 0
     for c in coeffs:
         if c != ZERO:
@@ -632,7 +639,7 @@ def grow_minimal(
     of (x + a) f is sigma(f_(j-1)) + a f_j, formed from the top down, so
     that each f_j is read before it is overwritten.  As in add_scaled, zech
     is read only where two terms meet, and until the table is built the
-    first meeting of a pass declares one read a coefficient of f."""
+    first meeting of a pass, at f_j, declares the j meetings left."""
     picks: list[Fe] = []
     if rank == 0:
         return picks
@@ -655,7 +662,7 @@ def grow_minimal(
                     try:
                         z = zech[t - y]
                     except IndexError:  # as in add_scaled
-                        zech = ctx.zech(d)
+                        zech = ctx.zech(j)
                         z = zech[(t - y) % N]
                     y = ZERO if z == ZERO else (y + z) % N
             coeffs[j] = y

@@ -25,12 +25,13 @@ table is made in field.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .conjugacy import conjugate, warp
 from .errors import DivisionByZeroPoly, MixedContexts, ParseError, ZeroInput
 from .field import (
-    MAX_ORDER, Fe, FieldCtx, ONE, ZERO, add_scaled, kernel, value_at, vanishing_points,
+    MAX_ORDER, Fe, FieldCtx, ONE, ZERO, add_scaled, format_terms, kernel, value_at,
+    vanishing_points,
 )
 
 
@@ -199,7 +200,7 @@ class SkewPoly:
 
     def __str__(self) -> str:
         terms = [(i, c) for i, c in enumerate(self.coeffs) if c != ZERO]
-        return _format_terms(self.ctx, reversed(terms))
+        return format_terms(reversed(terms), self.ctx.format_element, ONE)
 
     def __repr__(self) -> str:
         return f"SkewPoly({self!s})"
@@ -220,20 +221,7 @@ class AssocPoly(NamedTuple):
         return acc
 
     def __str__(self) -> str:
-        return _format_terms(self.ctx, reversed(self.terms))
-
-
-def _format_terms(ctx: FieldCtx, terms: Iterable[tuple[int, Fe]]) -> str:
-    """'c*x^e + ...' from (exponent, coefficient) terms in the order given;
-    "0" when there are none."""
-    out = []
-    for e, c in terms:
-        if e == 0:
-            out.append(ctx.format_element(c))
-        else:
-            xp = "x" if e == 1 else f"x^{e}"
-            out.append(xp if c == ONE else f"{ctx.format_element(c)}*{xp}")
-    return " + ".join(out) or "0"
+        return format_terms(reversed(self.terms), self.ctx.format_element, ONE)
 
 
 def _reduce(ctx: FieldCtx, r: list[Fe], g: Sequence[Fe], quot=None, u=None, v=()) -> None:

@@ -202,6 +202,34 @@ def test_context_attributes(f16):
     assert f16.modpoly_string() == "x^4 + x + 1"
 
 
+def _modpoly_by_digits(p: int, modpoly: int) -> str:
+    """The modulus written from its base-p digits, highest power first: a
+    nonzero digit d at power j as d*x^j, with x^1 written x, and d = 1 left
+    out before a power of x."""
+    digits = []
+    while modpoly:
+        modpoly, d = divmod(modpoly, p)
+        digits.append(d)
+    terms = []
+    for j, d in enumerate(digits):
+        if d:
+            power = "" if j == 0 else "x" if j == 1 else f"x^{j}"
+            coeff = "" if d == 1 and j else str(d)
+            terms.append(f"{coeff}*{power}".strip("*"))
+    return " + ".join(reversed(terms))
+
+
+def test_modpoly_string_reads_the_base_p_digits():
+    # every default modulus with n >= 2 up to order 2^12, odd p and digits
+    # above 1 among them, and an explicit modulus that is not the default
+    pairs = [(p, n) for p in range(2, 65) if _is_prime(p) for n in range(2, 13) if p**n <= 4096]
+    ctxs = [get_field(p, n, n, 1) for p, n in pairs] + [get_field(2, 4, 2, 1, 25)]
+    for ctx in ctxs:
+        assert ctx.modpoly_string() == _modpoly_by_digits(ctx.p, ctx.modpoly), ctx
+    assert get_field(3, 2, 1, 1).modpoly_string() == "x^2 + x + 2"
+    assert get_field(2, 4, 2, 1, 25).modpoly_string() == "x^4 + x^3 + 1"
+
+
 def test_cache_normalizes_default_modpoly():
     assert get_field(2, 4, 2, 1) is get_field(2, 4, 2, 1, 19)
     assert get_field(2, 2, 1, 1) is get_field(2, 2, 1, 1, 7)

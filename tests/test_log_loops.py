@@ -8,8 +8,11 @@ evaluation that SkewPoly.evaluate reads), field.grow_minimal (the greedy
 minimal polynomial, which reads value_at at each point) and
 field.vanishing_points, the scan for zeros over a range of logs that the
 preload and zeros on m = 1 read; the element simulator's draw adds through
-FieldCtx.add.  tests/oracles.py holds the kernel, the loops, the evaluation
-and right Euclid written through the context's add, neg, mul and frobenius.
+FieldCtx.add.  Each reader declares to FieldCtx.zech, before it reads, an
+upper bound on the reads its loop can still make, and no call reads more
+than it declared.  tests/oracles.py holds the kernel, the loops, the
+evaluation and right Euclid written through the context's add, neg, mul and
+frobenius.
 """
 
 import ast
@@ -144,14 +147,15 @@ def test_value_at_matches_the_evaluation_oracles(spec):
             assert value_at(ctx, f.coeffs, a) == value_at(ctx, list(f.coeffs), a) == want
 
 
-# (lookups, declarations, reads declared) of each call below: those of the
-# loop that grow_minimal replaced, an evaluate and a times_linear pass a
-# point, as the kernel declares and reads where and as much as they did
-GREEDY_READS = {rank_of: (66, 38, 104), minimal_poly: (1054, 68, 1213)}
+# (lookups, declarations, reads declared) of each call below: value_at
+# declares its nonzero terms - 1 at each point, and a pass that extends f
+# the meetings left from its first; on rank_of every declaration is met by
+# the reads that follow it, so it declares exactly the lookups it makes
+GREEDY_READS = {rank_of: (66, 38, 66), minimal_poly: (1054, 68, 1089)}
 
 
 @pytest.mark.parametrize("call", GREEDY_READS, ids=lambda f: f.__name__)
-def test_the_greedy_reads_and_declares_as_the_loop_it_replaced(call):
+def test_the_greedy_declares_the_reads_its_loops_can_make(call):
     # a cold 2^20 context whose K is raised past the order, so that every
     # read is a lookup; 40 points: 9 of one class (m = 5, so rank_of stops
     # that part at 5), zero, 28 others and two repeats
@@ -166,6 +170,7 @@ def test_the_greedy_reads_and_declares_as_the_loop_it_replaced(call):
     result = call(ctx, pts + pts[:2])
     assert (result if call is rank_of else result.degree) == 33
     assert (ctx._logs.reads, len(declared), sum(declared)) == GREEDY_READS[call]
+    assert call is not rank_of or sum(declared) == ctx._logs.reads
     assert ctx._zech == []
 
 
@@ -203,6 +208,57 @@ def test_vanishing_points_declare_the_reads_they_make(spec):
         assert sum(declared) == len(points) * max(terms - 2, 0)
         assert len(declared) == (-(-len(points) // 64) if terms > 2 else 0)
         assert counted.reads - reads <= sum(declared)
+
+
+def _dense(ctx, rng, n):
+    """n nonzero elements: with no zero term, most declarations are met."""
+    return [rng.randrange(ctx.order - 1) for _ in range(n)]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_no_loop_reads_more_than_it_declared(spec):
+    # every read of zech follows a declaration, and the reads that follow
+    # one, up to the next, never pass it, so no call reads more than it
+    # declared.  The calls run on a fresh context whose zech() records each
+    # declaration and returns the cached context's table, counting its reads
+    ctx = _ctx(spec)
+    counted, marks = _CountedReads(ctx.zech(ctx.order)), []
+    cold = FieldCtx(*(int(t) for t in spec.split(",")))
+    cold.zech = lambda reads=1: marks.append((reads, counted.reads)) or counted
+    rng = random.Random(f"declared loops {spec}")
+    N, m = cold.order - 1, cold.m
+
+    def check(call, *args):
+        start = counted.reads
+        marks.clear()
+        call(*args)
+        cuts = [start] + [r for _, r in marks] + [counted.reads]
+        bounds = [0] + [d for d, _ in marks]  # none before the first
+        assert all(b - a <= d for a, b, d in zip(cuts, cuts[1:], bounds)), call.__name__
+
+    polys = _polys(cold, rng) + [SkewPoly(cold, _dense(cold, rng, d)) for d in (2, 3, m + 3)]
+    for f in polys:
+        for a in [ZERO, ONE] + rng.sample(range(N), min(N, 4)):
+            check(f.evaluate, a)
+        for g in polys[::2]:
+            check(SkewPoly.__mul__, f, g)
+            if not g.is_zero():
+                check(SkewPoly.right_divmod, f, g)
+    for f, g in _euclid_pairs(cold, rng) + [tuple(polys[-2:])]:
+        check(grcd, f, g)
+        if not (f.is_zero() or g.is_zero()):
+            check(llcm, f, g)
+    for k in (1, m, m + 2):
+        ell = rng.randrange(cold.q - 1)
+        part = [(ell + (cold.q - 1) * rng.randrange(cold.class_size)) % N for _ in range(k)]
+        points = part + [ZERO] + _dense(cold, rng, 2 * m) + part[:2]
+        for call in (minimal_poly, rank_of):
+            check(call, cold, part)
+            check(call, cold, points)
+    for rows in _matrices(cold, rng) + [[_dense(cold, rng, 5) for _ in range(4)]]:
+        check(rref, cold, rows)
+    for _ in range(50):
+        check(cold.add, *_dense(cold, rng, 2))
 
 
 def test_vanishing_points_declare_their_reads_a_block_at_a_time():
@@ -343,7 +399,7 @@ def _zech_readers(node, scope=()):
         yield from _zech_readers(child, scope)
 
 
-def test_only_the_kernel_and_evaluate_read_the_zech_table():
+def test_only_field_reads_the_zech_table():
     # the table is read in field alone (add, add_scaled, the evaluation and
     # vanishing loops, the greedy and its build); any other loop accumulates
     # through add_scaled or evaluates through value_at
